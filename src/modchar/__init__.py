@@ -20,7 +20,8 @@ from .diophantine import (ConvergentTable, PoleSeriesTrace, bugeaud_mu,
 from .analysis import (GrowthReport, PolyFit, fit_riesz_polynomial,
                        growth_check, mellin_lemma_check)
 from .lfunctions import (LContext, LeadingCoefficient, L0_exact, Lprime0,
-                         L_value, euler_factor_ratio, evaluate_F,
+                         L_value, L_value_with_bound, euler_factor_ratio,
+                         evaluate_F,
                          functional_equation_check, gauss_sum,
                          hurwitz_zeta, hurwitz_zeta_with_bound,
                          leading_coefficient)
@@ -45,6 +46,7 @@ __all__ = [
     "GrowthReport", "PolyFit", "fit_riesz_polynomial", "growth_check",
     "mellin_lemma_check",
     "LContext", "LeadingCoefficient", "L0_exact", "Lprime0", "L_value",
+    "L_value_with_bound",
     "euler_factor_ratio", "evaluate_F", "functional_equation_check",
     "gauss_sum", "hurwitz_zeta", "hurwitz_zeta_with_bound",
     "leading_coefficient",

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidModulusError
+from .errors import InvalidModulusError, InvariantError
 from .roots import UnitValue
 
 MAX_MODULUS = 10**6
@@ -240,10 +240,6 @@ class Character:
             j = 1
         return f"{q}.{j}"
 
-    def value_table(self) -> tuple[UnitValue, ...]:
-        """chi(0), ..., chi(q-1) as exact values. Built fresh per call."""
-        return tuple(eval_char(self, n) for n in range(self.modulus))
-
     def angle_numerators(self, scale: int) -> np.ndarray:
         """Angles of chi(0..q-1) as integer numerators over `scale`.
 
@@ -315,7 +311,7 @@ def parity(chi: Character) -> int:
         return 1
     if v.denominator == 2:
         return -1
-    raise AssertionError("chi(-1) must be a square root of unity")
+    raise InvariantError(f"chi(-1) = {v} for {chi.label} is not +1 or -1")
 
 
 def conductor(chi: Character) -> int:

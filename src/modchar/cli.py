@@ -18,15 +18,15 @@ import warnings
 
 import numpy as np
 
-from .analysis import fit_riesz_polynomial, growth_check, mellin_lemma_check
+from .analysis import fit_riesz_polynomial, growth_check
 from .characters import character_from_label, enumerate_characters, parity
 from .config import RunConfig, parse_config
 from .diophantine import (continued_fraction, min_riesz_order,
                           pole_series_diagnostic)
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
                      FitError, ModCharError)
-from .lfunctions import (LContext, L_value, functional_equation_check,
-                         leading_coefficient)
+from .lfunctions import (LContext, L_value_with_bound,
+                         functional_equation_check, leading_coefficient)
 from .presets import PRESET_NAMES, run_preset
 from .sieve import partial_sums, riesz_means
 
@@ -228,7 +228,7 @@ def cmd_lfun(args) -> int:
         raise ConfigError("need --label q.j")
     s = complex(args.s, args.im)
     ctx = LContext(chi, eps=args.eps)
-    val = L_value(ctx, s)
+    val, bound = L_value_with_bound(ctx, s)
     s_str = _fmt(s.real) + (f"+{_fmt(s.imag)}i" if s.imag else "")
     print(f"L({s_str}, chi_[{chi.label}])"
           f" = {_fmt(val.real)} + {_fmt(val.imag)}i")
@@ -242,6 +242,8 @@ def cmd_lfun(args) -> int:
     else:
         print("functional equation residual: skipped (needs a primitive"
               " non-principal character)")
+    print("error bound: " + ("uncertified (digamma route)" if bound is None
+                             else _fmt(bound)))
     return 0
 
 

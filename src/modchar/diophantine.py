@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvalidPrimeError, TruncatedTableWarning
+from .errors import (DomainError, InvalidPrimeError, PrecisionError,
+                     TruncatedTableWarning)
 from .characters import is_prime
 from .modified import ModifiedCharacter
 from .summation import NeumaierSum
@@ -286,8 +287,12 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
             m = (((n * np.uint64(a_hi)) % np.uint64(1 << 31)) * np.uint64(1 << 32)
                  + n * np.uint64(a_lo)) % np.uint64(1 << _FRAC_BITS)
             # n * frac(log p / log anchor) is never an integer: p and the
-            # anchor are multiplicatively independent.
-            assert not np.any(m == 0)
+            # anchor are multiplicatively independent. Only the fixed-point
+            # angle can land on one.
+            if np.any(m == 0):
+                raise PrecisionError(
+                    f"{_FRAC_BITS}-bit angle of n log p / log {anchor} rounds"
+                    f" to an integer at n = {lo + int(np.argmax(m == 0))}")
             frac = m.astype(np.float64) * 2.0 ** -_FRAC_BITS
             g /= 2.0 * np.sin(np.pi * frac)
         nf = n.astype(np.float64)

@@ -68,6 +68,10 @@ class PrecisionError(ModCharError, ArithmeticError):
         self.suggested = dict(suggested or {})
 
 
+class InvariantError(ModCharError, RuntimeError):
+    """An internal consistency check failed: a bug, never a bad input."""
+
+
 class FitError(ModCharError, RuntimeError):
     """Least-squares fit is rank deficient, ill conditioned, or degenerate."""
 

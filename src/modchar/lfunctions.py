@@ -1,8 +1,14 @@
 """Dirichlet L-functions, special constants, and the series F(s).
 
 Everything funnels through the Hurwitz zeta function: L(s, chi) =
-q^(-s) sum_a chi(a) zeta(s, a/q), with zeta(s, a) evaluated by
-Euler-Maclaurin under an explicit, escalating error bound. Special values
+q^(-s) sum_a chi(a) zeta(s, a/q). One Euler-Maclaurin pass evaluates
+zeta(s, a/q) for every residue a coprime to q at once, in longdouble
+array arithmetic, and forms the chi-weighted sum and q^(-s) in longdouble
+too, so the value is rounded to complex128 once. Its error bound is one
+sum over the vector: the truncation remainders, an a-posteriori rounding
+term priced from the terms actually added, and that final rounding. The
+same formula runs on mpmath only when the longdouble rounding term alone
+exceeds the budget. Special values
 at s = 0 avoid floats entirely: L(0, chi) is a finite exact sum for odd chi,
 and L'(0, chi) for even chi is computed twice, by the log-gamma sum and
 through the functional equation, with a mandatory cross-check since every
@@ -50,131 +56,252 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def _em_sum(s: complex, a: float, M: int, B: int) -> tuple[complex, float]:
-    """One Euler-Maclaurin evaluation of zeta(s, a) with its error bound.
+# Unit roundoff of the fast route. On platforms where longdouble is only a
+# double this is 2^-53, so the same bound sends more inputs to mpmath.
+_U = float(np.finfo(np.longdouble).eps) / 2
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+_GRID = 1 << 16        # grid elements per block of _em_sum, whatever phi(q)
 
-    Valid when Re(s) + 2B + 1 > 0; the bound is the standard |B_{2B+2}|
-    term inflated by |s + 2B + 1|/(Re(s) + 2B + 1).
-    """
-    sigma = s.real
-    ns = np.arange(M, dtype=np.float64) + a
-    part = complex(np.sum(np.exp(-s * np.log(ns))))
-    w = M + a
-    lw = math.log(w)
-    val = part + cmath.exp((1 - s) * lw) / (s - 1) + cmath.exp(-s * lw) / 2
-    rising = s                       # (s)_{2j-1} for the current j
+
+@lru_cache(maxsize=None)
+def _bernoulli_coefs(B: int) -> np.ndarray:
+    """B_2j/(2j)! for j = 1..B in longdouble, each rounded from its Fraction."""
+    out = np.empty(B, dtype=np.longdouble)
     for j in range(1, B + 1):
-        coef = float(bernoulli(2 * j) / math.factorial(2 * j))
-        val += coef * rising * cmath.exp((-s - 2 * j + 1) * lw)
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-    j = B + 1
-    coef = abs(float(bernoulli(2 * j) / math.factorial(2 * j)))
-    denom = sigma + 2 * B + 1
-    bound = (coef * abs(rising) * w ** (-sigma - 2 * B - 1)
-             * abs(s + 2 * B + 1) / denom)
-    return val, bound
+        c = bernoulli(2 * j) / math.factorial(2 * j)
+        out[j - 1] = np.longdouble(c.numerator) / np.longdouble(c.denominator)
+    out.flags.writeable = False
+    return out
 
 
-def _term_scale(s: complex, a: float, M: int) -> float:
-    """Magnitude of the largest term the Euler-Maclaurin sum touches.
+def _clongdouble(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=np.clongdouble)
+    z.real = re
+    z.imag = im
+    return z
 
-    For sigma > 0 with small a that is the leading a^(-sigma); for
-    sigma < 0 the boundary term (M+a)^(1-sigma). Rounding error in any
-    fixed-precision evaluation is proportional to this scale.
+
+def _neg_power(x: np.ndarray, s: complex) -> tuple[np.ndarray, np.ndarray]:
+    """x^(-s) for real x > 0 in clongdouble, with its modulus x^(-sigma)."""
+    lx = np.log(x)
+    mod = np.exp(-s.real * lx)
+    ph = s.imag * lx
+    return _clongdouble(mod * np.cos(ph), -mod * np.sin(ph)), mod
+
+
+def _unit_roots(num, den: int) -> np.ndarray:
+    """e(num/den) in clongdouble; quarter turns are exact."""
+    num = np.asarray(num, dtype=np.int64) % den
+    ang = _TWO_PI * (num.astype(np.longdouble) / den)
+    z = _clongdouble(np.cos(ang), np.sin(ang))
+    quarter = 4 * num % den == 0
+    z[quarter] = np.array([1, 1j, -1, -1j],
+                          dtype=np.clongdouble)[4 * num[quarter] // den]
+    return z
+
+
+def _truncation_bound(s: complex, a: np.ndarray, M: int, B: int) -> float:
+    """Sum over a of the Euler-Maclaurin remainder after M and B terms.
+
+    Per a this is the standard |B_{2B+2}|/(2B+2)! |(s)_{2B+1}| w^(-sigma-2B-1)
+    inflated by |s + 2B + 1|/(sigma + 2B + 1), with w = M + a; valid when
+    sigma + 2B + 1 > 0. The constant is formed in log space, so no factor
+    overflows. A non-positive integer s below 2B + 1 makes the formula exact.
     """
-    sigma = s.real
-    lead = math.exp(-sigma * math.log(a)) if sigma > 0 else 1.0
-    edge = math.exp(max(1.0 - sigma, 0.0) * math.log(M + a))
-    return max(lead, edge, 1.0)
+    e = s.real + 2 * B + 1
+    factors = [abs(s + k) for k in range(2 * B + 2)]
+    if min(factors) == 0:
+        return 0.0
+    c = abs(bernoulli(2 * B + 2)) / math.factorial(2 * B + 2)
+    log_k = (math.log(c.numerator) - math.log(c.denominator)
+             + sum(map(math.log, factors)) - math.log(e))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_k - e * np.log(M + a)).sum())
 
 
-def _em_sum_bigfloat(s: complex, a: float, M: int, B: int,
-                     eps: float) -> tuple[complex, float]:
-    """The same Euler-Maclaurin formula on an arbitrary-precision backend.
+def _rounding_bound(s: complex, M: int, B: int, a_min: float, m: int, q: int,
+                    mag: float, jmag: float, u: float) -> float:
+    """u (K mag + 14 jmag): the rounding part of the bound, derived in
+    hurwitz_zeta_with_bound. mag is sum|terms added| and jmag the sum of
+    j |Bernoulli term j|, both times |q^(-s)|; m is the number of a."""
+    lam = max(math.log(M + 1), -math.log(a_min))
+    K = 2 * abs(s) * (4 + 5 * lam + 5 * math.log(q)) + M + B + m + 110
+    return u * (K * mag + 14 * jmag)
 
-    Used when the term scale times machine epsilon exceeds the requested
-    absolute budget: deep negative sigma (terms of size (M+a)^|sigma|
-    cancelling to an O(1) value) or small a with large positive sigma
-    (a huge leading term). Working precision is sized so arithmetic
-    rounding stays far below eps, leaving the truncation bound honest.
+
+def _em_sum(s: complex, a: np.ndarray, M: int, B: int, weights: np.ndarray,
+            q: int) -> tuple[np.clongdouble, float]:
+    """q^(-s) sum_i weights_i zeta_MB(s, a_i) in clongdouble, with its rounding bound.
+
+    zeta_MB is the Euler-Maclaurin formula cut after M power terms and B
+    Bernoulli terms: sum_{n<M} (n+a)^(-s) + w^(1-s)/(s-1) + w^(-s)/2
+    + sum_{j<=B} B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1), with w = M + a. Every a
+    is evaluated at once, in blocks of about _GRID grid elements. The
+    second value is the rounding bound of _rounding_bound.
+    """
+    n = np.arange(M, dtype=np.longdouble)
+    rising = np.cumprod(np.clongdouble(s) + np.arange(2 * B - 1))[::2]
+    kb = _bernoulli_coefs(B) * rising          # B_2j/(2j)! (s)_{2j-1}
+    kb_abs = np.abs(kb)
+    jkb_abs = np.arange(1, B + 1) * kb_abs
+    s1 = np.clongdouble(s) - 1
+    total = np.clongdouble(0)
+    mag = jmag = np.longdouble(0)
+    rows = max(1, _GRID // (M + B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(a), rows):
+            ab = a[lo:lo + rows]
+            terms, mods = _neg_power(n + ab[:, None], s)
+            w = ab + M
+            ws, wmod = _neg_power(w, s)
+            ypow = np.ones((len(ab), B), dtype=np.longdouble)
+            ypow[:, 1:] = (1 / (w * w))[:, None]
+            ypow = np.cumprod(ypow, axis=1)    # w^(-2(j-1))
+            g = ws / w                         # w^(-s-1)
+            zeta = (terms.sum(axis=1) + ws * (w / s1 + 0.5)
+                    + g * _clongdouble(ypow @ kb.real, ypow @ kb.imag))
+            total += (weights[lo:lo + rows] * zeta).sum()
+            gmod = wmod / w
+            mag += (mods.sum() + (wmod * (w / abs(s - 1) + 0.5)).sum()
+                    + (gmod * (ypow @ kb_abs)).sum())
+            jmag += (gmod * (ypow @ jkb_abs)).sum()
+        scale, scale_mod = _neg_power(np.longdouble(q), s)
+    return total * scale, _rounding_bound(
+        s, M, B, float(a.min()), len(a), q, float(mag * scale_mod),
+        float(jmag * scale_mod), _U)
+
+
+def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
+                     angles, order: int, budget: float,
+                     hint: float) -> tuple[complex, float]:
+    """The same combination as _em_sum on mpmath, at a precision sized to budget.
+
+    Used when the longdouble rounding term alone exceeds the budget: deep
+    negative sigma (terms of size (M+a)^|sigma| cancelling to a much smaller
+    value) or many residues with large terms. hint is that longdouble
+    rounding term; rounding scales with the unit roundoff, so the precision
+    is chosen to bring it under a quarter of the budget, raised again if
+    the term measured here says otherwise. The residues are combined in
+    mpmath, so the returned value carries one rounding to complex128.
     """
     import mpmath as mp
 
-    sigma = s.real
-    dps = (25 + int(max(0.0, math.log10(_term_scale(s, a, M))))
-           + int(max(0.0, -math.log10(eps))))
-    # If the Bernoulli terms grow before decaying, their peak sets the
-    # cancellation scale instead of the power-sum terms.
-    ratio = (abs(s) + 2 * B) / (2 * math.pi * (M + a))
-    if ratio > 1:
-        dps += int(2 * B * math.log10(ratio)) + 5
-    with mp.workdps(dps):
-        ms = mp.mpc(s)
-        val = mp.fsum((mp.mpf(n) + a) ** (-ms) for n in range(M))
-        w = mp.mpf(M) + a
-        val += w ** (1 - ms) / (ms - 1) + w ** (-ms) / 2
-        rising = ms
-        for j in range(1, B + 1):
-            coef = bernoulli(2 * j) / math.factorial(2 * j)
-            val += (mp.mpf(coef.numerator) / coef.denominator
-                    * rising * w ** (-ms - 2 * j + 1))
-            rising = rising * (ms + 2 * j - 1) * (ms + 2 * j)
-        j = B + 1
-        coef = abs(bernoulli(2 * j)) / math.factorial(2 * j)
-        denom = sigma + 2 * B + 1
-        bound = (mp.mpf(coef.numerator) / coef.denominator * abs(rising)
-                 * w ** (-sigma - 2 * B - 1) * abs(ms + 2 * B + 1) / denom)
-        return complex(val), float(bound)
+    prec = 256
+    if math.isfinite(hint) and hint > 0:
+        prec = max(80, math.ceil(math.log2(4 * hint / (_U * budget))) + 16)
+    for _ in range(4):
+        with mp.workprec(prec):
+            ms = mp.mpc(s.real, s.imag)
+            kb, rising = [], ms
+            for j in range(1, B + 1):
+                c = bernoulli(2 * j) / math.factorial(2 * j)
+                kb.append(mp.mpf(c.numerator) / c.denominator * rising)
+                rising *= (ms + 2 * j - 1) * (ms + 2 * j)
+            ks = [0] * len(a) if angles is None else np.asarray(angles).tolist()
+            total, mag, jmag = mp.mpc(0), mp.mpf(0), mp.mpf(0)
+            for num, k in zip(a.tolist(), ks):
+                x = mp.mpf(num) / q
+                w = x + M
+                ws = w ** -ms
+                terms = [(x + n) ** -ms for n in range(M)]
+                terms += [ws * w / (ms - 1), ws / 2]
+                g, y = ws / w, 1 / (w * w)
+                for j, c in enumerate(kb, start=1):
+                    terms.append(c * g)
+                    jmag += j * abs(terms[-1])
+                    g *= y
+                total += mp.expjpi(mp.mpf(2 * k) / order) * mp.fsum(terms)
+                mag += mp.fsum(abs(t) for t in terms)
+            scale = mp.mpf(q) ** -ms
+            val = complex(total * scale)
+            rounding = _rounding_bound(
+                s, M, B, float(a.min()) / q, len(a), q,
+                float(mag * abs(scale)), float(jmag * abs(scale)),
+                2.0 ** -prec)
+        if rounding <= budget / 4:
+            break
+        prec += math.ceil(math.log2(4 * rounding / budget)) + 16
+    return val, rounding
 
 
-def hurwitz_zeta_with_bound(s, a: float, eps: float = 1e-12,
-                            M: int = 50, B: int = 20) -> tuple[complex, float]:
-    """zeta(s, a) for 0 < a <= 1 with a reported rigorous error bound.
+def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
+                            *, q: int = 1, angles=None,
+                            order: int = 1) -> tuple[complex, float]:
+    """q^(-s) sum_i e(angles_i/order) zeta(s, a_i/q) with a rigorous error bound.
 
-    Escalates the truncation M and the Bernoulli depth B until the bound
-    meets eps; raises PrecisionError with suggested parameters if the
-    ceilings are hit first.
+    With the defaults this is zeta(s, a) for one 0 < a <= 1 (or the sum over
+    an array of them). L(s, chi) passes its residues r coprime to q as a,
+    chi's angle numerators and order, and q. Every parameter a_i/q must lie
+    in (0, 1].
+
+    The returned bound is absolute and sums three parts:
+    - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
+      and scaled by q^(-sigma). M and B escalate, once for the whole vector,
+      until it is at most eps/8.
+    - rounding: every term is evaluated in np.clongdouble (see _em_sum) and
+      the bound adds K u sum|terms added| |q^(-s)|, u the longdouble unit
+      roundoff, plus 14 u sum_j j |Bernoulli term j|. To first order in u,
+      assuming IEEE arithmetic and libm log/exp/cos/sin within 2 ulps:
+      a_i/q and n + a_i carry relative error 2u, so x^(-s) =
+      exp(-sigma log x) cis(-t log x) is off by at most 2|s|(2 + 5L) + 13 u
+      relative, L = max(log(M+1), -log min a_i/q); the Bernoulli chain
+      (rising factorials, powers of w^-2) adds at most 14j + 5 u on term j,
+      the boundary terms 10 u; the sums of one a add M + B + 3 u of
+      sum|terms|, chi's roots of unity 60 u, their products 3 u, the
+      combination over m residues m u, and q^(-s) with its product
+      2|s|(2 + 5 log q) + 16 u. Rounded up, K = 2|s|(4 + 5L + 5 log q)
+      + M + B + m + 110. mpmath evaluates the same terms at unit roundoff
+      2^-prec and is priced by the same formula.
+    - final rounding: |value| 2^-52, for the one conversion to complex128.
+
+    The route switches only on rounding: when the longdouble rounding term
+    alone exceeds eps minus the truncation term (deep negative sigma such
+    as s = -3.5, or q near 1000 at s = -0.5), the same formula runs in
+    _em_sum_bigfloat at a precision sized from that term. Where longdouble
+    is only a double, u is 2^-53 and more inputs take that route; the
+    bound stays honest either way. PrecisionError if no route meets eps.
     """
     s = complex(s)
     if s == 1:
         raise PoleError("zeta(s, a) has its only pole at s = 1")
-    if not 0 < a <= 1:
-        raise DomainError(f"a must be in (0, 1], got {a}")
+    num = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    if not (num.size and np.all((num > 0) & (num <= q))):
+        raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
     if abs(s) > MAX_ABS_S:
         raise DomainError(f"|s| = {abs(s):.3g} exceeds supported {MAX_ABS_S}")
     B = max(B, int((2 - s.real) / 2) + 3)
     M = max(M, int(abs(s)))
-    for _ in range(14):
-        # Double-precision rounding is proportional to the largest term
-        # touched; when that eats the eps budget, run the identical
-        # formula at scaled precision instead. The scaled route still
-        # returns a complex128, so its bound carries the one final
-        # rounding of the result, which no escalation can remove.
-        rounding = 1e-15 * _term_scale(s, a, M) * math.log2(M + 4)
-        if rounding > eps / 4:
-            try:
-                val, bound = _em_sum_bigfloat(s, a, M, B, eps)
-            except OverflowError:
-                raise PrecisionError(
-                    f"zeta({s}, {a}) overflows double precision") from None
-            if math.isfinite(bound) and bound <= eps:
-                return val, bound + abs(val) * 2.0 ** -52
-        else:
-            val, bound = _em_sum(s, a, M, B)
-            bound += rounding
-            if math.isfinite(bound) and bound <= eps:
-                return val, bound
+    a64 = num / q
+    a_min = float(a64.min())
+    scale = q ** -s.real
+    while True:
+        trunc = scale * _truncation_bound(s, a64, M, B)
+        if trunc <= eps / 8:
+            break
         # Bernoulli terms shrink like ((|s|+2B)/(2 pi (M+a)))^2 per step;
         # grow whichever parameter the ratio says is binding.
-        if (abs(s) + 2 * B) >= 2 * math.pi * (M + a) or B >= 120:
+        if (abs(s) + 2 * B) >= 2 * math.pi * (M + a_min) or B >= 120:
             if M >= 1 << 18:
-                break
+                raise PrecisionError(
+                    f"Euler-Maclaurin bound stuck above eps={eps:g} for s={s}",
+                    suggested={"M": M, "B": B})
             M *= 2
         else:
             B += 8
-    raise PrecisionError(
-        f"Euler-Maclaurin bound stuck above eps={eps:g} for s={s}",
-        suggested={"M": M, "B": B})
+    weights = (np.ones(num.size, dtype=np.clongdouble) if angles is None
+               else _unit_roots(angles, order))
+    val, rounding = _em_sum(s, num.astype(np.longdouble) / q, M, B,
+                            weights, q)
+    budget = eps - trunc
+    if not (np.isfinite(val) and rounding <= budget):
+        val, rounding = _em_sum_bigfloat(s, num, q, M, B, angles, order,
+                                         budget, rounding)
+        if not rounding <= budget:
+            raise PrecisionError(
+                f"rounding bound {rounding:.3g} above eps={eps:g} for s={s}"
+                f" even on mpmath", suggested={"M": M, "B": B})
+    val = complex(val) + 0j            # + 0j turns a -0.0 part into 0.0
+    return val, trunc + rounding + abs(val) * 2.0 ** -52
 
 
 def hurwitz_zeta(s, a: float, eps: float = 1e-12) -> complex:
@@ -234,19 +361,21 @@ def complex_gamma(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
+def _char_vector(chi: Character) -> tuple[np.ndarray, np.ndarray, int]:
+    """Residues r in [1, q] coprime to q, chi(r) = e(k_r/order) as (r, k, order)."""
+    order = chi.order
+    t = chi.angle_numerators(order)
+    r = np.arange(1, chi.modulus + 1)
+    k = t[r % chi.modulus]
+    keep = k >= 0
+    return r[keep], k[keep], order
+
+
 def gauss_sum(chi: Character) -> complex:
     """tau(chi) = sum_a chi(a) e(a/q), angles kept exact until the end."""
     q = chi.modulus
-    if q == 1:
-        return 1 + 0j
-    tot = 0j
-    for a in range(1, q + 1):
-        v = eval_char(chi, a)
-        if v.is_zero:
-            continue
-        ang = float((v.angle + Fraction(a, q)) % 1)
-        tot += complex(math.cos(2 * math.pi * ang), math.sin(2 * math.pi * ang))
-    return tot
+    r, k, order = _char_vector(chi)
+    return complex(_unit_roots(k * q + r * order, order * q).sum())
 
 
 @dataclass
@@ -255,7 +384,7 @@ class LContext:
 
     chi: Character
     eps: float = 1e-12
-    em_shift: int = 50
+    em_shift: int = 8
     bernoulli_depth: int = 20
     _tau: complex | None = field(default=None, repr=False)
     _eps_chi: complex | None = field(default=None, repr=False)
@@ -301,33 +430,30 @@ def _l_at_one(chi: Character, eps: float) -> complex:
     return -tot / q
 
 
-def L_value(ctx: LContext, s) -> complex:
-    """L(s, chi) through Hurwitz zeta.
+def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
+    """L(s, chi) and an absolute bound on its error, None at s = 1.
 
-    Total error at most ctx.eps, except that per-term budgets are floored
-    at 1e-14, so for very large moduli the guarantee degrades gracefully
-    to about phi(q) * 1e-14.
+    Away from s = 1 this is one hurwitz_zeta_with_bound call on all residues
+    coprime to q, so chi's roots of unity, the sum over residues and q^(-s)
+    are formed in longdouble and the value is rounded to complex128 once.
+    The bound is at most ctx.eps plus |value| 2^-52 for that rounding. At
+    s = 1 the digamma form is used, which carries no certified bound.
     """
     chi = ctx.chi
-    q = chi.modulus
     s = complex(s)
     if s == 1:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
-        return _l_at_one(chi, ctx.eps)
-    phi = chi.group.phi
-    # Floor at 1e-14: tighter per-term budgets are below what double
-    # accumulation of the q-term combination can honor anyway.
-    per_eps = max(ctx.eps * q ** s.real / max(phi, 1), 1e-14)
-    tot = 0j
-    for a in range(1, q + 1):
-        v = eval_char(chi, a)
-        if v.is_zero:
-            continue
-        term, _ = hurwitz_zeta_with_bound(s, a / q, per_eps,
-                                          ctx.em_shift, ctx.bernoulli_depth)
-        tot += v.to_complex() * term
-    return cmath.exp(-s * math.log(q)) * tot if q > 1 else tot
+        return _l_at_one(chi, ctx.eps), None
+    r, k, order = _char_vector(chi)
+    return hurwitz_zeta_with_bound(s, r, ctx.eps, ctx.em_shift,
+                                   ctx.bernoulli_depth, q=chi.modulus,
+                                   angles=k, order=order)
+
+
+def L_value(ctx: LContext, s) -> complex:
+    """L(s, chi) through Hurwitz zeta, within ctx.eps plus its final rounding."""
+    return L_value_with_bound(ctx, s)[0]
 
 
 def L0_exact(chi: Character):

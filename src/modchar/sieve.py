@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockSizeError, DomainError, OrderTooLargeError
+from .errors import (BlockSizeError, DomainError, InvariantError,
+                     OrderTooLargeError)
 from .modified import ModifiedCharacter
 from .summation import CHUNK, ComplexNeumaierSum, chunk_cuts, piecewise_sums
 
@@ -135,7 +136,9 @@ class SieveContext:
         left = rem > 1
         if q > 1 and left.any():
             look = self.chi_table[rem[left] % q]
-            assert (look >= 0).all(), "leftover not coprime to the modulus"
+            if not (look >= 0).all():
+                raise InvariantError("a sieve leftover is not coprime to the"
+                                     " modulus")
             t[left] += look
         t %= scale
         if lo == 0:

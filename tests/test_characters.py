@@ -8,7 +8,8 @@ import pytest
 from modchar.characters import (character_from_label, character_group,
                                 conductor, enumerate_characters, eval_char,
                                 is_primitive, parity)
-from modchar.errors import InvalidModulusError
+from modchar import characters
+from modchar.errors import InvalidModulusError, InvariantError, ModCharError
 from modchar.roots import UnitValue
 
 
@@ -36,6 +37,15 @@ def test_parity_examples():
              if c.order == 2 and c.is_primitive]
     assert len(real5) == 1
     assert parity(real5[0]) == 1
+
+
+def test_parity_rejects_a_broken_table(monkeypatch):
+    # chi(-1) off {+1, -1} is an internal fault, reported as a typed error
+    monkeypatch.setattr(characters, "eval_char",
+                        lambda chi, n: UnitValue.root(1, 3))
+    with pytest.raises(InvariantError) as ei:
+        parity(chi3())
+    assert isinstance(ei.value, ModCharError)
 
 
 def test_conductor_examples():

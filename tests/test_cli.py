@@ -138,7 +138,7 @@ def test_lfun_text(capsys):
     assert main(["lfun", "--label", "3.2", "--s", "0.3"]) == 0
     out = capsys.readouterr().out
     assert "L(0.29999999999999999, chi_[3.2])" in out
-    resid = float(out.split("residual:")[1])
+    resid = float(out.split("residual:")[1].splitlines()[0])
     assert resid < 1e-8
     # Gamma(1-s) poles at integer s: the value prints, the check is skipped
     assert main(["lfun", "--label", "3.2", "--s", "2"]) == 0
@@ -150,6 +150,19 @@ def test_lfun_text(capsys):
     assert main(["lfun", "--s", "2"]) == 2        # label is required
     assert "config error" in capsys.readouterr().err
     assert main(["lfun", "--label", "3.2", "--modulus", "5", "--s", "2"]) == 2
+
+
+def test_lfun_prints_error_bound(capsys):
+    assert main(["lfun", "--label", "5.2", "--s", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("L(0.5, chi_[5.2]) = 0.763747880117")
+    assert lines[1].startswith("functional equation residual: ")
+    assert lines[2].startswith("error bound: ")
+    assert 0 < float(lines[2].split(": ")[1]) <= 1e-12
+    # s = 1 takes the digamma form, which has no certified bound
+    assert main(["lfun", "--label", "3.2", "--s", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "error bound: uncertified (digamma route)"
 
 
 def test_dioph_json_and_text(capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from modchar.characters import character_from_label
+from modchar import diophantine
 from modchar.diophantine import (ConvergentTable, bugeaud_mu,
                                  continued_fraction, fitted_lower_constant,
                                  min_riesz_order, pole_series_diagnostic,
                                  reconstruct_alpha)
-from modchar.errors import (DomainError, InvalidPrimeError,
+from modchar.errors import (DomainError, InvalidPrimeError, PrecisionError,
                             TruncatedTableWarning)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
@@ -163,6 +164,14 @@ def test_pole_series_empty_product_is_zeta():
         assert trace.verdict.startswith("convergent")
         assert trace.max_term == 1.0 and trace.max_term_n == 1
         assert trace.spike_exponent == 0.0
+
+
+def test_pole_series_unresolved_angle_raises(monkeypatch):
+    # a fixed-point angle of 0 would divide by sin(0): a typed error instead
+    monkeypatch.setattr(diophantine, "_fixed_point_angles",
+                        lambda others, anchor: [(0, 0)] * len(others))
+    with pytest.raises(PrecisionError, match="at n = 1"):
+        pole_series_diagnostic(two_three(), 3, 13, 100)
 
 
 def test_pole_series_spikes_at_convergent_denominators():

@@ -8,13 +8,17 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modchar.characters import (character_from_label, character_group,
                                 enumerate_characters, eval_char, parity)
+from modchar import lfunctions
 from modchar.errors import (DomainError, NearPoleWarning, ParityError,
                             PoleError, PrimitivityError,
                             UntrustedTheoryWarning)
-from modchar.lfunctions import (L0_exact, LContext, L_value, Lprime0,
+from modchar.lfunctions import (L0_exact, LContext, L_value,
+                                L_value_with_bound, Lprime0,
                                 complex_gamma, digamma, evaluate_F,
                                 euler_factor_ratio, functional_equation_check,
                                 gauss_sum, hurwitz_zeta,
@@ -168,6 +172,82 @@ def test_l_value_continuous_through_one():
     at_one = L_value(ctx, 1.0)
     near = L_value(ctx, 1.0 + 1e-7)
     assert abs(at_one - near) < 1e-6
+
+
+def _mp_l_value(chi, s):
+    """q^-s sum_a chi(a) zeta(s, a/q) in mpmath at 35 digits."""
+    q = chi.modulus
+    with mp.workdps(35):
+        ms = mp.mpc(s.real, s.imag)
+        tot = mp.mpc(0)
+        for a in range(1, q + 1):
+            v = eval_char(chi, a)
+            if not v.is_zero:
+                tot += (mp.expjpi(mp.mpf(2 * v.numerator) / v.denominator)
+                        * mp.zeta(ms, mp.mpf(a) / q))
+        return tot * mp.power(q, -ms)
+
+
+def _check_certified(chi, s, eps=1e-12):
+    """|L - ref| within the reported bound plus one ulp per component, and
+    the bound within eps plus the |L| 2^-52 of L's own final rounding."""
+    val, bound = L_value_with_bound(LContext(chi, eps), s)
+    gap = float(abs(mp.mpc(val) - _mp_l_value(chi, s)))
+    ulps = math.ulp(abs(val.real)) + math.ulp(abs(val.imag))
+    assert gap <= bound + ulps, (chi.label, s, gap, bound)
+    assert bound <= eps + abs(val) * 2.0 ** -52, (chi.label, s, bound)
+    return val, bound
+
+
+@st.composite
+def _characters(draw):
+    chars = enumerate_characters(draw(st.integers(1, 100)))
+    return chars[draw(st.integers(0, len(chars) - 1))]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(chi=_characters(),
+       sigma=st.floats(-2.0, 3.0), t=st.floats(-25.0, 25.0))
+def test_l_value_bound_is_certified(chi, sigma, t):
+    s = complex(sigma, t)
+    if abs(s - 1) < 0.1:
+        s += 0.2
+    _check_certified(chi, s)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    inner = lfunctions._em_sum_bigfloat
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(lfunctions, "_em_sum_bigfloat", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, s", [(61, -3.5), (1009, -0.5)])
+def test_l_value_fallback_meets_eps(monkeypatch, q, s):
+    # longdouble rounding alone is over 1e-12 here: the residues are
+    # combined on mpmath, and the bound still meets eps
+    calls = _count_fallbacks(monkeypatch)
+    chi = next(c for c in enumerate_characters(q) if c.order > 2)
+    _check_certified(chi, complex(s))
+    assert len(calls) == 1
+
+
+def test_l_value_large_modulus_fast_route(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    chi = next(c for c in enumerate_characters(1009) if c.order > 2)
+    _, bound = _check_certified(chi, 0.5 + 0j)
+    assert not calls and bound <= 1e-12
+
+
+def test_l_value_bound_uncertified_at_one():
+    val, bound = L_value_with_bound(LContext(chi3()), 1.0)
+    assert bound is None
+    assert abs(val - math.pi / (3 * math.sqrt(3))) <= 1e-10
 
 
 def test_l0_exact_values():
