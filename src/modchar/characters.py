@@ -257,10 +257,13 @@ class Character:
         for b, c in zip(self.group.basis, self.exponents):
             k = b.dlog[res % b.prime_power].astype(np.int64)
             bad |= k < 0
-            step = c * scale
-            if step % b.order:
+            if c * scale % b.order:
                 raise ValueError("scale not divisible by the character order")
-            t = (t + (step // b.order) % scale * np.where(k < 0, 0, k)) % scale
+            # (c k / order) scale mod scale as (scale/o) ((c/g) k mod o), with
+            # g = gcd(c, order) and o = order/g: no int64 product exceeds scale
+            g = math.gcd(c, b.order)
+            o = b.order // g
+            t = (t + scale // o * ((c // g) * np.where(k < 0, 0, k) % o)) % scale
         t[bad] = -1
         return t
 

@@ -103,10 +103,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _sums_csv(series) -> str:
-    lines = ["x,re_sum,im_sum"]
-    for x, s in zip(series.checkpoints.tolist(), series.sums):
-        lines.append(f"{x},{_fmt(s.real)},{_fmt(s.imag)}")
-    return "\n".join(lines) + "\n"
+    xs = series.checkpoints.tolist()
+    if series.exact_sums is not None:   # |M| <= 1e9: .17g prints the digits
+        rows = [f"{x},{n},0" for x, n in zip(xs, series.exact_sums.tolist())]
+    else:
+        rows = [f"{x},{s.real:.17g},{s.imag:.17g}"
+                for x, s in zip(xs, series.sums.tolist())]
+    return "\n".join(["x,re_sum,im_sum", *rows]) + "\n"
 
 
 def _riesz_csv(record) -> str:

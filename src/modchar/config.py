@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .characters import Character, character_from_label, character_group, is_prime
-from .errors import ConfigError, ModCharError
+from .characters import (MAX_MODULUS, Character, character_from_label,
+                         character_group, is_prime)
+from .errors import ConfigError, DomainError, ModCharError
 from .modified import ModifiedCharacter, build_modified
 from .roots import UnitValue
+from .sieve import MAX_SIEVE_X as MAX_X, angle_scale
 
-MAX_MODULUS = 10**6
-MAX_X = 10**9
 FORMATS = ("csv", "json", "gnuplot")
 
 _TOP_FIELDS = {"character", "modifications", "x_max", "checkpoints",
@@ -370,6 +370,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     chi = _parse_character(text, ("character",), doc["character"])
     mods = _parse_modifications(text, ("modifications",),
                                 doc.get("modifications", []))
+    try:
+        angle_scale(chi, [v for _, v in mods])
+    except DomainError as e:
+        _fail(text, ("modifications",), str(e))
     x_max = _want_int(text, ("x_max",), doc.get("x_max", 10**6),
                       lo=1, hi=MAX_X)
     cps = _parse_checkpoints(text, ("checkpoints",),

@@ -145,31 +145,11 @@ def eval_f_oracle(mc: ModifiedCharacter, n: int) -> complex:
     Intended for n up to about 1e9 (worst case ~3e4 trial divisions). The
     sieve must agree with this on every value; tests enforce it.
     """
-    if n < 1:
-        raise ValueError("f is defined on positive integers")
-    overrides = dict(mc.modifications)
-    val = UnitValue.one()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            fp = overrides.get(d, eval_char(mc.base, d))
-            val = val * fp**e
-            if val.is_zero:
-                return 0j
-        d += 1 if d == 2 else 2
-    if m > 1:
-        fp = overrides.get(m, eval_char(mc.base, m))
-        val = val * fp
-    return val.to_complex()
+    return eval_f_exact(mc, n).to_complex()
 
 
 def eval_f_exact(mc: ModifiedCharacter, n: int) -> UnitValue:
-    """Same as eval_f_oracle but keeping the exact root-of-unity form."""
+    """f(n) by trial factorization, as an exact root of unity (or zero)."""
     if n < 1:
         raise ValueError("f is defined on positive integers")
     overrides = dict(mc.modifications)

@@ -1,12 +1,13 @@
 """Block-sieved evaluation of f(n) and its smoothed partial sums.
 
-The engine factors every n in a block [lo, hi) by dividing out prime powers
-of p <= sqrt(hi-1) (plus all primes of the modulus and the override set),
-accumulating exact angle numerators as int64 multiples of 1/D turns, D being
-the lcm of all value orders. Whatever remains in the quotient array after
-division is 1 or a single large prime, finished off by a character table
-lookup. Angles stay integers until the final complex conversion, so sieved
-values equal the trial-factorization oracle exactly, not just to rounding.
+f(n) = chi(m) prod_{p in S} f(p)^v_p(n), m being n without its S-parts, so
+the sieve visits only S. Angles are exact int64 numerators over D, the lcm
+of all value orders. A block [lo, hi) starts as the periodic chi angle table
+sliced from lo mod q. Each p in S off q adds angle(f(p)) - angle(chi(p)) at
+the multiples of every p^e. For each product d of the S-primes dividing q,
+ascending, the multiples of d get the table slice of n/d (consecutive along
+the stride) plus angle(f(d)); the last write at n is for its full S-part.
+Sieved values therefore equal the trial-factorization oracle exactly.
 
 All reductions run on the fixed 4096-chunk grid from `summation`, which
 makes every reported sum bit-identical under any block size or thread
@@ -27,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BlockSizeError, DomainError, InvariantError,
-                     OrderTooLargeError)
+from .errors import BlockSizeError, DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
 from .summation import CHUNK, ComplexNeumaierSum, chunk_cuts, piecewise_sums
 
@@ -36,6 +36,9 @@ DEFAULT_BLOCK = 1 << 20
 MAX_BLOCK = 1 << 22
 MAX_SIEVE_X = 10**9
 MAX_ORDER = 200
+# Largest angle denominator D: above 2^53 the int64 angle arithmetic and
+# the float conversion exp(2 pi i t/D) are no longer exact.
+MAX_SCALE = 1 << 53
 
 
 def thread_count(threads: int | None = None) -> int:
@@ -49,15 +52,26 @@ def thread_count(threads: int | None = None) -> int:
         return 1
 
 
-def primes_upto(n: int) -> np.ndarray:
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p::p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+def angle_scale(chi, values) -> int:
+    """D, the lcm of the orders of chi and of the override values."""
+    scale = math.lcm(chi.order, *(v.order for v in values))
+    if scale > MAX_SCALE:
+        raise DomainError(f"the value orders have lcm {scale} > 2^53; angles"
+                          f" would no longer be exact")
+    return scale
+
+
+def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
+    """table[(start + i) % len(table)] for i < n, by doubling copies, no gather."""
+    out = np.empty(n, dtype=table.dtype)
+    head = table[start:start + n]
+    k = min(n, len(table))
+    out[:len(head)] = head
+    out[len(head):k] = table[:k - len(head)]
+    while k < n:                      # out[:k] is whole periods
+        out[k:2 * k] = out[:min(k, n - k)]
+        k *= 2
+    return out
 
 
 class SieveContext:
@@ -81,24 +95,27 @@ class SieveContext:
         chi = mc.base
         q = chi.modulus
         self.q = q
-        scale = chi.order
-        for _, v in mc.modifications:
-            scale = math.lcm(scale, v.order)
+        scale = angle_scale(chi, [v for _, v in mc.modifications])
         self.scale = scale
         self.chi_table = chi.angle_numerators(scale)
-        # f(p) for every prime needing special treatment: the override set
-        # plus primes of q (where chi vanishes). None encodes f(p) = 0.
-        special: dict[int, int | None] = {}
-        for p, _ in chi.group.factorization:
-            special[p] = None
+        q_primes = {p for p, _ in chi.group.factorization}
+        # p in S off q: the exact shift angle(f(p)) - angle(chi(p))
+        self.shifts = [(p, (int(v.angle * scale) - int(self.chi_table[p % q]))
+                        % scale)
+                       for p, v in mc.modifications if p not in q_primes]
+        # p in S dividing q: every product 1 < d <= x_max of them with the
+        # angle of f(d), ascending in d
+        parts = {1: 0}
         for p, v in mc.modifications:
-            special[p] = int(v.angle * scale)
-        self.special = special
-        limit = math.isqrt(max(self.x_max - 1, 0))
-        base = primes_upto(limit)
-        self.generic_primes = np.array(
-            [p for p in base.tolist() if p not in special], dtype=np.int64)
-        self.special_list = sorted(special)
+            if p not in q_primes:
+                continue
+            for d, a in list(parts.items()):
+                while d * p <= self.x_max:
+                    d, a = d * p, (a + int(v.angle * scale)) % scale
+                    parts[d] = a
+        del parts[1]
+        self.part_d = np.array(sorted(parts), dtype=np.int64)
+        self.part_angle = [parts[d] for d in sorted(parts)]
         self.is_real = scale <= 2
         self.exp_table = None
         if scale <= 1 << 16:
@@ -108,57 +125,45 @@ class SieveContext:
     def block_angles(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Angle numerators (mod scale) and zero mask for n in [lo, hi)."""
         m = hi - lo
-        t = np.zeros(m, dtype=np.int64)
-        zero = np.zeros(m, dtype=bool)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        limit = math.isqrt(hi - 1)
-        q, scale = self.q, self.scale
-        cut = int(np.searchsorted(self.generic_primes, limit, side="right"))
-        sweep = [(int(p), int(self.chi_table[p % q]))
-                 for p in self.generic_primes[:cut]]
-        sweep += [(p, self.special[p]) for p in self.special_list]
-        for p, ang in sweep:
+        q, table = self.q, self.chi_table
+        t = periodic_slice(table, lo % q, m)
+        zero = t < 0
+        firsts = np.maximum(-(-lo // self.part_d), 1) * self.part_d
+        for i in np.nonzero(firsts < hi)[0].tolist():
+            d, start = int(self.part_d[i]), int(firsts[i])
+            sl = slice(start - lo, m, d)
+            chi_m = periodic_slice(table, (start // d) % q,
+                                   (hi - 1 - start) // d + 1)
+            np.less(chi_m, 0, out=zero[sl])
+            np.add(chi_m, self.part_angle[i], out=t[sl])
+        for p, shift in self.shifts:
             pe = p
             while pe < hi:
-                start = -(-lo // pe) * pe
-                if start < pe:
-                    start = pe
+                start = max(-(-lo // pe), 1) * pe
                 if start >= hi:
                     break
-                sl = slice(start - lo, m, pe)
-                rem[sl] //= p
-                if ang is None:
-                    if pe == p:
-                        zero[sl] = True
-                else:
-                    t[sl] += ang
+                t[start - lo::pe] += shift
                 pe *= p
-        left = rem > 1
-        if q > 1 and left.any():
-            look = self.chi_table[rem[left] % q]
-            if not (look >= 0).all():
-                raise InvariantError("a sieve leftover is not coprime to the"
-                                     " modulus")
-            t[left] += look
-        t %= scale
+        t -= t // self.scale * self.scale   # t %= scale, but libdivide-fast
         if lo == 0:
             zero[0] = True
         return t, zero
 
-    def block_values(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Complex f(n) for n in [lo, hi), plus exact int8 values when real."""
+    def block_values(self, lo: int, hi: int) -> np.ndarray:
+        """f(n) for n in [lo, hi): exact int64 0/+-1 when f is real, else complex128."""
         t, zero = self.block_angles(lo, hi)
         if self.is_real:
-            iv = (1 - 2 * (t % 2)).astype(np.int8)
-            iv[zero] = 0
-            return iv.astype(np.complex128), iv
-        if self.exp_table is not None:
+            vals = t                      # 0 or 1 -> +1 or -1, in place
+            vals *= -2
+            vals += 1
+        elif self.exp_table is not None:
             vals = self.exp_table[t]
-        else:
-            vals = np.exp(2j * np.pi * t / self.scale)
-        vals = vals.copy()
+        else:                             # in place: one complex array
+            vals = 2j * np.pi * t
+            vals /= self.scale
+            np.exp(vals, out=vals)
         vals[zero] = 0
-        return vals, None
+        return vals
 
     def block_bounds(self) -> list[tuple[int, int]]:
         out = []
@@ -170,12 +175,11 @@ class SieveContext:
         return out
 
     def iter_blocks(self):
-        """Yield (lo, hi, complex values, exact int values or None) in order."""
+        """Yield (lo, hi, block_values(lo, hi)) in order."""
         bounds = self.block_bounds()
         if self.threads <= 1:
             for lo, hi in bounds:
-                cv, iv = self.block_values(lo, hi)
-                yield lo, hi, cv, iv
+                yield lo, hi, self.block_values(lo, hi)
             return
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             window = self.threads + 2
@@ -183,19 +187,19 @@ class SieveContext:
             for i, (lo, hi) in enumerate(bounds[:window]):
                 futures[i] = pool.submit(self.block_values, lo, hi)
             for i, (lo, hi) in enumerate(bounds):
-                cv, iv = futures.pop(i).result()
+                vals = futures.pop(i).result()
                 nxt = i + window
                 if nxt < len(bounds):
                     futures[nxt] = pool.submit(self.block_values, *bounds[nxt])
-                yield lo, hi, cv, iv
+                yield lo, hi, vals
 
 
 def sieve_values(mc: ModifiedCharacter, x_max: int,
                  block_size: int | None = None, threads: int | None = None):
     """Stream f(1), f(2), ..., f(x_max) as complex numbers."""
     ctx = SieveContext(mc, x_max, block_size, threads)
-    for _, _, cv, _ in ctx.iter_blocks():
-        yield from cv
+    for _, _, vals in ctx.iter_blocks():
+        yield from vals.astype(np.complex128, copy=False)
 
 
 def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
@@ -243,9 +247,10 @@ def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
 class PartialSumSeries:
     """M(x) at checkpoints; exact integer sums ride along for real f.
 
-    sums is the best available route (exact integers when all values are
-    0/+-1, the compensated float accumulation otherwise); float_sums keeps
-    the compensated route in both cases so the two can be compared.
+    sums is the best available route: exact integers when all values are
+    0/+-1, the compensated float accumulation otherwise. float_sums is the
+    compensated route; for real f every piece sum and prefix is an integer
+    below 2^53, where that route is exact, so it is the same array as sums.
     """
 
     checkpoints: np.ndarray
@@ -287,24 +292,16 @@ class RieszRecord:
 def _checkpoint_walk(ctx: SieveContext, checkpoints: np.ndarray, consume):
     """Drive blocks through chunk-grid pieces, snapshotting at checkpoints.
 
-    consume(lo, hi, cv, iv, cuts, snap_at) is called per block, where cuts
-    are the absolute piece boundaries inside (lo, hi) and snap_at maps a
-    piece end position to the checkpoint index to record after folding that
-    piece.
+    consume(lo, hi, vals, cuts, piece, cp) is called per block, where cuts
+    are the absolute piece boundaries inside (lo, hi) and checkpoint index
+    cp[i] is to be recorded after folding piece number piece[i].
     """
-    cp_plus = checkpoints + 1
-    for lo, hi, cv, iv in ctx.iter_blocks():
-        cuts = chunk_cuts(lo, hi)
-        inside = cp_plus[(cp_plus > lo) & (cp_plus < hi)]
-        if len(inside):
-            cuts = np.unique(np.concatenate([cuts, inside]))
-        ends = np.concatenate([cuts, [hi]])
-        snap_at = {}
-        for e in ends:
-            j = np.searchsorted(checkpoints, e - 1)
-            if j < len(checkpoints) and checkpoints[j] == e - 1:
-                snap_at[int(e)] = int(j)
-        consume(lo, hi, cv, iv, cuts, snap_at)
+    for lo, hi, vals in ctx.iter_blocks():
+        a, b = np.searchsorted(checkpoints, [lo, hi])
+        ends_at = checkpoints[a:b] + 1        # a checkpoint x closes at x + 1
+        cuts = np.union1d(chunk_cuts(lo, hi), ends_at[ends_at < hi])
+        piece = np.searchsorted(cuts, ends_at)
+        consume(lo, hi, vals, cuts, piece, np.arange(a, b))
 
 
 def partial_sums(mc: ModifiedCharacter, x_max: int,
@@ -314,36 +311,20 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     """Partial sums M(x) at rule-selected checkpoints, one sieve pass."""
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
     ctx = SieveContext(mc, x_max, block_size, threads)
-    sums = np.zeros(len(cps), dtype=np.complex128)
-    exact = np.zeros(len(cps), dtype=np.int64) if ctx.is_real else None
-    acc = ComplexNeumaierSum()
-    run_int = 0
+    pieces, closing = [], []    # every piece sum; the piece each checkpoint ends
 
-    def consume(lo, hi, cv, iv, cuts, snap_at):
-        nonlocal run_int
-        pieces = piecewise_sums(cv, lo, cuts)
-        ipieces = piecewise_sums(iv.astype(np.int64), lo, cuts) \
-            if iv is not None else None
-        ends = np.concatenate([cuts, [hi]])
-        for i, e in enumerate(ends):
-            acc.add(complex(pieces[i]))
-            if ipieces is not None:
-                run_int += int(ipieces[i])
-            j = snap_at.get(int(e))
-            if j is not None:
-                sums[j] = acc.value
-                if exact is not None:
-                    exact[j] = run_int
+    def consume(lo, hi, vals, cuts, piece, cp):
+        closing.append(piece + sum(len(p) for p in pieces))
+        pieces.append(piecewise_sums(vals, lo, cuts))
 
     _checkpoint_walk(ctx, cps, consume)
-    fsums = sums
-    if exact is not None:
-        # For real-valued f the exact route is authoritative; the float
-        # route stays on float_sums so its drift can be measured.
-        sums = exact.astype(np.complex128)
+    pieces, closing = np.concatenate(pieces), np.concatenate(closing)
+    exact = np.cumsum(pieces)[closing] if ctx.is_real else None
+    sums = (exact.astype(np.complex128) if ctx.is_real
+            else ComplexNeumaierSum().add_many(pieces)[closing])
     rule_name = checkpoint_rule if isinstance(checkpoint_rule, str) else "explicit"
     return PartialSumSeries(cps, sums, exact, x_max, rule_name,
-                            mc.digest(), mc, float_sums=fsums)
+                            mc.digest(), mc, float_sums=sums)
 
 
 def _inv_factorial(k: int) -> float:
@@ -414,8 +395,10 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     exact0 = np.zeros(ncp, dtype=np.int64) if ctx.is_real else None
     run_int = 0
 
-    def consume(lo, hi, cv, iv, cuts, snap_at):
+    def consume(lo, hi, vals, cuts, piece, cp):
         nonlocal run_int, done
+        cv = vals.astype(np.complex128, copy=False)
+        snap_at = dict(zip(piece.tolist(), cp.tolist()))
         ends = np.concatenate([cuts, [hi]])
         first = (lo - 1) // CHUNK
         span = (hi - 2) // CHUNK - first + 1
@@ -428,15 +411,14 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
         for _ in range(kmax):
             cur = cur * logs
             piece_stack.append(piecewise_sums(cur, lo, cuts))
-        ipieces = piecewise_sums(iv.astype(np.int64), lo, cuts) \
-            if iv is not None else None
+        ipieces = piecewise_sums(vals, lo, cuts) if ctx.is_real else None
         for i, e in enumerate(ends):
             for j in range(kmax + 1):
                 cur_p[j] += piece_stack[j][i]
             acc0.add(complex(piece_stack[0][i]))
             if ipieces is not None:
                 run_int += int(ipieces[i])
-            idx = snap_at.get(int(e))
+            idx = snap_at.get(i)
             if idx is not None:
                 snaps.append((idx, done, cur_p.copy()))
                 sums0[idx] = acc0.value
@@ -541,7 +523,8 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
     total = ComplexNeumaierSum()
     prefix = ComplexNeumaierSum()
     sup_ratio = 0.0
-    for lo, hi, cv, _ in ctx.iter_blocks():
+    for lo, hi, vals in ctx.iter_blocks():
+        cv = vals.astype(np.complex128, copy=False)
         top = min(hi, X)          # weights only for n <= X-1
         n = np.arange(lo, hi, dtype=np.float64)
         pw = n ** (-sigma)

@@ -3,7 +3,9 @@
 Sieved values are reduced chunk-by-chunk on a fixed absolute grid: chunk c
 covers n in [1 + c*CHUNK, 1 + (c+1)*CHUNK). Per-chunk partial sums depend
 only on the data, never on how work was split into blocks or threads, and
-the chunk sums are folded left to right through a Neumaier accumulator.
+the chunk sums are folded left to right through a Neumaier accumulator
+(one piece at a time with `add`, or a whole array of pieces at once with
+the bit-identical `add_many`).
 Consequently every reported sum is bit-identical for any block size and any
 thread count, which the test suite asserts literally.
 """
@@ -32,6 +34,18 @@ class NeumaierSum:
             self.c += (x - t) + self.s
         self.s = t
 
+    def add_many(self, x: np.ndarray) -> np.ndarray:
+        """add() each x_i in turn, returning the value after each, bit for bit:
+        np.cumsum is a sequential fold, s_i = fl(s_(i-1) + x_i) as in add()."""
+        x = np.asarray(x, dtype=np.float64)
+        run = np.cumsum(np.concatenate(([self.s], x)))
+        prev, s = run[:-1], run[1:]
+        e = np.where(np.abs(prev) >= np.abs(x), (prev - s) + x, (x - s) + prev)
+        c = np.cumsum(np.concatenate(([self.c], e)))[1:]
+        if len(x):
+            self.s, self.c = float(s[-1]), float(c[-1])
+        return s + c
+
     @property
     def value(self) -> float:
         return self.s + self.c
@@ -49,6 +63,13 @@ class ComplexNeumaierSum:
     def add(self, z: complex) -> None:
         self.re.add(z.real)
         self.im.add(z.imag)
+
+    def add_many(self, z: np.ndarray) -> np.ndarray:
+        """add() each element of z in turn; returns the value after each."""
+        out = np.empty(len(z), dtype=np.complex128)
+        out.real = self.re.add_many(z.real)
+        out.imag = self.im.add_many(z.imag)
+        return out
 
     @property
     def value(self) -> complex:

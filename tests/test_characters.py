@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from modchar.characters import (character_from_label, character_group,
-                                conductor, enumerate_characters, eval_char,
+from modchar.characters import (Character, character_from_label,
+                                character_group, conductor, enumerate_characters, eval_char,
                                 is_primitive, parity)
 from modchar import characters
 from modchar.errors import InvalidModulusError, InvariantError, ModCharError
@@ -135,3 +135,13 @@ def test_bad_labels():
         character_from_label("6.2")   # 2 not coprime to 6
     with pytest.raises(ValueError):
         character_from_label("nonsense")
+
+
+def test_angle_table_exact_at_large_scale():
+    # scale 2^16 3^22 (about 2^51) with a chi of order 2^16: c k scale/order
+    # overflows int64 if formed as a product before reducing mod scale
+    chi = Character(character_group(65537), (12345,))
+    scale = 65536 * 3**22
+    table = chi.angle_numerators(scale)
+    for n in list(range(1, 2000)) + list(range(65000, 65537)):
+        assert eval_char(chi, n).angle * scale == int(table[n]), n

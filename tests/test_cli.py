@@ -6,7 +6,7 @@ import os
 import pytest
 
 from modchar.characters import character_from_label
-from modchar.cli import main
+from modchar.cli import _fmt, _sums_csv, main
 from modchar.lfunctions import leading_coefficient
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
@@ -91,6 +91,29 @@ def test_simulate_byte_identity(tmp_path, capsys):
     assert f"wrote {a}" in wrote and f"wrote {b}" in wrote
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("mc", [
+    bcc(),
+    build_modified(character_from_label("5.2"),
+                   {2: UnitValue.minus_one(), 7: UnitValue.root(1, 3)})])
+def test_sums_csv_bytes_match_per_value_format(mc):
+    series = partial_sums(mc, 50000, checkpoint_rule="every:7")
+    lines = ["x,re_sum,im_sum"]
+    for x, s in zip(series.checkpoints.tolist(), series.sums):
+        lines.append(f"{x},{_fmt(s.real)},{_fmt(s.imag)}")
+    assert _sums_csv(series) == "\n".join(lines) + "\n"
+
+
+def test_value_scale_overflow_is_a_config_error(tmp_path, capsys):
+    # lcm of the value orders is about 2^80: past int64 and past the 2^53
+    # where exp(2 pi i t/D) stops being exact
+    cfg = write_config(tmp_path, modifications=[
+        {"p": 2, "angle": [1, 1099511627791]},
+        {"p": 5, "angle": [1, 1099511627776]}])
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "2^53" in err
 
 
 def test_riesz_csv(tmp_path):

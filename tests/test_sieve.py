@@ -1,18 +1,23 @@
 """Sieve engine: streamed values, partial sums, Riesz means, Mellin."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modchar.characters import character_from_label
+from modchar.characters import (character_from_label, enumerate_characters,
+                                is_prime)
 from modchar.errors import BlockSizeError, DomainError, OrderTooLargeError
 from modchar.lfunctions import L_value, LContext, evaluate_F
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, SieveContext, checkpoints_from_rule,
-                           mellin_transform, partial_sums, riesz_means,
-                           sieve_values)
+                           mellin_transform, partial_sums, periodic_slice,
+                           riesz_means, sieve_values)
+from modchar.summation import ComplexNeumaierSum, NeumaierSum
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -73,6 +78,93 @@ def test_sieve_angles_match_exact_evaluation():
             assert not zero[n - 1], n
             num, den = int(t[n - 1]), ctx.scale
             assert v.angle.numerator * den == num * v.angle.denominator, n
+
+
+def _assert_angles_exact(mc, ctx, lo, hi):
+    t, zero = ctx.block_angles(lo, hi)
+    for n in range(lo, hi):
+        v = eval_f_exact(mc, n)
+        assert zero[n - lo] == v.is_zero, n
+        if not v.is_zero:
+            assert v.angle * ctx.scale == int(t[n - lo]), n
+
+
+@st.composite
+def _sieve_cases(draw):
+    """Composite q <= 60, any chi, S of 0-4 primes with 0-2 dividing q."""
+    q = draw(st.sampled_from([n for n in range(4, 61) if not is_prime(n)]))
+    chars = enumerate_characters(q)
+    chi = chars[draw(st.integers(0, len(chars) - 1))]
+    q_primes = [p for p, _ in chi.group.factorization]
+    on_q = draw(st.lists(st.sampled_from(q_primes), max_size=2, unique=True))
+    off_q = draw(st.lists(st.sampled_from(
+        [p for p in (2, 3, 5, 7, 11, 13) if q % p]),
+        max_size=4 - len(on_q), unique=True))
+    mods = {p: UnitValue.root(draw(st.integers(0, 11)),
+                              draw(st.integers(1, 12)))
+            for p in on_q + off_q}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # f(p) = chi(p) entries drop out
+        mc = build_modified(chi, mods, allow_imprimitive=True)
+    lo = draw(st.integers(1, 10**6))
+    hi = lo + draw(st.integers(1, 3 * q))  # shorter and longer than q
+    return mc, lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_sieve_cases())
+def test_block_angles_match_exact_evaluation(case):
+    mc, lo, hi = case
+    _assert_angles_exact(mc, SieveContext(mc, hi - 1), lo, hi)
+
+
+def test_block_angles_two_override_primes_on_q():
+    # 2 and 3 both divide q = 12: n = 2^a 3^b m needs the S-part 2^a 3^b
+    # written last on the multiples of 6, 12, 18, ...
+    mc = build_modified(character_from_label("12.5"),
+                        {2: UnitValue.root(1, 3), 3: UnitValue.root(1, 4),
+                         5: UnitValue.root(1, 5)}, allow_imprimitive=True)
+    ctx = SieveContext(mc, 10**5)
+    _assert_angles_exact(mc, ctx, 1, 3000)
+    _assert_angles_exact(mc, ctx, 10**5 - 1000, 10**5 + 1)
+
+
+def test_periodic_slice_wraps():
+    table = np.arange(7, dtype=np.int64)
+    for start in range(7):
+        for n in (0, 1, 5, 7, 8, 30, 100):
+            ref = table[(start + np.arange(n)) % 7]
+            assert np.array_equal(periodic_slice(table, start, n), ref)
+
+
+def _scalar_running(acc, xs):
+    out = []
+    for x in xs:
+        acc.add(x)
+        out.append(acc.value)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vectorised_neumaier_fold_is_bit_identical(seed):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    # wide dynamic range, and every third piece cancels most of the sum so far
+    mags = 10.0 ** rng.uniform(-200, 200, n)
+    re = rng.choice([-1.0, 1.0], n) * mags
+    im = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20, 20, n)
+    re[2::3] = -np.cumsum(re)[1::3][:len(re[2::3])] * (1 + 1e-15)
+    cuts = np.sort(rng.choice(np.arange(1, n), 12, replace=False))
+    ref = _scalar_running(NeumaierSum(), re.tolist())
+    acc = NeumaierSum()
+    got = np.concatenate([acc.add_many(part) for part in np.split(re, cuts)])
+    assert got.tobytes() == np.array(ref).tobytes()
+    z = re + 1j * im
+    ref = _scalar_running(ComplexNeumaierSum(), z.tolist())
+    acc = ComplexNeumaierSum()
+    got = np.concatenate([acc.add_many(part) for part in np.split(z, cuts)])
+    assert got.tobytes() == np.array(ref, dtype=np.complex128).tobytes()
+    assert acc.value == ref[-1]
 
 
 def test_checkpoint_rules():
@@ -217,6 +309,14 @@ def test_sieve_context_guards():
         SieveContext(mc, -1)
     # block sizes round up to the chunk grid
     assert SieveContext(mc, 100, block_size=10**4).block == 3 * CHUNK
+
+
+def test_sieve_context_rejects_inexact_scale():
+    mc = build_modified(character_from_label("3.2"),
+                        {2: UnitValue.root(1, 2**40 + 15),
+                         5: UnitValue.root(1, 2**40)})
+    with pytest.raises(DomainError):
+        SieveContext(mc, 100)
 
 
 def test_mellin_guards():
