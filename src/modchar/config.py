@@ -2,10 +2,10 @@
 
 A config file fixes everything a run needs: the base character, the
 override set S, the sieve range, the checkpoint rule, the Riesz orders
-(or "auto", resolved through the Diophantine threshold), gamma, and
-output disposition. Parsing is strict: unknown fields, wrong types and
-out-of-range values are rejected with the line and column of the
-offending token, not just a path. Serialization is canonical and
+(or "auto", resolved through the Diophantine threshold), gamma, whether
+to normalize, and the output path. Parsing is strict: unknown fields,
+wrong types and out-of-range values are rejected with the line and column
+of the offending token, not just a path. Serialization is canonical and
 round-trips losslessly.
 """
 
@@ -23,11 +23,8 @@ from .modified import ModifiedCharacter, build_modified
 from .roots import UnitValue
 from .sieve import MAX_SIEVE_X as MAX_X, angle_scale
 
-FORMATS = ("csv", "json", "gnuplot")
-
 _TOP_FIELDS = {"character", "modifications", "x_max", "checkpoints",
-               "orders", "gamma", "eps", "normalized", "allow_imprimitive",
-               "out", "format"}
+               "orders", "gamma", "normalized", "allow_imprimitive", "out"}
 _CHAR_FIELDS = {"modulus", "exponents", "label"}
 _MOD_FIELDS = {"p", "angle"}
 
@@ -42,11 +39,9 @@ class RunConfig:
     checkpoints: str | tuple[int, ...] = "dyadic"
     orders: str | tuple[int, ...] = "auto"
     gamma: float = 1.0
-    eps: float = 1e-12
     normalized: bool = False
     allow_imprimitive: bool = False
     out: str | None = None
-    format: str = "csv"
 
     def modified(self) -> ModifiedCharacter:
         return build_modified(self.character, list(self.modifications),
@@ -76,10 +71,8 @@ class RunConfig:
             "orders": (self.orders if isinstance(self.orders, str)
                        else list(self.orders)),
             "gamma": self.gamma,
-            "eps": self.eps,
             "normalized": self.normalized,
             "allow_imprimitive": self.allow_imprimitive,
-            "format": self.format,
         }
         if self.out is not None:
             doc["out"] = self.out
@@ -381,7 +374,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     orders = _parse_orders(text, ("orders",), doc.get("orders", "auto"))
     gamma = _want_number(text, ("gamma",), doc.get("gamma", 1.0),
                          positive=True)
-    eps = _want_number(text, ("eps",), doc.get("eps", 1e-12), positive=True)
     normalized = _want_bool(text, ("normalized",),
                             doc.get("normalized", False))
     allow = _want_bool(text, ("allow_imprimitive",),
@@ -389,14 +381,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         _fail(text, ("out",), "out must be a path string")
-    fmt = doc.get("format", "csv")
-    if fmt not in FORMATS:
-        _fail(text, ("format",), f"format must be one of {FORMATS}")
     if isinstance(cps, tuple) and cps[-1] > x_max:
         _fail(text, ("checkpoints",),
               f"last checkpoint {cps[-1]} exceeds x_max {x_max}")
-    return RunConfig(chi, mods, x_max, cps, orders, gamma, eps,
-                     normalized, allow, out, fmt)
+    return RunConfig(chi, mods, x_max, cps, orders, gamma, normalized,
+                     allow, out)
 
 
 def parse_config(path: str) -> RunConfig:

@@ -260,6 +260,7 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
     _em_sum_bigfloat at a precision sized from that term. Where longdouble
     is only a double, u is 2^-53 and more inputs take that route; the
     bound stays honest either way. PrecisionError if no route meets eps.
+    DomainError for |s| above MAX_ABS_S or NaN, and for eps outside (0, inf).
     """
     s = complex(s)
     if s == 1:
@@ -267,8 +268,11 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
     num = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if not (num.size and np.all((num > 0) & (num <= q))):
         raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
-    if abs(s) > MAX_ABS_S:
-        raise DomainError(f"|s| = {abs(s):.3g} exceeds supported {MAX_ABS_S}")
+    if not abs(s) <= MAX_ABS_S:                 # NaN fails here too
+        raise DomainError(f"|s| = {abs(s):.3g}; only |s| <= {MAX_ABS_S:g}"
+                          f" is supported")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps:g}")
     B = max(B, int((2 - s.real) / 2) + 3)
     M = max(M, int(abs(s)))
     a64 = num / q

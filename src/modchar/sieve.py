@@ -9,14 +9,17 @@ ascending, the multiples of d get the table slice of n/d (consecutive along
 the stride) plus angle(f(d)); the last write at n is for its full S-part.
 Sieved values therefore equal the trial-factorization oracle exactly.
 
-All reductions run on the fixed 4096-chunk grid from `summation`, which
-makes every reported sum bit-identical under any block size or thread
-count. Riesz means of all requested orders come out of one pass: the engine
-accumulates power sums P_j = sum f(n) (log n - c)^j per chunk, centered at
-each chunk's own log-midpoint c, and recombines binomially at checkpoints
-with exact float summation. Local centering keeps |log n - c| below 2.1
-everywhere, so the accumulated mass carries no rounding worth mentioning
-and k = 200 stays inside float64 range.
+One walker, `_walk`, drives every reduction: it cuts each block on the
+fixed 4096-chunk grid from `summation` and again after each checkpoint, and
+folds the piece sums into M once (exact integers for real f, a compensated
+fold otherwise). Partial sums, Riesz means and the Mellin transform all read
+M from it, so every reported sum is bit-identical under any block size or
+thread count. Riesz means of all requested orders come out of the same
+pass: power sums P_j = sum f(n) (log n - c)^j per chunk, centered at each
+chunk's own log-midpoint c, recombined binomially at checkpoints in
+longdouble. Past the first chunk centering keeps |log n - c| at most
+log(2)/2; in the first chunk it reaches log(4096)/2 = 4.16, so checkpoints
+there are summed directly (see `riesz_means`).
 """
 
 from __future__ import annotations
@@ -276,7 +279,6 @@ class RieszRecord:
     values: np.ndarray              # shape (len(orders), len(checkpoints))
     normalized: bool
     x_max: int
-    center: float                   # u0 used by the centered power sums
     config_digest: str
     source: ModifiedCharacter | None = field(default=None, repr=False)
 
@@ -289,19 +291,28 @@ class RieszRecord:
                 yield int(x), k, v.real, v.imag
 
 
-def _checkpoint_walk(ctx: SieveContext, checkpoints: np.ndarray, consume):
-    """Drive blocks through chunk-grid pieces, snapshotting at checkpoints.
+def _walk(ctx: SieveContext, checkpoints: np.ndarray):
+    """Yield (lo, hi, vals, starts, closed, run) for every block, in order.
 
-    consume(lo, hi, vals, cuts, piece, cp) is called per block, where cuts
-    are the absolute piece boundaries inside (lo, hi) and checkpoint index
-    cp[i] is to be recorded after folding piece number piece[i].
+    The block's pieces begin at offsets `starts` into vals: the fixed chunk
+    grid, cut again after each checkpoint in [lo, hi), the i-th of which
+    ends piece closed[i]. run[i] is M after piece i, from the one fold every
+    sum here shares: an exact int64 cumsum for real f, the compensated
+    ComplexNeumaierSum otherwise, both carried across blocks.
     """
+    fold, carry = ComplexNeumaierSum(), 0
     for lo, hi, vals in ctx.iter_blocks():
         a, b = np.searchsorted(checkpoints, [lo, hi])
-        ends_at = checkpoints[a:b] + 1        # a checkpoint x closes at x + 1
-        cuts = np.union1d(chunk_cuts(lo, hi), ends_at[ends_at < hi])
-        piece = np.searchsorted(cuts, ends_at)
-        consume(lo, hi, vals, cuts, piece, np.arange(a, b))
+        ends = checkpoints[a:b] + 1           # a checkpoint x closes at x + 1
+        cuts = np.union1d(chunk_cuts(lo, hi), ends[ends < hi])
+        pieces = piecewise_sums(vals, lo, cuts)
+        if ctx.is_real:
+            run = np.cumsum(pieces) + carry
+            carry = int(run[-1])
+        else:
+            run = fold.add_many(pieces)
+        starts = np.concatenate(([0], cuts - lo))
+        yield lo, hi, vals, starts, np.searchsorted(cuts, ends), run
 
 
 def partial_sums(mc: ModifiedCharacter, x_max: int,
@@ -311,26 +322,25 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     """Partial sums M(x) at rule-selected checkpoints, one sieve pass."""
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
     ctx = SieveContext(mc, x_max, block_size, threads)
-    pieces, closing = [], []    # every piece sum; the piece each checkpoint ends
-
-    def consume(lo, hi, vals, cuts, piece, cp):
-        closing.append(piece + sum(len(p) for p in pieces))
-        pieces.append(piecewise_sums(vals, lo, cuts))
-
-    _checkpoint_walk(ctx, cps, consume)
-    pieces, closing = np.concatenate(pieces), np.concatenate(closing)
-    exact = np.cumsum(pieces)[closing] if ctx.is_real else None
-    sums = (exact.astype(np.complex128) if ctx.is_real
-            else ComplexNeumaierSum().add_many(pieces)[closing])
+    m = np.concatenate([run[closed] for *_, closed, run in _walk(ctx, cps)])
+    sums = m.astype(np.complex128, copy=False)
     rule_name = checkpoint_rule if isinstance(checkpoint_rule, str) else "explicit"
-    return PartialSumSeries(cps, sums, exact, x_max, rule_name,
-                            mc.digest(), mc, float_sums=sums)
+    return PartialSumSeries(cps, sums, m if ctx.is_real else None, x_max,
+                            rule_name, mc.digest(), mc, float_sums=sums)
 
 
 def _inv_factorial(k: int) -> float:
     if k < 150:
         return 1.0 / float(math.factorial(k))
     return math.exp(-math.lgamma(k + 1))
+
+
+def _signed_binomials(k: int) -> np.ndarray:
+    """(-1)^j C(k, j) for j = 0..k, by a running product in longdouble."""
+    j = np.arange(k, dtype=np.longdouble)
+    w = np.concatenate(([np.longdouble(1)], np.cumprod((k - j) / (j + 1))))
+    w[1::2] *= -1
+    return w
 
 
 def riesz_means(mc: ModifiedCharacter, orders, x,
@@ -340,19 +350,27 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
                 threads: int | None = None) -> RieszRecord:
     """Riesz means sum f(n) log(x/n)^k at checkpoints for several orders k.
 
-    One sieve pass accumulates power sums P_j = sum f(n) (log n - c)^j up
-    to j = max(orders), centered per 4096-chunk at the chunk's geometric
-    log-midpoint c, and recombines binomially at each checkpoint:
+    One sieve pass serves every order. The k = 0 row is M(x) from the fold
+    partial_sums uses, so the two agree bit for bit. For k > 0 the pass
+    accumulates power sums P_j = sum f(n) (log n - c)^j up to j = max(orders)
+    per 4096-chunk, centered at the chunk's log-midpoint c, and recombines
+    binomially at each checkpoint:
     sum f(n) (log x - log n)^k = sum_chunks sum_j C(k,j) (log x - c)^(k-j)
-    (-1)^j P_j. Local centering keeps every accumulated term small (the
-    global version carries terms of size (log sqrt x)^k whose rounding,
-    about 1e-16 times their total mass, swamps the O(1) remainder the
-    fits look for), and the recombination runs in extended precision, so
-    what is left is essentially the final rounding to complex128. Cost is
-    independent of where the checkpoints sit but recombination is
-    O(chunks * k) per checkpoint, hence the density guard.
+    (-1)^j P_j. Logs, power sums and recombination run in 80-bit longdouble
+    (float64's 2e-16 per log already costs order-one absolute error at
+    k = 13, x = 1e6), so what is left is essentially the final rounding to
+    complex128.
 
-    normalized=True divides order k by k!.
+    The first chunk is the exception: there |log n - c| reaches
+    log(4096)/2 = 4.16, and at small x the expansion cancels terms near
+    8.3^k down to a value near 0 (R_39(1) would come out near 2e15, not 0).
+    A checkpoint x <= 4096 is therefore summed directly,
+    sum_{n<=x} f(n) (log x - log n)^k in longdouble with the powers built by
+    a running product, from the values of the walk's first block.
+
+    Recombination costs O(chunks * k) per checkpoint and the direct route
+    O(x * k), hence the density guard on their sum. normalized=True divides
+    order k by k!.
     """
     ks = sorted({int(k) for k in (orders if hasattr(orders, "__iter__")
                                   else [orders])})
@@ -367,109 +385,81 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
         raise DomainError("x must be at least 1")
     cps = checkpoints_from_rule(checkpoints, x_max)
     kmax = ks[-1]
-    u0 = 0.5 * math.log(x_max) if x_max > 1 else 0.0
     ctx = SieveContext(mc, x_max, block_size, threads)
     ncp = len(cps)
-
-    # Logs, centers and power sums all live in 80-bit longdouble: the value
-    # reacts to a perturbation of log n with weight k (log x/n)^(k-1), so
-    # float64's 2e-16 per log already costs order-one absolute error at
-    # k = 13, x = 1e6, while extended precision leaves the final rounding
-    # to complex128 as the only visible term.
     n_chunks = (x_max + CHUNK - 1) // CHUNK
-    starts = np.arange(n_chunks, dtype=np.longdouble) * CHUNK + 1
-    centers = 0.5 * (np.log(starts) + np.log(starts + (CHUNK - 1)))
-    work = ncp * (kmax + 1) * max(n_chunks // 2, 1)
+    n_direct = int(np.searchsorted(cps, CHUNK, side="right"))
+    work = (kmax + 1) * (ncp * max(n_chunks // 2, 1)
+                         + int(cps[:n_direct].sum()))
     if work > 10**8:
         raise DomainError(
             f"{ncp} checkpoints with order {kmax} over {n_chunks} chunks"
             f" is {work:.2g} recombination terms; thin the checkpoints")
 
-    # per-chunk power sums land here as their chunk completes
-    table = np.zeros((kmax + 1, n_chunks), dtype=np.clongdouble)
-    cur_p = np.zeros(kmax + 1, dtype=np.clongdouble)
-    done = 0                              # chunks finalized so far
-    snaps: list[tuple[int, int, np.ndarray]] = []  # (cp index, done, partial)
-    acc0 = ComplexNeumaierSum()
-    sums0 = np.zeros(ncp, dtype=np.complex128)
-    exact0 = np.zeros(ncp, dtype=np.int64) if ctx.is_real else None
-    run_int = 0
-
-    def consume(lo, hi, vals, cuts, piece, cp):
-        nonlocal run_int, done
-        cv = vals.astype(np.complex128, copy=False)
-        snap_at = dict(zip(piece.tolist(), cp.tolist()))
-        ends = np.concatenate([cuts, [hi]])
-        first = (lo - 1) // CHUNK
-        span = (hi - 2) // CHUNK - first + 1
-        logs = (np.log(np.arange(lo, hi, dtype=np.longdouble))
-                - np.repeat(centers[first:first + span], CHUNK)[:hi - lo])
-        # j = 0 stays complex128 so the running fold below reproduces
-        # partial_sums bit for bit; higher powers pick up longdouble.
-        piece_stack = [piecewise_sums(cv, lo, cuts)]
-        cur = cv.astype(np.clongdouble)
-        for _ in range(kmax):
-            cur = cur * logs
-            piece_stack.append(piecewise_sums(cur, lo, cuts))
-        ipieces = piecewise_sums(vals, lo, cuts) if ctx.is_real else None
-        for i, e in enumerate(ends):
-            for j in range(kmax + 1):
-                cur_p[j] += piece_stack[j][i]
-            acc0.add(complex(piece_stack[0][i]))
-            if ipieces is not None:
-                run_int += int(ipieces[i])
-            idx = snap_at.get(i)
-            if idx is not None:
-                snaps.append((idx, done, cur_p.copy()))
-                sums0[idx] = acc0.value
-                if exact0 is not None:
-                    exact0[idx] = run_int
-            if (e - 1) % CHUNK == 0:      # chunk boundary: freeze it
-                table[:, done] = cur_p
-                cur_p[:] = 0
-                done += 1
-
-    _checkpoint_walk(ctx, cps, consume)
-
-    # Recombination also runs in extended precision: the binomial terms are
-    # a few times the size of the answer, so float64 inputs alone would
-    # cost about k ulps of the result.
+    dtype = np.longdouble if ctx.is_real else np.clongdouble
+    chunk_lo = np.arange(n_chunks, dtype=np.longdouble) * CHUNK + 1
+    centers = 0.5 * (np.log(chunk_lo) + np.log(chunk_lo + (CHUNK - 1)))
     log_cp = np.log(cps.astype(np.longdouble))
+    rows = [row for row, k in enumerate(ks) if k > 0]
+    pows = np.array([ks[row] for row in rows]) - 1
+    table = np.zeros((kmax + 1, n_chunks), dtype)   # power sums per chunk
+    partial = np.zeros((kmax + 1, ncp), dtype)      # x's own chunk, up to x
     values = np.zeros((len(ks), ncp), dtype=np.complex128)
-    table_re = table.real
-    table_im = table.imag
-    one = np.longdouble(1.0)
-    for idx, m, partial in snaps:
-        ux = log_cp[idx]
-        d_done = np.asarray(ux - centers[:m], dtype=np.longdouble)
-        d_cur = np.longdouble(ux - centers[m]) if m < n_chunks else one * 0
-        for row, k in enumerate(ks):
-            tot_re = one * 0
-            tot_im = one * 0
-            pw = np.ones(m, dtype=np.longdouble)
-            pw_cur = one
-            c_run = one                   # C(k, j) for j = k - t
-            for t in range(k + 1):
-                j = k - t
-                coef = -c_run if j % 2 else c_run
-                tip_re = pw_cur * partial[j].real
-                tip_im = pw_cur * partial[j].imag
-                tot_re += coef * (np.dot(pw, table_re[j, :m]) + tip_re)
-                tot_im += coef * (np.dot(pw, table_im[j, :m]) + tip_im)
-                pw = pw * d_done
-                pw_cur = pw_cur * d_cur
-                c_run = c_run * j / (t + 1)
-            values[row, idx] = complex(float(tot_re), float(tot_im))
+    m_rows, done = [], 0
+    for lo, hi, vals, starts, closed, run in _walk(ctx, cps):
+        m_rows.append(run[closed])
+        if lo == 1 and rows and n_direct:
+            f = vals[:cps[n_direct - 1]].astype(dtype)
+            logn = np.log(np.arange(1, len(f) + 1, dtype=np.longdouble))
+            for i in range(n_direct):
+                x_i = int(cps[i])
+                pw = np.cumprod(np.broadcast_to(log_cp[i] - logn[:x_i],
+                                                (kmax, x_i)), axis=0)
+                values[rows, i] = pw[pows] @ f[:x_i]
+        if not rows:
+            continue
+        first, span = (lo - 1) // CHUNK, -(-(hi - lo) // CHUNK)
+        logs = np.log(np.arange(lo, hi, dtype=np.longdouble))
+        logs -= np.repeat(centers[first:first + span], CHUNK)[:hi - lo]
+        # power sums per piece; the spare zero column closes the last pair
+        sums = np.zeros((kmax + 1, len(starts) + 1), dtype)
+        pw = vals.astype(dtype)
+        sums[0, :-1] = np.add.reduceat(pw, starts)
+        for j in range(1, kmax + 1):
+            pw *= logs
+            sums[j, :-1] = np.add.reduceat(pw, starts)
+        chunk = (lo - 1 + starts) // CHUNK
+        heads = np.flatnonzero(np.diff(chunk, prepend=-1))
+        table[:, chunk[heads]] = np.add.reduceat(sums[:, :-1], heads, axis=1)
+        if len(closed):     # each checkpoint's chunk, up to its closing piece
+            head = heads[np.searchsorted(heads, closed, side="right") - 1]
+            pairs = np.stack((head, closed + 1), axis=1).ravel()
+            partial[:, done:done + len(closed)] = \
+                np.add.reduceat(sums, pairs, axis=1)[:, ::2]
+            done += len(closed)
+
+    # at x, chunks before own[x] are complete; own[x] is summed up to x
+    own = (cps - 1) // CHUNK
+    signed = {ks[row]: _signed_binomials(ks[row]) for row in rows}
+    for i in range(n_direct if rows else ncp, ncp):
+        m = int(own[i])
+        d = np.broadcast_to(log_cp[i] - centers[:m + 1], (kmax, m + 1))
+        pw = np.ones((kmax + 1, m + 1), dtype=np.longdouble)
+        np.cumprod(d, axis=0, out=pw[1:])
+        for row in rows:
+            k = ks[row]
+            rev = pw[k::-1]                   # row j: (log x - c)^(k - j)
+            w = signed[k]
+            values[row, i] = (np.einsum("j,jc,jc->", w, rev[:, :m],
+                                        table[:k + 1, :m])
+                              + w @ (rev[:, m] * partial[:k + 1, i]))
 
     for row, k in enumerate(ks):
         if k == 0:
-            # k = 0 is the plain partial sum; use the same ordered fold as
-            # partial_sums (and the exact integers when f is real).
-            values[row] = (exact0.astype(np.complex128)
-                           if exact0 is not None else sums0)
+            values[row] = np.concatenate(m_rows)
         if normalized:
             values[row] *= _inv_factorial(k)
-    return RieszRecord(tuple(ks), cps, values, normalized, x_max, u0,
+    return RieszRecord(tuple(ks), cps, values, normalized, x_max,
                        mc.digest(), mc)
 
 
@@ -509,9 +499,11 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
     """sigma * integral_1^x_cut M(x) x^(-1-sigma) dx, summed exactly.
 
     M is constant on [n, n+1), so the truncated integral is
-    sum_{n < x_cut} M(n) (n^-sigma - (n+1)^-sigma). Running prefixes and the
-    weighted reduction both ride the fixed chunk grid, so the result is
-    block-size and thread-count independent like every other sum here.
+    sum_{n < X} M(n) (n^-sigma - (n+1)^-sigma), which by parts is
+    sum_{n <= X} f(n) n^-sigma - M(X) X^-sigma: no difference of nearly
+    equal weights. Its piece sums go through the compensated fold on the
+    fixed chunk grid and M comes from the walk, so the result is block-size
+    and thread-count independent like every other sum here.
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
@@ -521,39 +513,22 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
     ctx = SieveContext(mc, X, block_size, threads)
     a = len(mc.modifications)
     total = ComplexNeumaierSum()
-    prefix = ComplexNeumaierSum()
-    sup_ratio = 0.0
-    for lo, hi, vals in ctx.iter_blocks():
-        cv = vals.astype(np.complex128, copy=False)
-        top = min(hi, X)          # weights only for n <= X-1
+    sup_ratio, m_before = 0.0, 0
+    for lo, hi, vals, starts, _, run in _walk(ctx, np.array([X])):
         n = np.arange(lo, hi, dtype=np.float64)
-        pw = n ** (-sigma)
-        last = float(hi) ** (-sigma)
-        w = pw - np.concatenate([pw[1:], [last]])
-        cuts = chunk_cuts(lo, hi)
-        ends = np.concatenate([cuts, [hi]])
-        start = lo
-        for e in ends:
-            i0, i1 = start - lo, e - lo
-            seg = cv[i0:i1]
-            m_run = prefix.value + np.cumsum(seg)
-            lim = min(i1, top - lo)
-            if lim > i0:
-                mm = m_run[:lim - i0]
-                ww = w[i0:lim]
-                total.add(complex(np.dot(mm, ww)))
-            absm = np.abs(m_run)
-            ns = n[i0:i1]
-            if a == 0:
-                r = absm.max() if len(absm) else 0.0
-            else:
-                good = ns >= 2
-                r = (absm[good] / np.log(ns[good]) ** a).max() \
-                    if good.any() else 0.0
-            sup_ratio = max(sup_ratio, float(r))
-            prefix.add(complex(seg.sum()))
-            start = e
+        total.add_many(np.add.reduceat(vals * n ** -sigma, starts))
+        # M(n) is the fold's M before n's piece plus a running sum in it;
+        # with the one checkpoint at X every piece is a whole chunk
+        m = np.zeros((len(starts), CHUNK), dtype=vals.dtype)
+        m.flat[:hi - lo] = vals
+        m = np.cumsum(m, axis=1)
+        m += np.concatenate(([m_before], run[:-1]))[:, None]
+        m_before = run[-1]
+        absm = np.abs(m.ravel()[:hi - lo])
+        if a:
+            absm = absm[n >= 2] / np.log(n[n >= 2]) ** a
+        sup_ratio = max(sup_ratio, float(absm.max(initial=0.0)))
+    value = total.value - complex(m_before) * float(X) ** -sigma
     z = sigma * math.log(X)
     tail = sup_ratio * _upper_gamma_int(a, z) / sigma ** a
-    return MellinResult(total.value, tail, sup_ratio, float(sigma), X,
-                        mc.digest())
+    return MellinResult(value, tail, sup_ratio, float(sigma), X, mc.digest())

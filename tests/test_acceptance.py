@@ -246,7 +246,7 @@ def test_criterion_07_structure_suite(capsys):
     for c in reversed(coeffs):
         row = row * u + c
     rec = RieszRecord((2,), xs, row[np.newaxis, :], False, int(xs[-1]),
-                      0.0, "synthetic")
+                      "synthetic")
     fit = fit_riesz_polynomial(rec, 2, 1)
     coeff_err = max(abs(g - w) for g, w in zip(fit.coefficients, coeffs))
     if coeff_err > 1e-6:

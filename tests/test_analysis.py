@@ -32,7 +32,7 @@ def synthetic_record(coeffs, k, x_lo=10.0, x_hi=1e6, npoints=60):
     for c in reversed(coeffs):
         row = row * u + c
     values = row[np.newaxis, :]
-    return RieszRecord((k,), xs, values, False, int(xs[-1]), 0.0,
+    return RieszRecord((k,), xs, values, False, int(xs[-1]),
                        "synthetic")
 
 
@@ -101,7 +101,7 @@ def test_fit_rejects_thin_grids():
     # 40 points but only 8 distinct abscissas: rank < degree + 1
     xs = np.repeat(np.geomspace(10, 1e6, 8).astype(np.int64), 5)
     values = np.zeros((1, len(xs)), dtype=np.complex128)
-    rec = RieszRecord((9,), xs, values, False, int(xs[-1]), 0.0, "thin")
+    rec = RieszRecord((9,), xs, values, False, int(xs[-1]), "thin")
     with pytest.raises(FitError):
         fit_riesz_polynomial(rec, 9, 0)
 

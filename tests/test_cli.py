@@ -175,6 +175,14 @@ def test_lfun_text(capsys):
     assert main(["lfun", "--label", "3.2", "--modulus", "5", "--s", "2"]) == 2
 
 
+def test_lfun_bad_input_exits_1_without_traceback(capsys):
+    for extra in (["--s", "0.5", "--eps", "0"], ["--s", "nan"],
+                  ["--s", "0.5", "--eps", "-1"]):
+        assert main(["lfun", "--label", "5.2", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_lfun_prints_error_bound(capsys):
     assert main(["lfun", "--label", "5.2", "--s", "0.5"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -18,11 +18,9 @@ FULL_DOC = {
     "checkpoints": "geometric:1.5",
     "orders": [0, 2, 7],
     "gamma": 0.5,
-    "eps": 1e-10,
     "normalized": True,
     "allow_imprimitive": False,
     "out": "run.csv",
-    "format": "json",
 }
 
 
@@ -39,7 +37,7 @@ def test_round_trip_is_lossless():
     assert cfg.x_max == 50000
     assert cfg.checkpoints == "geometric:1.5"
     assert cfg.orders == (0, 2, 7)
-    assert cfg.format == "json" and cfg.out == "run.csv"
+    assert cfg.out == "run.csv"
 
 
 def test_defaults():
@@ -48,9 +46,9 @@ def test_defaults():
     assert cfg.x_max == 10**6
     assert cfg.checkpoints == "dyadic"
     assert cfg.orders == "auto"
-    assert cfg.gamma == 1.0 and cfg.eps == 1e-12
+    assert cfg.gamma == 1.0
     assert cfg.normalized is False and cfg.allow_imprimitive is False
-    assert cfg.out is None and cfg.format == "csv"
+    assert cfg.out is None
 
 
 def test_angles_parse_exactly():
@@ -170,13 +168,13 @@ def test_scalar_validation():
     for field, bad, pat in [
             ("gamma", 0, "must be positive"),
             ("gamma", "big", "expected a number"),
-            ("eps", -1e-9, "must be positive"),
             ("x_max", 0, "must be >= 1"),
             ("x_max", 2 * MAX_X, f"must be <= {MAX_X}"),
             ("x_max", 3.5, "expected an integer"),
             ("normalized", "yes", "expected true or false"),
             ("out", 42, "must be a path string"),
-            ("format", "xml", "format must be one of")]:
+            ("eps", 1e-12, "unknown field 'eps'"),
+            ("format", "csv", "unknown field 'format'")]:
         with pytest.raises(ConfigError, match=pat):
             parse({**ok, field: bad})
 
@@ -192,8 +190,8 @@ def test_resolved_orders():
 def test_with_overrides():
     cfg = parse({"character": {"label": "3.2"}})
     assert cfg.with_overrides(x_max=None) is cfg
-    bumped = cfg.with_overrides(x_max=500, format="json")
-    assert bumped.x_max == 500 and bumped.format == "json"
+    bumped = cfg.with_overrides(x_max=500, gamma=0.5)
+    assert bumped.x_max == 500 and bumped.gamma == 0.5
     assert cfg.x_max == 10**6                     # original untouched
 
 

@@ -105,6 +105,24 @@ def test_hurwitz_guards():
         hurwitz_zeta(2.0, 0.5, eps=1e-15)
 
 
+def test_hurwitz_rejects_zero_eps():
+    with pytest.raises(DomainError, match="eps must be positive"):
+        hurwitz_zeta_with_bound(0.5, 0.5, 0.0)
+
+
+def test_hurwitz_rejects_negative_eps():
+    with pytest.raises(DomainError, match="eps must be positive"):
+        hurwitz_zeta_with_bound(0.5, 0.5, -1.0)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        hurwitz_zeta_with_bound(0.5, 0.5, math.inf)
+
+
+def test_hurwitz_rejects_nan_s():
+    for s in (math.nan, complex(0.5, math.nan)):
+        with pytest.raises(DomainError, match="only"):
+            hurwitz_zeta_with_bound(s, 0.5, 1e-12)
+
+
 def test_digamma_against_mpmath():
     mp.mp.dps = 25
     for x in (1e-3, 0.1, 0.5, 1.0, 2.5, 11.9, 12.0, 13.5, 300.0):

@@ -284,6 +284,41 @@ def test_riesz_edge_cases():
         assert abs(rec.row(3)[i] - ref) <= 1e-9 * max(abs(ref), 1.0)
 
 
+def _direct_riesz(vals, x, k):
+    """sum_{n<=x} f(n) (log x - log n)^k in longdouble, with a bound on its
+    own rounding: 80-bit logs and powers (each log off by u80 relative, the
+    k-th power by about 64 k u80, the sum by x u80 of its mass), f's float64
+    roots of unity off by u64 each, and the final rounding to complex128."""
+    u64, u80 = 2.0**-53, float(np.finfo(np.longdouble).eps) / 2
+    lx = np.log(np.longdouble(x))
+    base = lx - np.log(np.arange(1, x + 1, dtype=np.longdouble))
+    w = base ** k
+    f = vals[:x]
+    ref = complex(float(np.dot(f.real.astype(np.longdouble), w)),
+                  float(np.dot(f.imag.astype(np.longdouble), w)))
+    absf = np.abs(f).astype(np.longdouble)
+    mass = float(np.dot(absf, w))
+    dmass = k * float(lx) * float(np.dot(absf, base ** (k - 1)))
+    tol = (2 * u64 * abs(ref) + (2 * u64 * mass if f.imag.any() else 0.0)
+           + u80 * (dmass + (x + 64 * k) * mass))
+    return ref, tol
+
+
+def test_riesz_small_x_matches_direct_sum():
+    # x <= 4096 lies in the first chunk, where |log n - c| reaches 4.16 and
+    # the chunk-centred expansion cancelled catastrophically (R_39(1) came
+    # out as 2e15); 4097 is the first x on the chunk route
+    cps = list(range(1, 65)) + [CHUNK - 1, CHUNK, CHUNK + 1]
+    x = cps[-1]
+    for mc, k in ((fig1(), 39), (complex_mc(), 13)):
+        vals = np.array([eval_f_exact(mc, n).to_complex()
+                         for n in range(1, x + 1)])
+        row = riesz_means(mc, [0, k], x, cps).row(k)
+        for i, cp in enumerate(cps):
+            ref, tol = _direct_riesz(vals, cp, k)
+            assert abs(row[i] - ref) <= tol, (k, cp, row[i], ref, tol)
+
+
 def test_riesz_guards():
     mc = bcc()
     with pytest.raises(OrderTooLargeError):
@@ -354,3 +389,18 @@ def test_mellin_block_independence():
         r = mellin_transform(complex_mc(), 0.5, 3 * 10**4,
                              block_size=bs, threads=th)
         assert r.value == ref.value and r.sup_ratio == ref.sup_ratio
+
+
+def test_mellin_matches_direct_weighted_sum():
+    # sum_{n<X} M(n) (n^-sigma - (n+1)^-sigma) in longdouble, where the
+    # weight differences keep about u80 n / sigma of relative error
+    for mc in (bcc(), complex_mc()):
+        vals = stream(mc, 3 * 10**4)
+        m = np.cumsum(vals.astype(np.clongdouble))
+        n = np.arange(1, 3 * 10**4 + 1, dtype=np.longdouble)
+        for sigma in (0.5, 1.0):
+            w = n ** -sigma - (n + 1) ** -sigma
+            for X in (CHUNK, CHUNK + 1, 3 * 10**4):
+                ref = complex(np.dot(m[:X - 1], w[:X - 1]))
+                got = mellin_transform(mc, sigma, X).value
+                assert abs(got - ref) <= 1e-12 * abs(ref), (sigma, X)
