@@ -247,23 +247,30 @@ class Character:
         gcd(n, q) > 1 are -1. Vectorized; this is the sieve's lookup table.
         """
         q = self.modulus
-        if q == 1:
-            return np.zeros(1, dtype=np.int64)
-        res = np.arange(q, dtype=np.int64)
+        basis = self.group.basis
+        if scale * len(basis) >= 1 << 63:
+            raise ValueError("scale too large for int64 angle sums")
         t = np.zeros(q, dtype=np.int64)
         bad = np.zeros(q, dtype=bool)
-        if self.group._check_odd:
-            bad |= res % 2 == 0
-        for b, c in zip(self.group.basis, self.exponents):
-            k = b.dlog[res % b.prime_power].astype(np.int64)
-            bad |= k < 0
+        for b, c in zip(basis, self.exponents):
             if c * scale % b.order:
                 raise ValueError("scale not divisible by the character order")
+            # dlog[n % p^e] for n < q: p^e divides q, so q / p^e copies
+            pe = b.prime_power
+            dlog = b.dlog if pe == q else np.tile(b.dlog, q // pe)
+            bad |= dlog < 0
             # (c k / order) scale mod scale as (scale/o) ((c/g) k mod o), with
-            # g = gcd(c, order) and o = order/g: no int64 product exceeds scale
+            # g = gcd(c, order) and o = order/g: each term is below scale, so
+            # their sum stays below len(basis) * scale < 2^63 until reduced
             g = math.gcd(c, b.order)
             o = b.order // g
-            t = (t + scale // o * ((c // g) * np.where(k < 0, 0, k) % o)) % scale
+            k = np.multiply(dlog, c // g, dtype=np.int64)
+            k -= k // o * o             # k %= o, but libdivide-fast
+            k *= scale // o
+            t += k
+        t -= t // scale * scale
+        if self.group._check_odd:
+            t[::2] = -1
         t[bad] = -1
         return t
 

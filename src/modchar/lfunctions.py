@@ -393,6 +393,13 @@ class LContext:
     _tau: complex | None = field(default=None, repr=False)
     _eps_chi: complex | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        # checked here, not only in hurwitz_zeta_with_bound, because the
+        # digamma route at s = 1 never reaches that check
+        if not 0 < self.eps < math.inf:
+            raise DomainError(f"eps must be positive and finite, got"
+                              f" {self.eps:g}")
+
     @property
     def kappa(self) -> int:
         return 0 if parity(self.chi) == 1 else 1

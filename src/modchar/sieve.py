@@ -1,12 +1,17 @@
 """Block-sieved evaluation of f(n) and its smoothed partial sums.
 
 f(n) = chi(m) prod_{p in S} f(p)^v_p(n), m being n without its S-parts, so
-the sieve visits only S. Angles are exact int64 numerators over D, the lcm
-of all value orders. A block [lo, hi) starts as the periodic chi angle table
-sliced from lo mod q. Each p in S off q adds angle(f(p)) - angle(chi(p)) at
-the multiples of every p^e. For each product d of the S-primes dividing q,
-ascending, the multiples of d get the table slice of n/d (consecutive along
-the stride) plus angle(f(d)); the last write at n is for its full S-part.
+the sieve visits only S. Angles are exact integer numerators over D, the
+lcm of all value orders, held in the narrowest of int8/int16/int32 whose
+maximum is at least 2D + sum_{p in S off q} shift_p floor(log_p x_max), else
+in int64, which holds any block: a table entry or a part write stays below
+2D, and each p^e <= x_max adds p's shift once before the final reduction
+mod D. Real f (D = 2) therefore sieves in int8. A block [lo, hi) starts as
+the periodic chi angle table sliced from lo mod q. Each p in S off q adds
+angle(f(p)) - angle(chi(p)) at the multiples of every p^e. For each product
+d of the S-primes dividing q, ascending, the multiples of d get the table
+slice of n/d (consecutive along the stride) plus angle(f(d)); the last
+write at n is for its full S-part.
 Sieved values therefore equal the trial-factorization oracle exactly.
 
 One walker, `_walk`, drives every reduction: it cuts each block on the
@@ -100,12 +105,22 @@ class SieveContext:
         self.q = q
         scale = angle_scale(chi, [v for _, v in mc.modifications])
         self.scale = scale
-        self.chi_table = chi.angle_numerators(scale)
+        table = chi.angle_numerators(scale)
         q_primes = {p for p, _ in chi.group.factorization}
         # p in S off q: the exact shift angle(f(p)) - angle(chi(p))
-        self.shifts = [(p, (int(v.angle * scale) - int(self.chi_table[p % q]))
-                        % scale)
+        self.shifts = [(p, (int(v.angle * scale) - int(table[p % q])) % scale)
                        for p, v in mc.modifications if p not in q_primes]
+        top = 2 * scale     # bounds each angle a block holds before reduction
+        for p, shift in self.shifts:
+            pe = p
+            while pe <= self.x_max:
+                top += shift
+                pe *= p
+        # int64 always suffices: one n <= x_max takes fewer than 30 shifts,
+        # each below D <= 2^53
+        self.dtype = next((dt for dt in (np.int8, np.int16, np.int32)
+                           if top <= np.iinfo(dt).max), np.int64)
+        self.chi_table = table.astype(self.dtype, copy=False)
         # p in S dividing q: every product 1 < d <= x_max of them with the
         # angle of f(d), ascending in d
         parts = {1: 0}
@@ -126,7 +141,10 @@ class SieveContext:
             self.exp_table = np.exp(ang)
 
     def block_angles(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Angle numerators (mod scale) and zero mask for n in [lo, hi)."""
+        """Angle numerators (mod scale, in self.dtype) and zero mask for n in
+        [lo, hi); hi - 1 may not exceed x_max, which sized the dtype."""
+        if hi > self.x_max + 1:
+            raise DomainError(f"block end {hi} is past x_max = {self.x_max}")
         m = hi - lo
         q, table = self.q, self.chi_table
         t = periodic_slice(table, lo % q, m)
@@ -153,7 +171,8 @@ class SieveContext:
         return t, zero
 
     def block_values(self, lo: int, hi: int) -> np.ndarray:
-        """f(n) for n in [lo, hi): exact int64 0/+-1 when f is real, else complex128."""
+        """f(n) for n in [lo, hi): exact 0/+-1 in self.dtype when f is real,
+        else complex128."""
         t, zero = self.block_angles(lo, hi)
         if self.is_real:
             vals = t                      # 0 or 1 -> +1 or -1, in place
@@ -307,7 +326,7 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
         cuts = np.union1d(chunk_cuts(lo, hi), ends[ends < hi])
         pieces = piecewise_sums(vals, lo, cuts)
         if ctx.is_real:
-            run = np.cumsum(pieces) + carry
+            run = np.cumsum(pieces, dtype=np.int64) + carry
             carry = int(run[-1])
         else:
             run = fold.add_many(pieces)
@@ -519,7 +538,8 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
         total.add_many(np.add.reduceat(vals * n ** -sigma, starts))
         # M(n) is the fold's M before n's piece plus a running sum in it;
         # with the one checkpoint at X every piece is a whole chunk
-        m = np.zeros((len(starts), CHUNK), dtype=vals.dtype)
+        m = np.zeros((len(starts), CHUNK),
+                     dtype=np.int64 if ctx.is_real else vals.dtype)
         m.flat[:hi - lo] = vals
         m = np.cumsum(m, axis=1)
         m += np.concatenate(([m_before], run[:-1]))[:, None]

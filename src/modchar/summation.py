@@ -92,9 +92,11 @@ def piecewise_sums(values: np.ndarray, lo: int, cuts: np.ndarray) -> np.ndarray:
     """Sums of values split at absolute positions `cuts`.
 
     values[i] corresponds to n = lo + i. cuts must be sorted, inside
-    (lo, lo + len(values)). Returns len(cuts) + 1 partial piece sums.
+    (lo, lo + len(values)). Returns len(cuts) + 1 partial piece sums;
+    integer values of any width are summed in int64.
     """
+    acc = np.int64 if values.dtype.kind == "i" else values.dtype
     if len(values) == 0:
-        return np.zeros(1, dtype=values.dtype)
+        return np.zeros(1, dtype=acc)
     idx = np.concatenate(([0], cuts - lo))
-    return np.add.reduceat(values, idx)
+    return np.add.reduceat(values, idx, dtype=acc)

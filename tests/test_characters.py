@@ -145,3 +145,17 @@ def test_angle_table_exact_at_large_scale():
     table = chi.angle_numerators(scale)
     for n in list(range(1, 2000)) + list(range(65000, 65537)):
         assert eval_char(chi, n).angle * scale == int(table[n]), n
+
+
+@pytest.mark.parametrize("q", [1, 2, 101, 64, 90, 315])
+def test_angle_table_matches_per_residue_evaluation(q):
+    # 101: one basis element spanning q; 64: the two 2-power elements -1
+    # and 5; 90 = 2 * 45: even residues masked; 315 = 9 * 5 * 7: several
+    # odd prime powers, each table tiled across q
+    for chi in enumerate_characters(q):
+        vals = [eval_char(chi, n) for n in range(q)]
+        for scale in (chi.order, chi.order * 3**30):
+            table = chi.angle_numerators(scale)
+            assert table.dtype == np.int64
+            want = [-1 if v.is_zero else v.angle * scale for v in vals]
+            assert table.tolist() == want, (chi.label, scale)

@@ -177,7 +177,8 @@ def test_lfun_text(capsys):
 
 def test_lfun_bad_input_exits_1_without_traceback(capsys):
     for extra in (["--s", "0.5", "--eps", "0"], ["--s", "nan"],
-                  ["--s", "0.5", "--eps", "-1"]):
+                  ["--s", "0.5", "--eps", "-1"],
+                  ["--s", "1", "--eps", "0"], ["--s", "1", "--eps", "-1"]):
         assert main(["lfun", "--label", "5.2", *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -129,6 +129,30 @@ def test_block_angles_two_override_primes_on_q():
     _assert_angles_exact(mc, ctx, 10**5 - 1000, 10**5 + 1)
 
 
+def test_block_angles_exact_at_dtype_boundary():
+    # chi_5.2(2) = e(3/12) and f(2) = e(2/12): D = 12 and the shift is 11,
+    # so before reduction n = 2^a holds chi(2^a mod 5) + 11a, which is 130
+    # at n = 2048 and wraps int8; x_max = 1023 keeps the bound 24 + 11*9
+    # inside int8, x_max = 2048 needs int16
+    chi = character_from_label("5.2")
+    mc = build_modified(chi, {2: UnitValue.root(1, 6)})
+    for x_max, dtype in ((1023, np.int8), (2048, np.int16)):
+        ctx = SieveContext(mc, x_max)
+        assert (ctx.scale, ctx.shifts, ctx.dtype) == (12, [(2, 11)], dtype)
+        _assert_angles_exact(mc, ctx, 1, x_max + 1)
+    assert int(ctx.chi_table[2048 % 5]) + 11 * 11 > np.iinfo(np.int8).max
+    with pytest.raises(DomainError):        # past the x_max that sized it
+        ctx.block_angles(1, 2050)
+    # D = 4 * 3^11 > 2^16: chi's table entries alone leave int16
+    mc = build_modified(chi, {2: UnitValue.root(1, 3**11),
+                              3: UnitValue.root(5, 7)})
+    ctx = SieveContext(mc, 10**5)
+    assert ctx.dtype == np.int32 and ctx.scale == 4 * 3**11 * 7
+    assert int(ctx.chi_table.max()) > np.iinfo(np.int16).max
+    for n in (2**16, 3**10, 10**5 - 200):
+        _assert_angles_exact(mc, ctx, n - 100, min(n + 100, 10**5 + 1))
+
+
 def test_periodic_slice_wraps():
     table = np.arange(7, dtype=np.int64)
     for start in range(7):
