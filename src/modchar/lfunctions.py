@@ -35,7 +35,7 @@ import numpy as np
 from .characters import Character, eval_char, is_primitive, parity
 from .errors import (DomainError, NearPoleWarning, ParityError, PoleError,
                      PrecisionError, PrimitivityError, UntrustedTheoryWarning)
-from .modified import ModifiedCharacter, compute_pole_order, compute_sign_shift
+from .modified import ModifiedCharacter, compute_pole_order
 from .roots import CyclotomicSum
 
 MAX_ABS_S = 100.0
@@ -567,12 +567,6 @@ def euler_factor_ratio(mc: ModifiedCharacter, s,
         num = 1 - eval_char(chi, p).to_complex() * cmath.exp(-s * lp)
         out *= num / den
     return out
-
-
-def signed_pole_order(mc: ModifiedCharacter) -> int:
-    """Order of F at s = 0: positive = pole, negative = zero, unclamped."""
-    t = compute_sign_shift(mc)
-    return t if parity(mc.base) == -1 else t - 1
 
 
 def evaluate_F(mc: ModifiedCharacter, s, eps: float = 1e-12) -> complex:

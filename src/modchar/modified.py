@@ -152,7 +152,6 @@ def eval_f_exact(mc: ModifiedCharacter, n: int) -> UnitValue:
     """f(n) by trial factorization, as an exact root of unity (or zero)."""
     if n < 1:
         raise ValueError("f is defined on positive integers")
-    overrides = dict(mc.modifications)
     val = UnitValue.one()
     m = n
     d = 2
@@ -162,10 +161,10 @@ def eval_f_exact(mc: ModifiedCharacter, n: int) -> UnitValue:
             while m % d == 0:
                 m //= d
                 e += 1
-            val = val * overrides.get(d, eval_char(mc.base, d))**e
+            val = val * mc.value_at_prime(d)**e
             if val.is_zero:
                 return UnitValue.zero()
         d += 1 if d == 2 else 2
     if m > 1:
-        val = val * overrides.get(m, eval_char(mc.base, m))
+        val = val * mc.value_at_prime(m)
     return val

@@ -1,6 +1,7 @@
 """Character construction, parity, conductor, and group-level counting."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -159,3 +160,59 @@ def test_angle_table_matches_per_residue_evaluation(q):
             assert table.dtype == np.int64
             want = [-1 if v.is_zero else v.angle * scale for v in vals]
             assert table.tolist() == want, (chi.label, scale)
+
+
+def _prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_dlog_tables_match_modular_powers():
+    """Each basis element's dlog table, checked with Python's pow alone.
+
+    For every basis element (prime power pe, generator g mod pe, order):
+    g has exact order `order` mod pe; dlog[g^k mod pe] = k for every k when
+    order <= 2000 (so for every pe <= 2000) and for a seeded sample of k
+    above; and the entries >= 0 sit
+    exactly on the units mod pe, each k < order once. For 2^e with e >= 3
+    the pair (dlog of -1, dlog of 5) is what appears once per unit. The
+    moduli are every prime power up to 2000 and six large ones; 2 * 3^12 is
+    above MAX_MODULUS, so 2 * 3^11 stands for a q whose generator is lifted
+    through the CRT.
+
+    Below MAX_MODULUS the `g += p` lift in `_component_basis` never fires:
+    no prime p <= 1000 has a smallest primitive root g with
+    g^(p-1) = 1 mod p^2 (the first such prime is 40487), so no case here
+    reaches it. The branch stays: it is what keeps g primitive mod p^e.
+    """
+    rng = random.Random(6)
+    small = [p**e for p in range(2, 2001) if _prime_divisors(p) == [p]
+             for e in range(1, 11) if p**e <= 2000]
+    for q in (999983, 2**19, 3**12, 2 * 3**11, 5**8, 7**7, *small):
+        by_pe = {}
+        for b in characters.CharacterGroup(q).basis:
+            pe, order, g = b.prime_power, b.order, b.generator % b.prime_power
+            assert pow(g, order, pe) == 1, (q, g)
+            assert all(pow(g, order // r, pe) != 1
+                       for r in _prime_divisors(order)), (q, g)
+            table = b.dlog.tolist()
+            ks = range(order) if order <= 2000 else rng.sample(range(order), 500)
+            for k in ks:
+                assert table[pow(g, k, pe)] == k, (q, g, k)
+            by_pe.setdefault(pe, []).append(b)
+        for pe, elems in by_pe.items():
+            units = np.arange(pe) % _prime_divisors(pe)[0] != 0
+            key = np.zeros(pe, dtype=np.int64)
+            for b in elems:
+                assert np.array_equal(b.dlog >= 0, units), (q, pe)
+                key = key * b.order + b.dlog
+            count = math.prod(b.order for b in elems)
+            assert count == units.sum(), (q, pe)
+            seen = np.bincount(key[units], minlength=count)
+            assert len(seen) == count and (seen == 1).all(), (q, pe)
