@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -331,10 +330,9 @@ def eval_char(chi: Character, n: int) -> UnitValue:
     ks = grp.dlogs(n % grp.modulus)
     if ks is None:
         return UnitValue.zero()
-    angle = Fraction(0)
-    for c, d, k in zip(chi.exponents, grp.orders, ks):
-        angle += Fraction(c * k, d)
-    return UnitValue.from_fraction(angle)
+    m = math.lcm(*grp.orders)     # integer angle over the group exponent
+    return UnitValue.root(sum(c * k * (m // d) for c, d, k
+                              in zip(chi.exponents, grp.orders, ks)), m)
 
 
 def parity(chi: Character) -> int:

@@ -237,7 +237,7 @@ def cmd_lfun(args) -> int:
           f" = {_fmt(val.real)} + {_fmt(val.imag)}i")
     if chi.is_primitive and not chi.is_principal:
         try:
-            resid = functional_equation_check(ctx, s)
+            resid = functional_equation_check(ctx, s, val)
             print(f"functional equation residual: {_fmt(resid)}")
         except DomainError as e:
             # the asymmetric form carries Gamma(1-s): poles at s = 1, 2, ...

@@ -576,8 +576,13 @@ def evaluate_F(mc: ModifiedCharacter, s, eps: float = 1e-12) -> complex:
     return ratio * L_value(ctx, s)
 
 
-def functional_equation_check(ctx: LContext, s) -> float:
-    """|L(s,chi) - eps(chi) L(1-s, conj) 2^s pi^(s-1) q^(1/2-s) Gamma(1-s) sin(pi(s+kappa)/2)|."""
+def functional_equation_check(ctx: LContext, s,
+                              value: complex | None = None) -> float:
+    """|L(s,chi) - eps(chi) L(1-s, conj) 2^s pi^(s-1) q^(1/2-s) Gamma(1-s) sin(pi(s+kappa)/2)|.
+
+    value is L(s, chi) if the caller has it already (as `L_value` returns
+    it), which saves one Hurwitz pass; by default it is computed here.
+    """
     chi = ctx.chi
     if not is_primitive(chi):
         raise PrimitivityError(
@@ -591,7 +596,7 @@ def functional_equation_check(ctx: LContext, s) -> float:
         raise DomainError("zeta pole on one side of the equation")
     q = chi.modulus
     kappa = ctx.kappa
-    lhs = L_value(ctx, s)
+    lhs = L_value(ctx, s) if value is None else complex(value)
     ctx_bar = LContext(chi.conjugate(), ctx.eps)
     rhs = (ctx.root_number * L_value(ctx_bar, 1 - s)
            * 2 ** s * math.pi ** (s - 1) * q ** (0.5 - s)

@@ -44,8 +44,9 @@ class UnitValue:
         """e(a/m), reduced to canonical form with angle in [0, 1)."""
         if m <= 0:
             raise ValueError("root order must be positive")
-        fr = Fraction(a % m, m)
-        return UnitValue(fr.numerator, fr.denominator)
+        a %= m
+        g = math.gcd(a, m)
+        return UnitValue(a // g, m // g)
 
     @staticmethod
     def from_fraction(angle: Fraction) -> "UnitValue":
@@ -77,21 +78,26 @@ class UnitValue:
         return self.denominator
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
-        if self.is_zero or other.is_zero:
+        # integer angles over the lcm of the denominators, no Fraction
+        b, d = self.denominator, other.denominator
+        if b == 0 or d == 0:
             return UnitValue.zero()
-        return UnitValue.from_fraction(self.angle + other.angle)
+        m = b * d // math.gcd(b, d)
+        return UnitValue.root(
+            self.numerator * (m // b) + other.numerator * (m // d), m)
 
     def __pow__(self, e: int) -> "UnitValue":
         if self.is_zero:
             if e <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
             return UnitValue.zero()
-        return UnitValue.from_fraction(self.angle * e)
+        return UnitValue.root(self.numerator * e, self.denominator)
 
     def conjugate(self) -> "UnitValue":
         if self.is_zero:
             return self
-        return UnitValue.from_fraction(-self.angle)
+        # gcd(m - a, m) = gcd(a, m) = 1: already in lowest terms
+        return UnitValue(-self.numerator % self.denominator, self.denominator)
 
     def to_complex(self) -> complex:
         if self.is_zero:

@@ -7,7 +7,9 @@ import pytest
 
 from modchar.characters import character_from_label
 from modchar.cli import _fmt, _sums_csv, main
-from modchar.lfunctions import leading_coefficient
+from modchar import lfunctions
+from modchar.lfunctions import (LContext, functional_equation_check,
+                                leading_coefficient)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
 from modchar.sieve import partial_sums, riesz_means
@@ -195,6 +197,24 @@ def test_lfun_prints_error_bound(capsys):
     assert main(["lfun", "--label", "3.2", "--s", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "error bound: uncertified (digamma route)"
+
+
+def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
+    # L(s) once, L(1 - s, conj) once: two Hurwitz passes, not three, and
+    # the residual is the one the check computes on its own
+    calls = []
+    inner = lfunctions.hurwitz_zeta_with_bound
+
+    def counted(s, *args, **kw):
+        calls.append(complex(s))
+        return inner(s, *args, **kw)
+
+    monkeypatch.setattr(lfunctions, "hurwitz_zeta_with_bound", counted)
+    assert main(["lfun", "--label", "7.3", "--s", "0.25", "--im", "2"]) == 0
+    assert calls == [0.25 + 2j, 0.75 - 2j]
+    resid = capsys.readouterr().out.split("residual: ")[1].splitlines()[0]
+    ctx = LContext(character_from_label("7.3"))
+    assert resid == _fmt(functional_equation_check(ctx, 0.25 + 2j))
 
 
 def test_dioph_json_and_text(capsys):

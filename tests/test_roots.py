@@ -1,9 +1,12 @@
 """Exact unit-circle arithmetic and cyclotomic sums."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modchar.roots import CyclotomicSum, UnitValue
 
@@ -36,6 +39,37 @@ def test_powers_and_conjugates():
     assert (w * w.conjugate()).is_one
     assert UnitValue.zero().conjugate().is_zero
     assert abs(complex(w) - cmath.exp(2j * cmath.pi / 5)) < 1e-15
+
+
+_units = st.one_of(st.just(UnitValue.zero()),
+                   st.builds(UnitValue.root, st.integers(-10**6, 10**6),
+                             st.integers(1, 10**6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u=_units, v=_units, e=st.integers(-50, 50))
+def test_integer_angle_ops_match_fraction_formula(u, v, e):
+    # products, powers and conjugates run on integer angles over the lcm of
+    # the denominators; they must give exactly the canonical value that
+    # reducing the Fraction angle mod 1 gives, fields and types included
+    def canonical(w):
+        assert type(w.numerator) is int and type(w.denominator) is int
+        if not w.is_zero:
+            assert 0 <= w.numerator < w.denominator
+            assert math.gcd(w.numerator, w.denominator) == 1
+        return w
+
+    if u.is_zero or v.is_zero:
+        assert canonical(u * v) == UnitValue.zero()
+    else:
+        assert canonical(u * v) == UnitValue.from_fraction(u.angle + v.angle)
+    if u.is_zero:
+        assert canonical(u.conjugate()) == UnitValue.zero()
+        if e > 0:
+            assert canonical(u ** e) == UnitValue.zero()
+    else:
+        assert canonical(u.conjugate()) == UnitValue.from_fraction(-u.angle)
+        assert canonical(u ** e) == UnitValue.from_fraction(u.angle * e)
 
 
 def test_order_and_realness():

@@ -3,20 +3,23 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modchar.characters import (character_from_label, enumerate_characters,
+from modchar.characters import (Character, character_from_label,
+                                character_group, enumerate_characters,
                                 is_prime)
 from modchar.errors import BlockSizeError, DomainError, OrderTooLargeError
 from modchar.lfunctions import L_value, LContext, evaluate_F
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
-from modchar.sieve import (CHUNK, SieveContext, checkpoints_from_rule,
-                           mellin_transform, partial_sums, periodic_slice,
-                           riesz_means, sieve_values)
+from modchar.sieve import (CHUNK, VALUE_SLICE, SieveContext,
+                           checkpoints_from_rule, mellin_transform,
+                           partial_sums, periodic_slice, riesz_means,
+                           sieve_values)
 from modchar.summation import ComplexNeumaierSum, NeumaierSum
 
 ONE = UnitValue.one()
@@ -151,6 +154,63 @@ def test_block_angles_exact_at_dtype_boundary():
     assert int(ctx.chi_table.max()) > np.iinfo(np.int16).max
     for n in (2**16, 3**10, 10**5 - 200):
         _assert_angles_exact(mc, ctx, n - 100, min(n + 100, 10**5 + 1))
+
+
+def _value_error_bound(levels: int) -> float:
+    """Largest |computed - exact| for a value built from `levels` tables.
+
+    With u = 2^-53 and eps = np.finfo(np.longdouble).eps, so that this also
+    holds where longdouble is only a double, and longdouble atan, cos and
+    sin within one ulp:
+    - a table entry e(r/D), |r/D| <= 1/2, takes its angle 2 pi (r/D) from
+      8 atan(1) (error <= eps relative), r/D (<= eps/2) and one product
+      (<= eps/2): at most 2 eps |angle| <= 2 pi eps. cos and sin add eps,
+      and rounding each part to float64 adds u |part|, at most u in modulus.
+      So an entry is off by a <= u + (2 pi + 1) eps;
+    - each of the levels - 1 complex float64 products adds at most
+      sqrt(2) gamma_2 <= 2 sqrt(2) u (1 + 2u) relative error (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5).
+    The total is levels a + (levels - 1) 2 sqrt(2) u to first order; the
+    factor 1 + 1e-9 covers the products of these terms, each below 1e-29.
+    """
+    u, eps = 2.0 ** -53, float(np.finfo(np.longdouble).eps)
+    a = u + (2 * math.pi + 1) * eps
+    return (levels * a + (levels - 1) * 2 * math.sqrt(2) * u) * (1 + 1e-9)
+
+
+def test_block_values_match_mpmath_at_every_table_depth():
+    # one config per table depth L = ceil(bitlen(D)/16), each value checked
+    # against mpmath's e(a/b) for the exact angle a/b of eval_f_exact, a
+    # route that shares nothing with the tables; the L = 2 block is longer
+    # than VALUE_SLICE, so the walk crosses a slice boundary
+    chi_40961 = Character(character_group(40961), (1,))      # order 40960
+    chi_999983 = Character(character_group(999983), (1,))    # order 999982
+    cases = [
+        (build_modified(chi_40961, {2: UnitValue.root(1, 5)}), 1, 3000),
+        (build_modified(chi_999983, {2: UnitValue.root(1, 3)}), 2,
+         VALUE_SLICE + 1000),
+        (build_modified(chi_999983, {3: UnitValue.root(7, 65521)}), 3, 2000),
+        # two overrides of prime order near 2^26 and 2^25: D near 2^52
+        (build_modified(character_from_label("3.2"),
+                        {2: UnitValue.root(12345, 67108859),
+                         5: UnitValue.root(777, 33554393)}), 4, 2000),
+    ]
+    for mc, levels, x in cases:
+        ctx = SieveContext(mc, x)
+        assert -(-ctx.scale.bit_length() // 16) == levels == len(ctx.tables)
+        bound = _value_error_bound(levels)
+        vals = ctx.block_values(1, x + 1)
+        assert vals.dtype == np.complex128
+        with mpmath.workprec(113):
+            for n in range(1, x + 1):
+                v, z = eval_f_exact(mc, n), vals[n - 1]
+                if v.is_zero:
+                    assert z == 0, n
+                    continue
+                ref = mpmath.expjpi(mpmath.mpf(2 * v.numerator)
+                                    / v.denominator)
+                err = abs(mpmath.mpc(z.real, z.imag) - ref)
+                assert err <= bound, (n, levels, float(err) / 2.0 ** -53)
 
 
 def test_periodic_slice_wraps():
