@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 computational failure, 2 config or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -102,30 +104,36 @@ def _load_config(args) -> RunConfig:
     )
 
 
+def _csv(header: str, row: str, columns) -> str:
+    """header, then one `row % values` line per row of the columns: a
+    single % over the interleaved values."""
+    n = len(columns[0])
+    return header + (row * n) % tuple(itertools.chain.from_iterable(
+        zip(*columns)))
+
+
 def _sums_csv(series) -> str:
     xs = series.checkpoints.tolist()
-    if series.exact_sums is not None:   # |M| <= 1e9: .17g prints the digits
-        rows = [f"{x},{n},0" for x, n in zip(xs, series.exact_sums.tolist())]
-    else:
-        rows = [f"{x},{s.real:.17g},{s.imag:.17g}"
-                for x, s in zip(xs, series.sums.tolist())]
-    return "\n".join(["x,re_sum,im_sum", *rows]) + "\n"
+    if series.exact_sums is not None:   # |M| <= 1e9: %d prints the digits
+        return _csv("x,re_sum,im_sum\n", "%d,%d,0\n",
+                    (xs, series.exact_sums.tolist()))
+    return _csv("x,re_sum,im_sum\n", "%d,%.17g,%.17g\n",
+                (xs, series.sums.real.tolist(), series.sums.imag.tolist()))
 
 
 def _riesz_csv(record) -> str:
-    lines = ["x,k,re_value,im_value"]
-    for k in record.orders:
-        row = record.row(k)
-        for x, v in zip(record.checkpoints.tolist(), row):
-            lines.append(f"{x},{k},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    xs = record.checkpoints.tolist()
+    vals = record.values              # row i holds orders[i]
+    return _csv("x,k,re_value,im_value\n", "%d,%d,%.17g,%.17g\n",
+                (xs * len(record.orders),
+                 [k for k in record.orders for _ in xs],
+                 vals.real.ravel().tolist(), vals.imag.ravel().tolist()))
 
 
 def _pole_csv(trace) -> str:
-    lines = ["n,term,partial_sum"]
-    for n, term, part in trace.rows():
-        lines.append(f"{n},{_fmt(term)},{_fmt(part)}")
-    return "\n".join(lines) + "\n"
+    return _csv("n,term,partial_sum\n", "%d,%.17g,%.17g\n",
+                (trace.ns.tolist(), trace.terms.tolist(),
+                 trace.partials.tolist()))
 
 
 def cmd_characters(args) -> int:
@@ -553,8 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

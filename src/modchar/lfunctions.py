@@ -36,7 +36,7 @@ from .characters import Character, eval_char, is_primitive, parity
 from .errors import (DomainError, NearPoleWarning, ParityError, PoleError,
                      PrecisionError, PrimitivityError, UntrustedTheoryWarning)
 from .modified import ModifiedCharacter, compute_pole_order
-from .roots import CyclotomicSum
+from .roots import CyclotomicSum, turns_cos_sin
 
 MAX_ABS_S = 100.0
 
@@ -59,7 +59,6 @@ def bernoulli(n: int) -> Fraction:
 # Unit roundoff of the fast route. On platforms where longdouble is only a
 # double this is 2^-53, so the same bound sends more inputs to mpmath.
 _U = float(np.finfo(np.longdouble).eps) / 2
-_TWO_PI = 8 * np.arctan(np.longdouble(1))
 _GRID = 1 << 16        # grid elements per block of _em_sum, whatever phi(q)
 
 
@@ -90,10 +89,10 @@ def _neg_power(x: np.ndarray, s: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_roots(num, den: int) -> np.ndarray:
-    """e(num/den) in clongdouble; quarter turns are exact."""
+    """e(num/den) in clongdouble from `turns_cos_sin`; quarter turns are
+    exact."""
     num = np.asarray(num, dtype=np.int64) % den
-    ang = _TWO_PI * (num.astype(np.longdouble) / den)
-    z = _clongdouble(np.cos(ang), np.sin(ang))
+    z = _clongdouble(*turns_cos_sin(num, den))
     quarter = 4 * num % den == 0
     z[quarter] = np.array([1, 1j, -1, -1j],
                           dtype=np.clongdouble)[4 * num[quarter] // den]
@@ -325,21 +324,26 @@ _DIGAMMA_TAIL = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                  Fraction(7, 6), Fraction(-3617, 510))
 
 
-def digamma(x: float) -> float:
-    """psi(x) for real x > 0: shift to x >= 12, then the Stirling tail."""
-    if x <= 0:
+def digamma(x):
+    """psi(x) for real x > 0, a float or a float64 array: shift every entry
+    to x >= 12, then the Stirling tail."""
+    xs = np.atleast_1d(np.array(x, dtype=np.float64))     # a copy
+    if np.any(xs <= 0):
         raise DomainError("digamma implemented for positive real x only")
-    acc = 0.0
-    while x < 12:
-        acc -= 1 / x
-        x += 1
-    inv2 = 1 / (x * x)
-    t = math.log(x) - 0.5 / x
+    acc = np.zeros_like(xs)
+    low = xs < 12
+    while low.any():
+        acc[low] -= 1 / xs[low]
+        xs[low] += 1
+        low = xs < 12
+    inv2 = 1 / (xs * xs)
+    t = np.log(xs) - 0.5 / xs
     p = inv2
     for j, b in enumerate(_DIGAMMA_TAIL, start=1):
         t -= float(b) / (2 * j) * p
-        p *= inv2
-    return acc + t
+        p = p * inv2
+    out = acc + t
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 _LANCZOS_G = 7.0
@@ -428,17 +432,14 @@ def _l_at_one(chi: Character, eps: float) -> complex:
     """L(1, chi) for non-principal chi: -(1/q) sum chi(a) psi(a/q).
 
     The Hurwitz route has a removable singularity at s = 1 (each term poles,
-    the chi-sum cancels); the digamma form is the finite part directly.
+    the chi-sum cancels); the digamma form is the finite part directly. One
+    array pass: chi(a) from `_char_vector` and `_unit_roots`, psi(a/q) from
+    the array form of `digamma`, summed in clongdouble.
     """
     del eps
+    r, k, order = _char_vector(chi)
     q = chi.modulus
-    tot = 0j
-    for a in range(1, q):
-        v = eval_char(chi, a)
-        if v.is_zero:
-            continue
-        tot += v.to_complex() * digamma(a / q)
-    return -tot / q
+    return complex(-(_unit_roots(k, order) * digamma(r / q)).sum() / q)
 
 
 def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
@@ -494,7 +495,8 @@ def lprime0_direct(chi: Character) -> complex:
     """L'(0, chi) = sum_{a<q} chi(a) log Gamma(a/q) for even primitive chi.
 
     The log q and log 2pi companions of the textbook formula cancel against
-    sum chi(a) = 0 and L(0, chi) = 0.
+    sum chi(a) = 0 and L(0, chi) = 0. chi(a) comes from `_char_vector` and
+    `_unit_roots`, and the sum runs in clongdouble.
     """
     if parity(chi) != 1:
         raise ParityError("L'(0, chi) formula requires even chi")
@@ -502,14 +504,10 @@ def lprime0_direct(chi: Character) -> complex:
         raise PrimitivityError("principal characters excluded (L is not entire)")
     if not is_primitive(chi):
         raise PrimitivityError("L'(0) dual-route check requires primitive chi")
-    tot = 0j
+    r, k, order = _char_vector(chi)
     q = chi.modulus
-    for a in range(1, q):
-        v = eval_char(chi, a)
-        if v.is_zero:
-            continue
-        tot += v.to_complex() * math.lgamma(a / q)
-    return tot
+    lgammas = np.array([math.lgamma(a / q) for a in r.tolist()])
+    return complex((_unit_roots(k, order) * lgammas).sum())
 
 
 def lprime0_functional(chi: Character, eps: float = 1e-12) -> complex:

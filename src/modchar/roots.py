@@ -4,15 +4,41 @@ Character values are either 0 or e(a/m) = exp(2*pi*i*a/m) with a/m a reduced
 fraction in [0, 1). Storing the angle instead of a complex float keeps
 products, powers, and conjugates exact: multiplication is angle addition
 mod 1, so no drift accumulates over long sieves. Conversion to complex
-happens once, at the edge of the numeric code.
+happens once, at the edge of the numeric code, through `turns_cos_sin`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+_WIDE = 1 << 62
+
+
+def turns_cos_sin(r, b: int):
+    """cos and sin of 2 pi r/b in longdouble, for 0 <= r < b.
+
+    r is an int or an int64 array. The numerator is first taken in
+    (-b/2, b/2], so the longdouble angle (8 atan(1)) (r/b) has modulus at
+    most pi and carries at most 2 pi eps error (eps the longdouble
+    epsilon); cos and sin add eps. Rounded once to float64, e(r/b) is thus
+    within u + (2 pi + 1) eps, about 1.01u with 80-bit longdouble, where
+    the float64 angle 2 pi r/b is up to 12u off. This is the one place the
+    package builds e(r/b); b <= 2^62 (larger b is first rounded to a
+    numerator over 2^62, adding at most 2 pi 2^-63).
+    """
+    if b > _WIDE:
+        r, b = (2 * r * _WIDE + b) // (2 * b), _WIDE
+    if isinstance(r, np.ndarray):
+        r = np.where(2 * r > b, r - b, r).astype(np.longdouble)
+    else:
+        r = np.longdouble(r - b if 2 * r > b else r)
+    angle = _TWO_PI * (r / b)
+    return np.cos(angle), np.sin(angle)
 
 
 @dataclass(frozen=True)
@@ -108,7 +134,8 @@ class UnitValue:
             return -1 + 0j
         if self.denominator == 4:
             return 1j if self.numerator == 1 else -1j
-        return cmath.exp(2j * math.pi * self.numerator / self.denominator)
+        c, s = turns_cos_sin(self.numerator, self.denominator)
+        return complex(float(c), float(s))
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -163,7 +190,7 @@ class CyclotomicSum:
         return sum((c for _, c in self.terms), Fraction(0))
 
     def to_complex(self) -> complex:
-        return sum((cmath.exp(2j * math.pi * float(a)) * float(c)
+        return sum((UnitValue.from_fraction(a).to_complex() * float(c)
                     for a, c in self.terms), 0j)
 
     def __complex__(self) -> complex:

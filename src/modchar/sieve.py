@@ -18,13 +18,21 @@ built once from exact numerators in longdouble (`unit_tables`): one to
 four lookups and products per value and no transcendental call per
 integer. With 80-bit longdouble a value is within 12.5u of e(t/D), u = 2^-53.
 
+Partial sums have a second route that does not sieve. f = chi * h with h
+on the S-smooth d only, h(p^e) = f(p)^(e-1) (f(p) - chi(p)), so
+M(x) = sum_{d <= x} h(d) X(floor(x/d)), X(y) = sum_{m <= y} chi(m) read off
+a prefix table over min(q, x_max + 1) residues. Its cost is the number of
+(d, x) pairs, not x; `partial_sums` takes it when a stated cost model says
+it is cheaper than the sieve, which stays the route for dense grids, for
+the Riesz power sums and for the Mellin transform.
+
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
 folds the piece sums into M once (exact integers for real f, a compensated
-fold otherwise). Partial sums, Riesz means and the Mellin transform all read
-M from it, so every reported sum is bit-identical under any block size or
-thread count. Riesz means of all requested orders come out of the same
-pass: power sums P_j = sum f(n) (log n - c)^j per chunk, centered at each
+fold otherwise). Sieved partial sums, Riesz means and the Mellin transform
+all read M from it, so every reported sum is bit-identical under any block
+size or thread count; the smooth route never sees either. Riesz means of
+all requested orders come out of the same pass: power sums P_j = sum f(n) (log n - c)^j per chunk, centered at each
 chunk's own log-midpoint c, recombined binomially at checkpoints in
 longdouble. Past the first chunk centering keeps |log n - c| at most
 log(2)/2; in the first chunk it reaches log(4096)/2 = 4.16, so checkpoints
@@ -40,8 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import eval_char
 from .errors import BlockSizeError, DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
+from .roots import turns_cos_sin
 from .summation import CHUNK, ComplexNeumaierSum, chunk_cuts, piecewise_sums
 
 DEFAULT_BLOCK = 1 << 20
@@ -54,6 +64,19 @@ MAX_SCALE = 1 << 53
 # Entries per step of `block_values`' table walk: its digit and gather
 # buffers stay this long, so the complex output is its one full-block array.
 VALUE_SLICE = 1 << 16
+# Most S-smooth d the smooth route of `partial_sums` lists before it
+# yields to the sieve.
+MAX_SMOOTH_TERMS = 1 << 20
+# Most (d, x) pairs in one 2-D block of the smooth route's pair kernel.
+PAIR_BLOCK = 1 << 14
+# The route cost model of `partial_sums`, in ns (see its docstring): the
+# sieve per integer, for real f and for complex f at table depth L = 1..4;
+# the smooth route per prefix residue (real f, complex f), per pair and
+# per 2-D block of its pair kernel.
+SIEVE_NS = (3.0, 7.0, 12.0, 20.0, 30.0)
+RESIDUE_NS = (8.0, 60.0)
+PAIR_NS = 7.0
+BLOCK_NS = 10_000.0
 
 
 def thread_count(threads: int | None = None) -> int:
@@ -76,7 +99,7 @@ def angle_scale(chi, values) -> int:
     return scale
 
 
-def unit_tables(scale: int) -> list[np.ndarray]:
+def unit_tables(scale: int) -> tuple[np.ndarray, ...]:
     """Digit tables that turn exact angles t mod D into e(t/D).
 
     t is written in L = ceil(bitlen(D)/16) digits of base B, the smallest
@@ -104,21 +127,43 @@ def unit_tables(scale: int) -> list[np.ndarray]:
     while (base - 1) ** levels >= scale:
         base -= 1
     k = np.arange(base, dtype=np.int64)
-    two_pi = 8 * np.arctan(np.longdouble(1))
     tables, step = [], 1                      # step = B^i mod D
     for _ in range(levels):
         # k step mod D exactly in int64: k < 2^16 is split into bytes, so
         # each product stays below 2^8 D <= 2^61
         r = (k >> 8) * (step * 256 % scale) + (k & 255) * step
         r %= scale
-        r[2 * r > scale] -= scale
-        angle = two_pi * (r.astype(np.longdouble) / scale)
         table = np.empty(base, dtype=np.complex128)
-        table.real = np.cos(angle)
-        table.imag = np.sin(angle)
+        table.real, table.imag = turns_cos_sin(r, scale)
         tables.append(table)
         step = step * base % scale
-    return tables
+    return tuple(tables)
+
+
+def unit_values(tables, t: np.ndarray) -> np.ndarray:
+    """e(t/D) as complex128 for exact angles 0 <= t < D, from the digit
+    tables of `unit_tables`: one lookup per table and L - 1 products, in
+    steps of VALUE_SLICE entries, so the output is the one full-length
+    array. The error bound is that of `unit_tables`."""
+    vals = np.empty(len(t), dtype=np.complex128)
+    base = t.dtype.type(len(tables[0]))    # B <= D fits t's dtype
+    last = len(tables) - 1
+    factor = np.empty(min(len(t), VALUE_SLICE), np.complex128)
+    for a in range(0, len(t), VALUE_SLICE):
+        rest = t[a:a + VALUE_SLICE]
+        n = len(rest)
+        out = vals[a:a + n]
+        for i, table in enumerate(tables):
+            if i < last:                  # digit = rest mod B, rest //= B
+                q = rest // base
+                digit, rest = rest - q * base, q
+            else:
+                digit = rest
+            if i == 0:
+                np.take(table, digit, out=out, mode="clip")
+            else:
+                out *= np.take(table, digit, out=factor[:n], mode="clip")
+    return vals
 
 
 def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -134,23 +179,28 @@ def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
     return out
 
 
+def _block_length(x_max: int, block_size: int | None) -> int:
+    """Validate x_max and a block size; the block length on the chunk grid."""
+    if x_max < 0 or x_max > MAX_SIEVE_X:
+        raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
+    bs = DEFAULT_BLOCK if block_size is None else int(block_size)
+    if bs < 1:
+        raise BlockSizeError(f"block size must be positive, got {bs}")
+    if bs > MAX_BLOCK:
+        raise BlockSizeError(
+            f"block size {bs} exceeds the memory budget; the engine holds"
+            f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
+    return -(-bs // CHUNK) * CHUNK
+
+
 class SieveContext:
     """Prepared tables for streaming one modified character over blocks."""
 
     def __init__(self, mc: ModifiedCharacter, x_max: int,
                  block_size: int | None = None, threads: int | None = None):
-        if x_max < 0 or x_max > MAX_SIEVE_X:
-            raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
-        bs = DEFAULT_BLOCK if block_size is None else int(block_size)
-        if bs < 1:
-            raise BlockSizeError(f"block size must be positive, got {bs}")
-        if bs > MAX_BLOCK:
-            raise BlockSizeError(
-                f"block size {bs} exceeds the memory budget; the engine holds"
-                f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
+        self.block = _block_length(x_max, block_size)
         self.mc = mc
         self.x_max = int(x_max)
-        self.block = -(-bs // CHUNK) * CHUNK
         self.threads = thread_count(threads)
         chi = mc.base
         q = chi.modulus
@@ -230,24 +280,7 @@ class SieveContext:
             vals += 1
             vals[zero] = 0
             return vals
-        vals = np.empty(len(t), dtype=np.complex128)
-        base = t.dtype.type(len(self.tables[0]))   # B <= D fits t's dtype
-        last = len(self.tables) - 1
-        factor = np.empty(VALUE_SLICE, np.complex128)
-        for a in range(0, len(t), VALUE_SLICE):
-            rest = t[a:a + VALUE_SLICE]
-            n = len(rest)
-            out = vals[a:a + n]
-            for i, table in enumerate(self.tables):
-                if i < last:              # digit = rest mod B, rest //= B
-                    q = rest // base
-                    digit, rest = rest - q * base, q
-                else:
-                    digit = rest
-                if i == 0:
-                    np.take(table, digit, out=out, mode="clip")
-                else:
-                    out *= np.take(table, digit, out=factor[:n], mode="clip")
+        vals = unit_values(self.tables, t)
         vals[zero] = 0
         return vals
 
@@ -313,7 +346,7 @@ def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
         step = int(arg or 1)
         if step < 1:
             raise DomainError(f"every:{arg}: step must be >= 1")
-        pts = list(range(step, x_max + 1, step))
+        pts = np.arange(step, x_max + 1, step, dtype=np.int64)
     elif name == "geometric":
         ratio = float(arg or 2.0)
         if ratio <= 1.0:
@@ -324,19 +357,20 @@ def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
             c = max(c + 1, int(c * ratio))
     else:
         raise DomainError(f"unknown checkpoint rule {rule!r}")
-    if not pts or pts[-1] != x_max:
-        pts.append(x_max)
-    return np.array(sorted(set(pts)), dtype=np.int64)
+    # every rule's points increase strictly and stay <= x_max
+    pts = np.asarray(pts, dtype=np.int64)
+    if not len(pts) or pts[-1] != x_max:
+        pts = np.append(pts, np.int64(x_max))
+    return pts
 
 
 @dataclass
 class PartialSumSeries:
     """M(x) at checkpoints; exact integer sums ride along for real f.
 
-    sums is the best available route: exact integers when all values are
-    0/+-1, the compensated float accumulation otherwise. float_sums is the
-    compensated route; for real f every piece sum and prefix is an integer
-    below 2^53, where that route is exact, so it is the same array as sums.
+    sums is exact integers when all values are 0/+-1, else complex128 from
+    the route `partial_sums` took. float_sums is the same array as sums:
+    for real f every integer here is below 2^53, so its float is exact.
     """
 
     checkpoints: np.ndarray
@@ -398,18 +432,208 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
         yield lo, hi, vals, starts, np.searchsorted(cuts, ends), run
 
 
+def _sieve_sums(mc: ModifiedCharacter, x_max: int, cps: np.ndarray,
+                block_size: int | None = None,
+                threads: int | None = None) -> np.ndarray:
+    """M at the checkpoints from one sieve pass: int64 for real f, else
+    the compensated complex128 fold of `_walk`."""
+    ctx = SieveContext(mc, x_max, block_size, threads)
+    return np.concatenate([run[closed] for *_, closed, run in _walk(ctx, cps)])
+
+
+def _smooth_terms(mc: ModifiedCharacter, scale: int, x_top: int,
+                  limit=math.inf):
+    """The S-smooth d <= x_top, ascending, as (d, angle, g); None past
+    `limit` d.
+
+    f = chi * h with h(p^e) = f(p)^(e-1) g_p, g_p = f(p) - chi(p), on S
+    only. The d come as array products over p in S, each next to the
+    exact angle numerator sum_p (e_p - 1) angle(f(p)) over D = scale and
+    the product g of its g_p, so h(d) = e(angle/D) g: an int64 for real f
+    (D <= 2), else complex128, with g_p from `UnitValue.to_complex`.
+    """
+    real = scale <= 2
+
+    def value(u):                   # f(p) or chi(p) in h's arithmetic
+        if u.is_zero:
+            return 0
+        return int(u.to_complex().real) if real else u.to_complex()
+
+    d = np.ones(1, np.int64)
+    angle = np.zeros(1, np.int64)
+    g = np.ones(1, np.int64 if real else np.complex128)
+    for p, v in mc.modifications:
+        a_f = int(v.angle * scale)
+        g_p = value(v) - value(eval_char(mc.base, p))
+        parts = [(d, angle, g)]
+        cur_d, cur_a, cur_g = d, angle, g * g_p
+        while True:                   # d p^e from d p^(e-1), e = 1, 2, ...
+            keep = cur_d <= x_top // p
+            if not keep.any():
+                break
+            cur_d, cur_a, cur_g = cur_d[keep] * p, cur_a[keep], cur_g[keep]
+            parts.append((cur_d, cur_a, cur_g))
+            cur_a = (cur_a + a_f) % scale
+        d, angle, g = (np.concatenate(col) for col in zip(*parts))
+        if len(d) > limit:
+            return None
+    order = np.argsort(d, kind="stable")
+    return d[order], angle[order], g[order]
+
+
+def _chi_prefix(mc: ModifiedCharacter, n: int, scale: int, tables):
+    """X(r) = chi(1) + ... + chi(r) for r < n <= q, and X(q).
+
+    Real chi (D = scale <= 2): int8 values summed into an int32 prefix
+    (|X| <= q <= 1e6). Complex: values from `unit_values` over `tables`,
+    prefix through the compensated `ComplexNeumaierSum` fold. X(q) is
+    phi(q) for principal chi, else 0.
+    """
+    chi = mc.base
+    t = chi.angle_numerators(scale)
+    x_q = int(np.count_nonzero(t >= 0)) if chi.is_principal else 0
+    t = t[:n].copy()
+    t[0] = -1                       # X(0) = 0, not chi(q) = chi(0)
+    if scale <= 2:                  # angles -1, 0, 1 are chi = 0, 1, -1
+        vals = np.take(np.array([0, 1, -1], np.int8), t + 1)
+        return np.add.accumulate(vals, dtype=np.int32), x_q
+    vals = unit_values(tables, np.maximum(t, 0))
+    vals[t < 0] = 0
+    return ComplexNeumaierSum().add_many(vals), x_q
+
+
+def _pair_blocks(cps: np.ndarray, d: np.ndarray):
+    """Yield (i0, i1, k): the rows d[i0:i1] meet the checkpoints cps[k:],
+    k the first with x >= d[i0]. Each block is one row or at most
+    PAIR_BLOCK pairs; d ascends, so its later rows meet no more. Every d
+    must be at most cps[-1]."""
+    firsts = np.searchsorted(cps, d).tolist()
+    n, i = len(cps), 0
+    while i < len(firsts):
+        k = firsts[i]
+        i1 = min(len(firsts), i + max(1, PAIR_BLOCK // (n - k)))
+        yield i, i1, k
+        i = i1
+
+
+def _smooth_sums(mc: ModifiedCharacter, cps: np.ndarray,
+                 plan=None) -> np.ndarray:
+    """M at the checkpoints as sum_{d <= x} h(d) X(floor(x/d)).
+
+    plan is (D, d, angle, g) from `_smooth_plan`, else built here for the
+    d <= cps[-1]. The digit tables of `unit_tables` are built once and
+    give both h(d) = e(angle/D) g and the chi values of `_chi_prefix`;
+    X(y) = floor(y/q) X(q) + X(y mod q). The pairs (d, x) go through
+    `_pair_blocks` as 2-D arrays: y = floor(x/d) and floor(y/q) in
+    float64, exact for x < 2^52: where d does not divide x, x/d lies at
+    least 1/d below the next integer, more than the rounding error u x/d,
+    and an integer quotient is exact. A pair with x < d in a block has
+    y = 0 and X(0) = 0, so it adds nothing. Sums are int64 for real f,
+    else complex128, each block's rows added in turn.
+    """
+    x_top = int(cps[-1])
+    if cps[0] < 1 or x_top > MAX_SIEVE_X:
+        raise DomainError(f"checkpoints must lie in [1, {MAX_SIEVE_X}]")
+    if plan is None:
+        scale = angle_scale(mc.base, [v for _, v in mc.modifications])
+        plan = (scale, *_smooth_terms(mc, scale, x_top))
+    scale, d, angle, g = plan
+    real = scale <= 2
+    tables = None if real else unit_tables(scale)
+    h = g * (1 - 2 * angle) if real else unit_values(tables, angle) * g
+    q = mc.base.modulus
+    prefix, x_q = _chi_prefix(mc, min(q, x_top + 1), scale, tables)
+    out = np.zeros(len(cps), dtype=np.int64 if real else np.complex128)
+    xs, ds = cps.astype(np.float64), d.astype(np.float64)
+    for i0, i1, k in _pair_blocks(cps, d):
+        y = np.divide(xs[k:], ds[i0:i1, None])
+        np.floor(y, out=y)
+        if x_top >= q:
+            wraps = np.floor(y / q)
+            y -= wraps * q
+        big_x = prefix[y.astype(np.intp)]
+        if x_top >= q and x_q:
+            big_x = big_x + wraps.astype(np.int64) * x_q
+        if real:
+            big_x = np.multiply(big_x, h[i0:i1, None], dtype=np.int64)
+        else:
+            big_x *= h[i0:i1, None]
+        out[k:] += big_x.sum(axis=0)
+    return out
+
+
+def _smooth_plan(mc: ModifiedCharacter, x_max: int, cps: np.ndarray):
+    """(D, d, angle, g) for `_smooth_sums` when its modelled cost is at
+    most the sieve's, else None; see `partial_sums` for the model. It
+    reads only mc, x_max and the checkpoints."""
+    chi = mc.base
+    scale = angle_scale(chi, [v for _, v in mc.modifications])
+    levels = 0 if scale <= 2 else -(-scale.bit_length() // 16)
+    budget = SIEVE_NS[levels] * x_max
+    # every d meets the last checkpoint, so each costs at least one pair
+    terms = _smooth_terms(mc, scale, int(cps[-1]),
+                          min(MAX_SMOOTH_TERMS, budget / PAIR_NS))
+    if terms is None:
+        return None
+    cost = min(chi.modulus, x_max + 1) * RESIDUE_NS[levels > 0]
+    for i0, i1, k in _pair_blocks(cps, terms[0]):
+        cost += BLOCK_NS + PAIR_NS * (i1 - i0) * (len(cps) - k)
+        if cost > budget:
+            return None
+    return (scale, *terms)
+
+
 def partial_sums(mc: ModifiedCharacter, x_max: int,
                  checkpoint_rule="dyadic",
                  block_size: int | None = None,
                  threads: int | None = None) -> PartialSumSeries:
-    """Partial sums M(x) at rule-selected checkpoints, one sieve pass."""
+    """Partial sums M(x) at rule-selected checkpoints, by the cheaper route.
+
+    Routes: the sieve (`_sieve_sums`, one pass over n <= x_max) and the
+    convolution f = chi * h over the S-smooth d (`_smooth_sums`). The
+    route depends only on (mc, x_max, checkpoints), never on block size or
+    threads, so sums stay bit-identical across those. Real f gives the same
+    exact integers on both.
+
+    Cost model (ns, measured with numpy 2 on a 2-vCPU Xeon; the chi angle
+    table is built by both routes and left out): the sieve costs x_max
+    times SIEVE_NS = 3 per integer for real f, 7, 12, 20 and 30 for complex
+    f at table depth L = 1..4. The smooth route costs RESIDUE_NS = 8 (real)
+    or 60 (complex) per prefix residue, min(q, x_max + 1) of them, plus
+    PAIR_NS = 7 per entry and BLOCK_NS = 1e4 per block of `_pair_blocks`;
+    the entries are the pairs (d, x) with d <= x, about sum_x #{d <= x},
+    plus the few with x < d that a block carries. The smooth route is taken
+    when its cost is at most the sieve's. Measured spreads: 2-6 ns per
+    integer for real f, 6-10 at L = 1, 11-17 at L = 2; 6-9 ns per pair.
+    Dense grids (every:100 at 2e6 is 2e7 pairs for |S| = 4) stay on the
+    sieve; geometric grids and dyadic ones mostly go smooth.
+
+    Complex error, to first order in u = 2^-53, with e the value bound of
+    `unit_tables` (at most 12.5u), y_d = floor(x/d), n_x the number of
+    smooth d <= x and w(d) the number of S-primes dividing d: the smooth
+    route is within
+        sum_{d <= x} 2^w(d) [(y_d mod q) e
+                             + ((w(d) + 1) e + (sqrt2 n_x + 3 sqrt2 w(d) + 5) u) |X(y_d)|]
+    of M(x): each chi value in the prefix is within e and the compensated
+    fold adds 2u|X|; h(d) takes w(d) + 1 unit values (each g_p off by at
+    most 2e + 2 sqrt2 u, |g_p| <= 2) and w(d) rounded complex products
+    (2 sqrt2 u each); the pair product adds 2 sqrt2 u and the sum over the
+    n_x terms sqrt2 (n_x - 1) u of sum |h X|. The sieve's error is at most
+    x e + (CHUNK + 1) u x + 2u|M|: it rounds x values and sums each chunk
+    left to right. So complex M(x) from two checkpoint rules can differ in
+    the last bits when they take different routes; both are inside their
+    bounds.
+    """
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
-    ctx = SieveContext(mc, x_max, block_size, threads)
-    m = np.concatenate([run[closed] for *_, closed, run in _walk(ctx, cps)])
+    _block_length(x_max, block_size)
+    plan = _smooth_plan(mc, x_max, cps)
+    m = (_sieve_sums(mc, x_max, cps, block_size, threads) if plan is None
+         else _smooth_sums(mc, cps, plan))
     sums = m.astype(np.complex128, copy=False)
+    exact = m if m.dtype.kind == "i" else None
     rule_name = checkpoint_rule if isinstance(checkpoint_rule, str) else "explicit"
-    return PartialSumSeries(cps, sums, m if ctx.is_real else None, x_max,
-                            rule_name, mc.digest(), mc, float_sums=sums)
+    return PartialSumSeries(cps, sums, exact, x_max, rule_name, mc.digest(),
+                            mc, float_sums=sums)
 
 
 def _inv_factorial(k: int) -> float:
@@ -433,8 +657,9 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
                 threads: int | None = None) -> RieszRecord:
     """Riesz means sum f(n) log(x/n)^k at checkpoints for several orders k.
 
-    One sieve pass serves every order. The k = 0 row is M(x) from the fold
-    partial_sums uses, so the two agree bit for bit. For k > 0 the pass
+    One sieve pass serves every order. The k = 0 row is M(x) from the
+    route `partial_sums` takes for the same checkpoints: `_smooth_sums`, or
+    else the walk's fold, so the two agree bit for bit. For k > 0 the pass
     accumulates power sums P_j = sum f(n) (log n - c)^j up to j = max(orders)
     per 4096-chunk, centered at the chunk's log-midpoint c, and recombines
     binomially at each checkpoint:
@@ -469,6 +694,7 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     cps = checkpoints_from_rule(checkpoints, x_max)
     kmax = ks[-1]
     ctx = SieveContext(mc, x_max, block_size, threads)
+    plan = _smooth_plan(mc, x_max, cps) if ks[0] == 0 else None
     ncp = len(cps)
     n_chunks = (x_max + CHUNK - 1) // CHUNK
     n_direct = int(np.searchsorted(cps, CHUNK, side="right"))
@@ -489,7 +715,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     partial = np.zeros((kmax + 1, ncp), dtype)      # x's own chunk, up to x
     values = np.zeros((len(ks), ncp), dtype=np.complex128)
     m_rows, done = [], 0
-    for lo, hi, vals, starts, closed, run in _walk(ctx, cps):
+    walk = _walk(ctx, cps) if rows or plan is None else ()
+    for lo, hi, vals, starts, closed, run in walk:
         m_rows.append(run[closed])
         if lo == 1 and rows and n_direct:
             f = vals[:cps[n_direct - 1]].astype(dtype)
@@ -539,7 +766,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
 
     for row, k in enumerate(ks):
         if k == 0:
-            values[row] = np.concatenate(m_rows)
+            values[row] = (np.concatenate(m_rows) if plan is None
+                           else _smooth_sums(mc, cps, plan))
         if normalized:
             values[row] *= _inv_factorial(k)
     return RieszRecord(tuple(ks), cps, values, normalized, x_max,

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from modchar.characters import character_from_label
@@ -12,7 +13,7 @@ from modchar.lfunctions import (LContext, functional_equation_check,
                                 leading_coefficient)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
-from modchar.sieve import partial_sums, riesz_means
+from modchar.sieve import PartialSumSeries, partial_sums, riesz_means
 
 BCC_DOC = {
     "character": {"label": "3.2"},
@@ -95,12 +96,38 @@ def test_simulate_byte_identity(tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
+def _special_values():
+    """Checkpoints and complex values: special floats first, then random
+    magnitudes from 1e-20 to 1e20."""
+    special = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 1e-300,
+               1e300, -1e300, 5e-324, 0.1, -2.5, 123456789.0, 1 / 3]
+    rng = np.random.default_rng(7)
+    re = np.array(special + list(rng.normal(size=40) * 10.0 ** rng.integers(
+        -20, 20, 40)))
+    z = np.empty(len(re), dtype=np.complex128)
+    z.real, z.imag = re, np.roll(re, 5)
+    return np.arange(1, len(re) + 1, dtype=np.int64) * 7919, z
+
+
+def _special_series(exact):
+    xs, z = _special_values()
+    if not exact:
+        return PartialSumSeries(xs, z, None, int(xs[-1]), "r", "d")
+    ints = np.random.default_rng(8).integers(-10**9, 10**9, len(xs))
+    return PartialSumSeries(xs, ints.astype(np.complex128), ints,
+                            int(xs[-1]), "r", "d")
+
+
 @pytest.mark.parametrize("mc", [
     bcc(),
     build_modified(character_from_label("5.2"),
-                   {2: UnitValue.minus_one(), 7: UnitValue.root(1, 3)})])
+                   {2: UnitValue.minus_one(), 7: UnitValue.root(1, 3)}),
+    pytest.param(_special_series(exact=False), id="special_floats"),
+    pytest.param(_special_series(exact=True), id="exact_ints")])
 def test_sums_csv_bytes_match_per_value_format(mc):
-    series = partial_sums(mc, 50000, checkpoint_rule="every:7")
+    # mc is a config summed to 50000 here, or a ready series
+    series = (mc if isinstance(mc, PartialSumSeries)
+              else partial_sums(mc, 50000, checkpoint_rule="every:7"))
     lines = ["x,re_sum,im_sum"]
     for x, s in zip(series.checkpoints.tolist(), series.sums):
         lines.append(f"{x},{_fmt(s.real)},{_fmt(s.imag)}")
@@ -328,3 +355,55 @@ def test_config_errors_exit_2(tmp_path, capsys):
     schema.write_text(json.dumps({**BCC_DOC, "colour": 1}), encoding="utf-8")
     assert main(["simulate", str(schema)]) == 2
     assert "unknown field" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_without_leaking_defaults(tmp_path, capsys):
+    # the parser is built once per process; each call must still print
+    # what a fresh process prints, options of an earlier call included
+    import subprocess
+    import sys
+
+    import modchar
+
+    cfg = write_config(tmp_path)
+    calls = [["coeff", cfg, "--k", "13"], ["coeff", cfg],
+             ["kmin", cfg, "--gamma", "0.5"], ["kmin", cfg],
+             ["dioph", "--p", "2", "--q", "3", "--depth", "5"],
+             ["dioph", "--p", "2", "--q", "3", "--json"]]
+    src = os.path.dirname(os.path.dirname(modchar.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = "import sys; from modchar.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-c", script, *argv],
+                               capture_output=True, text=True, env=env)
+        assert fresh.returncode == 0, fresh.stderr
+        assert got == fresh.stdout, argv
+
+
+def test_riesz_and_pole_csv_match_the_per_row_formula():
+    # one % over interleaved values prints the bytes the per-row f-strings
+    # printed, special floats included
+    from modchar.cli import _pole_csv, _riesz_csv
+    from modchar.diophantine import PoleSeriesTrace
+    from modchar.sieve import RieszRecord
+
+    xs, z = _special_values()
+    rec = RieszRecord((0, 3, 13), xs, np.stack([z, z[::-1], -z]), False,
+                      int(xs[-1]), "d")
+    lines = ["x,k,re_value,im_value"]
+    for k in rec.orders:
+        for x, v in zip(rec.checkpoints.tolist(), rec.row(k)):
+            lines.append(f"{x},{k},{_fmt(v.real)},{_fmt(v.imag)}")
+    assert _riesz_csv(rec) == "\n".join(lines) + "\n"
+
+    trace = PoleSeriesTrace(3, 4, len(xs), xs, z.real, z.imag, 0.0, 1, (),
+                            0.0, 0.0, 0.0, "v")
+    lines = ["n,term,partial_sum"]
+    for n, term, part in trace.rows():
+        lines.append(f"{n},{_fmt(term)},{_fmt(part)}")
+    assert _pole_csv(trace) == "\n".join(lines) + "\n"
+    # an empty table is its header
+    empty = PartialSumSeries(xs[:0], z[:0], None, 1, "r", "d")
+    assert _sums_csv(empty) == "x,re_sum,im_sum\n"

@@ -107,3 +107,37 @@ def test_cyclotomic_cancellation_and_scale():
                                   (Fraction(0), Fraction(3))])
     assert s.is_rational and s.rational == 3
     assert s.scale(Fraction(1, 3)).rational == 1
+
+
+def test_to_complex_is_rounded_once_from_the_exact_angle():
+    # 20,000 seeded angles a/b, b < 2^20, against mpmath at 113 bits: each
+    # value within the one-table bound of `unit_tables`, u + (2 pi + 1) eps,
+    # which the float64 angle 2 pi a/b (up to about 12u off) does not meet
+    import random
+
+    import mpmath
+    import numpy as np
+
+    u, eps = 2.0 ** -53, float(np.finfo(np.longdouble).eps)
+    bound = (u + (2 * math.pi + 1) * eps) * (1 + 1e-9)
+    rng = random.Random(20261018)
+    worst = 0.0
+    with mpmath.workprec(113):
+        for _ in range(20_000):
+            b = rng.randrange(1, 1 << 20)
+            w = UnitValue.root(rng.randrange(b), b)
+            z = w.to_complex()
+            ref = mpmath.expjpi(mpmath.mpf(2 * w.numerator) / w.denominator)
+            worst = max(worst, float(abs(mpmath.mpc(z.real, z.imag) - ref)))
+        # a cyclotomic sum adds its terms' values, each within the bound
+        terms = [(Fraction(rng.randrange(b), b), Fraction(rng.randrange(1, 9)))
+                 for b in (7, 9, 1009, 65537, 999983)]
+        s = CyclotomicSum.from_pairs(terms)
+        ref = mpmath.fsum(c * mpmath.expjpi(2 * mpmath.mpf(a.numerator)
+                                            / a.denominator)
+                          for a, c in s.terms)
+        z = s.to_complex()
+        mass = float(sum(abs(c) for _, c in s.terms))
+        assert abs(mpmath.mpc(z.real, z.imag) - ref) <= mass * (
+            bound + len(s.terms) * 2 * u)
+    assert worst <= bound, worst / u

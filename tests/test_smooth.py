@@ -1,0 +1,230 @@
+"""The smooth route of partial sums, f = chi * h over the S-smooth d,
+against the sieve, trial factorization and mpmath."""
+
+import math
+import warnings
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modchar.characters import (Character, character_from_label,
+                                character_group, enumerate_characters)
+from modchar.modified import build_modified, eval_f_exact
+from modchar.roots import UnitValue
+from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
+                           _sieve_sums, _smooth_plan, _smooth_sums,
+                           _smooth_terms, angle_scale, checkpoints_from_rule,
+                           partial_sums, riesz_means, unit_tables)
+
+ONE = UnitValue.one()
+MINUS = UnitValue.minus_one()
+U = 2.0 ** -53
+
+
+def _modified(chi, mods):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # f(p) = chi(p) entries drop out
+        return build_modified(chi, mods, allow_imprimitive=True)
+
+
+def _scale(mc):
+    return angle_scale(mc.base, [v for _, v in mc.modifications])
+
+
+def _smooth_d(mc, x):
+    return _smooth_terms(mc, _scale(mc), x)[0]
+
+
+def _exact_sums(mc, cps):
+    """M at the checkpoints from trial factorization: int for real f, else
+    the exact angle counts summed in mpmath at 40 digits."""
+    cps = [int(c) for c in cps]
+    out, counts, i = [], {}, 0
+    for n in range(1, cps[-1] + 1):
+        v = eval_f_exact(mc, n)
+        if not v.is_zero:
+            key = (v.numerator, v.denominator)
+            counts[key] = counts.get(key, 0) + 1
+        while i < len(cps) and cps[i] == n:
+            out.append(dict(counts))
+            i += 1
+    with mpmath.workdps(40):
+        unit = {key: mpmath.expjpi(mpmath.mpf(2 * key[0]) / key[1])
+                for key in counts}
+        return [mpmath.fsum(c * unit[key] for key, c in cnt.items())
+                for cnt in out]
+
+
+@st.composite
+def _cases(draw):
+    """q <= 40 (1, principal and prime powers included), any chi, 0-4
+    override primes with some dividing q, real or complex values, and a
+    random checkpoint list up to x_max <= 1500."""
+    q = draw(st.integers(1, 40))
+    chars = enumerate_characters(q)
+    chi = chars[draw(st.integers(0, len(chars) - 1))]
+    pool = sorted({2, 3, 5, 7, 11, 13} | {p for p, _ in chi.group.factorization})
+    primes = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    if draw(st.booleans()):
+        mods = {p: draw(st.sampled_from([ONE, MINUS])) for p in primes}
+    else:
+        mods = {p: UnitValue.root(draw(st.integers(0, 11)),
+                                  draw(st.integers(1, 12))) for p in primes}
+    x_max = draw(st.integers(1, 1500))
+    cps = draw(st.lists(st.integers(1, x_max), max_size=25))
+    return _modified(chi, mods), x_max, np.array(sorted(set(cps) | {x_max}))
+
+
+def _assert_routes_agree(mc, x_max, cps):
+    smooth = _smooth_sums(mc, cps)
+    sieve = _sieve_sums(mc, x_max, cps)
+    exact = _exact_sums(mc, cps)
+    assert smooth.dtype == sieve.dtype
+    if smooth.dtype.kind == "i":
+        want = [int(mpmath.nint(m.real)) for m in exact]
+        assert smooth.tolist() == want == sieve.tolist()
+        return
+    for got_s, got_v, m in zip(smooth, sieve, exact):
+        ref = complex(m)
+        assert abs(got_s - ref) <= 1e-11 * x_max
+        assert abs(got_v - ref) <= 1e-11 * x_max
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_cases())
+def test_smooth_sieve_and_trial_factorization_agree(case):
+    _assert_routes_agree(*case)
+
+
+def test_smooth_route_principal_and_smooth_checkpoints():
+    # chi principal with x >= q needs the floor(y/q) X(q) term; checkpoints
+    # that are themselves S-smooth need d <= x, not d < x
+    cases = [
+        (_modified(enumerate_characters(1)[0], {2: MINUS, 3: MINUS}), 500),
+        (_modified(character_group(6).principal(),
+                   {2: UnitValue.root(1, 3), 5: MINUS}), 700),
+        (_modified(character_from_label("7.1"), {3: MINUS}), 400),
+        (_modified(character_from_label("3.2"), {p: ONE for p in (2, 3, 5)}),
+         900),
+    ]
+    for mc, x in cases:
+        smooth_d = _smooth_d(mc, x)
+        cps = np.unique(np.concatenate([smooth_d, [x]]))
+        _assert_routes_agree(mc, x, cps)
+
+
+def test_smooth_route_near_the_sieve_cap():
+    # windows M(x) - M(x - W) just below MAX_SIEVE_X: the smooth route's
+    # floor(x/d) at x ~ 1e9 against a sieve block and trial factorization
+    chi_7 = character_from_label("7.3")                      # order 6
+    cases = [
+        _modified(character_from_label("3.2"), {p: ONE for p in (2, 3, 5, 11)}),
+        _modified(Character(character_group(101), (50,)),    # quadratic
+                  {2: ONE, 3: MINUS, 5: ONE}),
+        _modified(chi_7, {2: UnitValue.root(1, 4), 7: UnitValue.root(1, 3)}),
+    ]
+    w = 40
+    for mc in cases:
+        for x in (MAX_SIEVE_X, MAX_SIEVE_X - 12345):
+            cps = np.array([x - w, x], dtype=np.int64)
+            m = _smooth_sums(mc, cps)
+            window = SieveContext(mc, MAX_SIEVE_X).block_values(x - w + 1, x + 1)
+            exact = [eval_f_exact(mc, n) for n in range(x - w + 1, x + 1)]
+            if m.dtype.kind == "i":
+                got = int(m[1] - m[0])
+                assert got == int(window.sum())
+                assert got == sum(int(v.to_complex().real) for v in exact)
+            else:
+                ref = sum(v.to_complex() for v in exact)
+                assert abs((m[1] - m[0]) - ref) <= 1e-8
+                assert abs(window.sum() - ref) <= 1e-12 * w
+
+
+def test_smooth_terms_stop_at_the_last_checkpoint():
+    # checkpoints far below x_max: the S-smooth d past cps[-1] meet no
+    # checkpoint, so neither the plan nor the sums may list them; with 300
+    # checkpoints a pair block holds 54 rows, and one starting at such a d
+    # would meet no checkpoint at all
+    mc = _modified(character_from_label("3.2"),
+                   {p: ONE for p in (2, 5, 7, 11)})
+    x_max = 10**6
+    cps = np.arange(1, 301, dtype=np.int64)
+    plan = _smooth_plan(mc, x_max, cps)
+    assert plan is not None and plan[1][-1] <= cps[-1] < plan[1][-1] * 2
+    sieve = _sieve_sums(mc, x_max, cps)
+    assert np.array_equal(_smooth_sums(mc, cps, plan), sieve)
+    assert np.array_equal(_smooth_sums(mc, cps), sieve)
+
+
+def _value_bound(levels):
+    # `unit_tables`: L a + (L - 1) 2 sqrt2 u with a = u + (2 pi + 1) eps
+    eps = float(np.finfo(np.longdouble).eps)
+    a = U + (2 * math.pi + 1) * eps
+    return levels * a + (levels - 1) * 2 * math.sqrt(2) * U
+
+
+def _smooth_bound(mc, x_max, cps, levels):
+    """The first-order error bound of the `partial_sums` docstring."""
+    e = _value_bound(levels)
+    q = mc.base.modulus
+    d = _smooth_d(mc, x_max)
+    scale = _scale(mc)
+    prefix, x_q = _chi_prefix(mc, min(q, x_max + 1), scale,
+                              unit_tables(scale))
+    w = np.array([sum(int(dd) % p == 0 for p in mc.primes) for dd in d])
+    out = []
+    for x in cps.tolist():
+        sel = d <= x
+        y = x // d[sel]
+        big_x = np.abs(prefix[y % q] + (y // q) * x_q)
+        ws = w[sel]
+        out.append(float(np.sum(2.0 ** ws * (
+            (y % q) * e + ((ws + 1) * e + (math.sqrt(2) * sel.sum()
+                                          + 3 * math.sqrt(2) * ws + 5) * U)
+            * big_x))))
+    return np.array(out) * (1 + 1e-6)
+
+
+def test_complex_smooth_sums_within_their_bound_against_mpmath():
+    # L = 1 over a small modulus, L = 2 with x past q (the compensated
+    # prefix over 1008 residues and the wrap), L = 2 with x < q
+    chi_1009 = Character(character_group(1009), (1,))       # order 1008
+    chi_40961 = Character(character_group(40961), (1,))     # order 40960
+    cases = [
+        (_modified(character_from_label("7.3"),
+                   {2: UnitValue.root(1, 12), 3: UnitValue.root(5, 12),
+                    5: UnitValue.root(7, 12)}), 6000, 1),
+        (_modified(chi_1009, {2: UnitValue.root(1, 65537),
+                              3: UnitValue.root(2, 3)}), 6000, 2),
+        (_modified(chi_40961, {2: UnitValue.root(1, 7)}), 4000, 2),
+    ]
+    for mc, x, levels in cases:
+        cps = checkpoints_from_rule("geometric:1.3", x)
+        assert -(-SieveContext(mc, 1).scale.bit_length() // 16) == levels
+        got = _smooth_sums(mc, cps)
+        bound = _smooth_bound(mc, x, cps, levels)
+        with mpmath.workdps(40):
+            for g, m, b in zip(got, _exact_sums(mc, cps), bound):
+                err = abs(mpmath.mpc(g.real, g.imag) - m)
+                assert err <= b, (float(err), b)
+
+
+def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
+    mc = build_modified(character_from_label("3.2"),
+                        {p: ONE for p in (2, 3, 5, 11)})
+    cplx = build_modified(character_from_label("5.2"),
+                          {2: MINUS, 7: UnitValue.root(1, 3)})
+    x = 300_000
+    sparse = checkpoints_from_rule("geometric:1.05", x)
+    dense = checkpoints_from_rule("every:1", x)
+    for f in (mc, cplx):
+        assert _smooth_plan(f, x, sparse) is not None
+        assert _smooth_plan(f, x, dense) is None
+    x = 2 * CHUNK + 77
+    for f in (mc, cplx):
+        for rule in ("dyadic", "every:1"):
+            ps = partial_sums(f, x, rule, block_size=CHUNK)
+            rec = riesz_means(f, [0, 3], x, rule, threads=2)
+            assert np.array_equal(rec.row(0), ps.sums)
