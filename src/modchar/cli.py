@@ -95,7 +95,7 @@ def _jsonable(obj):
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
-    return cfg.with_overrides(
+    return cfg.with_flags(
         x_max=getattr(args, "xmax", None),
         checkpoints=getattr(args, "checkpoints", None),
         orders=getattr(args, "k", None),

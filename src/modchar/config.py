@@ -86,6 +86,20 @@ class RunConfig:
         live = {k: v for k, v in kw.items() if v is not None}
         return replace(self, **live) if live else self
 
+    def with_flags(self, **flags) -> "RunConfig":
+        """with_overrides for command-line flags. checkpoints and gamma go
+        through the rules their config fields get, so a bad flag is a
+        ConfigError that names it, as a bad field is."""
+        cps, gamma = flags.get("checkpoints"), flags.get("gamma")
+        if cps is not None:
+            flags["checkpoints"] = _parse_checkpoints(
+                "", ("--checkpoints",),
+                list(cps) if isinstance(cps, tuple) else cps)
+        if gamma is not None:
+            flags["gamma"] = _want_number("", ("--gamma",), gamma,
+                                          positive=True)
+        return self.with_overrides(**flags)
+
 
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i] in " \t\n\r":

@@ -692,8 +692,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     if x_max < 1:
         raise DomainError("x must be at least 1")
     cps = checkpoints_from_rule(checkpoints, x_max)
+    _block_length(x_max, block_size)
     kmax = ks[-1]
-    ctx = SieveContext(mc, x_max, block_size, threads)
     plan = _smooth_plan(mc, x_max, cps) if ks[0] == 0 else None
     ncp = len(cps)
     n_chunks = (x_max + CHUNK - 1) // CHUNK
@@ -705,7 +705,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
             f"{ncp} checkpoints with order {kmax} over {n_chunks} chunks"
             f" is {work:.2g} recombination terms; thin the checkpoints")
 
-    dtype = np.longdouble if ctx.is_real else np.clongdouble
+    is_real = angle_scale(mc.base, [v for _, v in mc.modifications]) <= 2
+    dtype = np.longdouble if is_real else np.clongdouble
     chunk_lo = np.arange(n_chunks, dtype=np.longdouble) * CHUNK + 1
     centers = 0.5 * (np.log(chunk_lo) + np.log(chunk_lo + (CHUNK - 1)))
     log_cp = np.log(cps.astype(np.longdouble))
@@ -715,7 +716,10 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     partial = np.zeros((kmax + 1, ncp), dtype)      # x's own chunk, up to x
     values = np.zeros((len(ks), ncp), dtype=np.complex128)
     m_rows, done = [], 0
-    walk = _walk(ctx, cps) if rows or plan is None else ()
+    # the sieve context (the O(q) chi table) only when a walk runs: k = 0
+    # alone on the smooth route needs none
+    walk = (_walk(SieveContext(mc, x_max, block_size, threads), cps)
+            if rows or plan is None else ())
     for lo, hi, vals, starts, closed, run in walk:
         m_rows.append(run[closed])
         if lo == 1 and rows and n_direct:

@@ -357,6 +357,34 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "riesz", "verify"])
+def test_bad_checkpoint_flag_is_a_config_error(tmp_path, capsys, command):
+    # the flag goes through the rule a config file's field gets
+    cfg = write_config(tmp_path)
+    for rule in ("geometric:abc", "every:x", "geometric:nan",
+                 "geometric:inf", "geometric:1", "every:0", "10,5"):
+        argv = [command, cfg, "--checkpoints", rule]
+        if command == "verify":
+            argv += ["--outdir", str(tmp_path)]
+        assert main(argv) == 2, rule
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --checkpoints"), err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["kmin", "verify"])
+def test_bad_gamma_flag_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    for gamma in ("nan", "inf", "-inf", "0", "-1"):
+        argv = [command, cfg, f"--gamma={gamma}"]
+        if command == "verify":
+            argv += ["--outdir", str(tmp_path)]
+        assert main(argv) == 2, gamma
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --gamma"), err
+        assert "Traceback" not in err
+
+
 def test_main_reuses_one_parser_without_leaking_defaults(tmp_path, capsys):
     # the parser is built once per process; each call must still print
     # what a fresh process prints, options of an earlier call included

@@ -1,6 +1,8 @@
 """Continued fractions of log-ratios, the mu exponent, k thresholds, series."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,16 +10,18 @@ import pytest
 
 from modchar.characters import character_from_label
 from modchar import diophantine
-from modchar.diophantine import (ConvergentTable, bugeaud_mu,
-                                 continued_fraction, fitted_lower_constant,
-                                 min_riesz_order, pole_series_diagnostic,
-                                 reconstruct_alpha)
+from modchar.diophantine import (ConvergentTable, _quality, _scaled_log,
+                                 bugeaud_mu, continued_fraction,
+                                 fitted_lower_constant, min_riesz_order,
+                                 pole_series_diagnostic, reconstruct_alpha)
 from modchar.errors import (DomainError, InvalidPrimeError, PrecisionError,
                             TruncatedTableWarning)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
+from modchar.summation import NeumaierSum
 
 ONE = UnitValue.one()
+U = 2.0 ** -53
 
 
 def bcc():
@@ -101,6 +105,62 @@ def test_truncation_and_reconstruction():
             assert err <= mp.mpf(2) ** (-(bits - 8))
 
 
+def test_shifted_log_is_the_log_at_half_the_bits():
+    # floor(floor(y 2^2b) / 2^b) = floor(y 2^b): the bits run of
+    # continued_fraction reads its inputs off the 2 bits pair
+    for n in (2, 3, 13, 61, 997):
+        for bits in (128, 256, 1000):
+            assert _scaled_log(n, 2 * bits) >> bits == _scaled_log(n, bits)
+    # so the table is the one from four separately computed logs
+    euclid = diophantine._euclid_quotients
+    for p, q, bits in ((2, 3, 128), (2, 3, 256), (5, 3, 128), (61, 2, 256)):
+        quots = euclid(_scaled_log(p, bits), _scaled_log(q, bits), 201)
+        check = euclid(_scaled_log(p, 2 * bits), _scaled_log(q, 2 * bits),
+                       201)
+        agree = next(i for i, (a, b) in enumerate(zip(quots, check))
+                     if a != b)
+        with pytest.warns(TruncatedTableWarning):
+            table = continued_fraction(p, q, depth=200, bits=bits)
+        assert table.trusted_depth == agree
+        assert list(table.partial_quotients) == quots[:agree]
+
+
+def test_quality_within_its_bound_against_mpmath():
+    # docstring bound: relative error 8u + e/g with e = max(1, alpha)/Lq
+    cases = [(2, 3, 40, 256), (3, 2, 40, 256), (2, 13, 40, 256),
+             (59, 61, 60, 256), (997, 2, 100, 512), (5, 3, 60, 128),
+             (2, 3, 200, 1024)]
+    for p, q, depth, bits in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncatedTableWarning)
+            table = continued_fraction(p, q, depth=depth, bits=bits)
+        if depth == 200:
+            assert len(table.convergents) == 200
+        lq = _scaled_log(q, 2 * bits)
+        with mp.workprec(4 * bits):
+            alpha = mp.log(p) / mp.log(q)
+            e = max(mp.mpf(1), alpha) / lq
+            for (h, b), quality in zip(table.convergents, table.quality):
+                if b < 2:
+                    assert quality == math.inf
+                    continue
+                gap = abs(alpha - mp.mpf(h) / b)
+                ref = -mp.log(gap) / mp.log(b)
+                assert abs(quality - ref) <= (8 * U + e / gap) * ref, (p, q, b)
+
+
+def test_quality_from_integer_logs_below_the_float_range():
+    # r / den under 2^-1022: the integer-log branch, against mpmath
+    for r, den, b in [(3, 7 * 10**400, 10**150), (1, 2**1100 + 1, 2**500),
+                      (12345, 10**320, 97), (5, 10**310, 10**40)]:
+        with mp.workprec(400):
+            log_gap = mp.log(mp.mpf(r) / den)
+            ref = -log_gap / mp.log(b)
+            rel = 8 * U * (mp.log(r) + mp.log(den)) / abs(log_gap)
+        assert r / den < 2.0 ** -1022
+        assert abs(_quality(r, den, b) - ref) <= rel * ref
+
+
 def test_cf_guards():
     with pytest.raises(InvalidPrimeError):
         continued_fraction(4, 3)
@@ -124,6 +184,9 @@ def test_bugeaud_mu():
         bugeaud_mu(2, 3, 0.0)
     with pytest.raises(DomainError):
         bugeaud_mu(2, 3, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bugeaud_mu(2, 3, bad)
     with pytest.raises(InvalidPrimeError):
         bugeaud_mu(4, 3, 1.0)
 
@@ -152,8 +215,9 @@ def test_min_riesz_order_thresholds():
     # up, and once gamma is small enough to round away the output is 10
     assert min_riesz_order(bcc(), 1e-12) == 11
     assert min_riesz_order(bcc(), 1e-18) == 10
-    with pytest.raises(DomainError):
-        min_riesz_order(bcc(), 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            min_riesz_order(bcc(), bad)
 
 
 def test_pole_series_empty_product_is_zeta():
@@ -169,7 +233,7 @@ def test_pole_series_empty_product_is_zeta():
 def test_pole_series_unresolved_angle_raises(monkeypatch):
     # a fixed-point angle of 0 would divide by sin(0): a typed error instead
     monkeypatch.setattr(diophantine, "_fixed_point_angles",
-                        lambda others, anchor: [(0, 0)] * len(others))
+                        lambda others, anchor: [0] * len(others))
     with pytest.raises(PrecisionError, match="at n = 1"):
         pole_series_diagnostic(two_three(), 3, 13, 100)
 
@@ -195,6 +259,74 @@ def test_pole_series_stabilizes():
     assert trace.tail_estimate <= 1e-6
     assert np.all(trace.terms > 0)
     assert len(trace.rows()) == len(ns)
+
+
+def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
+    """The per-n reference: rows appended one by one, records from a loop
+    over the block's running-maximum candidates, % for the reductions."""
+    others = [p for p in mc.primes if p != anchor]
+    angles = diophantine._fixed_point_angles(others, anchor)
+    cps, c = [], 1
+    while c < n_max:
+        cps.append(c)
+        c = max(c + 1, int(c * 1.05))
+    cps.append(n_max)
+    checkpoints = np.array(cps, dtype=np.int64)
+    acc = NeumaierSum()
+    ns, terms, partials, records = [], [], [], []
+    best_g, max_term, max_term_n = 0.0, 0.0, 1
+    for lo in range(1, n_max + 1, block):
+        hi = min(lo + block, n_max + 1)
+        n = np.arange(lo, hi, dtype=np.uint64)
+        g = np.ones(hi - lo, dtype=np.float64)
+        for a in angles:
+            a_hi, a_lo = a >> 32, a & 0xFFFFFFFF
+            m = (((n * np.uint64(a_hi)) % np.uint64(1 << 31))
+                 * np.uint64(1 << 32) + n * np.uint64(a_lo)) \
+                % np.uint64(1 << 63)
+            g /= 2.0 * np.sin(np.pi * (m.astype(np.float64) * 2.0 ** -63))
+        term = g * np.exp(-k * np.log(n.astype(np.float64)))
+        j = int(np.argmax(term))
+        if term[j] > max_term:
+            max_term, max_term_n = float(term[j]), lo + j
+        for j in np.flatnonzero(np.maximum.accumulate(g) == g):
+            if g[j] > best_g:
+                best_g = float(g[j])
+                records.append((lo + int(j), best_g))
+        keep = list(range(lo, min(hi, record_cap + 1)))
+        a, b = np.searchsorted(checkpoints, (max(lo, record_cap + 1), hi))
+        keep.extend(checkpoints[a:b].tolist())
+        running = acc.value + np.cumsum(term)
+        for cur in keep:
+            ns.append(cur)
+            terms.append(float(term[cur - lo]))
+            partials.append(float(running[cur - lo]))
+        acc.add(float(np.sum(term)))
+    return (np.array(ns, dtype=np.int64), np.array(terms),
+            np.array(partials), max_term, max_term_n, tuple(records),
+            acc.value)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 1000])
+def test_pole_series_matches_the_per_n_loop_bit_for_bit(monkeypatch, block):
+    # block 1000 puts block edges inside the dense rows, between
+    # checkpoints and between records
+    monkeypatch.setattr(diophantine, "_SERIES_BLOCK", block)
+    five = build_modified(character_from_label("3.2"),
+                          {p: UnitValue.from_fraction(Fraction(1, 4))
+                           for p in (2, 3, 5, 11)})
+    for mc, anchor, k in ((two_three(), 3, 13), (five, 11, 4), (five, 2, 4)):
+        trace = pole_series_diagnostic(mc, anchor, k, 10**5)
+        ns, terms, partials, max_term, max_term_n, records, total = \
+            _pole_series_loop(mc, anchor, k, 10**5, block)
+        assert trace.ns.dtype == ns.dtype and np.array_equal(trace.ns, ns)
+        assert trace.terms.tobytes() == terms.tobytes()
+        assert trace.partials.tobytes() == partials.tobytes()
+        assert (trace.max_term, trace.max_term_n) == (max_term, max_term_n)
+        assert trace.records == records
+        assert trace.total_estimate == total + trace.tail_estimate
+    if block == 1000:       # the records lie in several blocks
+        assert len({(n - 1) // block for n, _ in trace.records}) > 2
 
 
 def test_pole_series_guards():

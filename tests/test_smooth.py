@@ -6,11 +6,13 @@ import warnings
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modchar.characters import (Character, character_from_label,
                                 character_group, enumerate_characters)
+from modchar.errors import BlockSizeError
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
@@ -228,3 +230,36 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
             ps = partial_sums(f, x, rule, block_size=CHUNK)
             rec = riesz_means(f, [0, 3], x, rule, threads=2)
             assert np.array_equal(rec.row(0), ps.sums)
+
+
+def test_riesz_k0_alone_builds_no_sieve_context(monkeypatch):
+    # k = 0 alone on the smooth route walks nothing, so it must not pay
+    # for the O(q) chi table of a SieveContext
+    from modchar import sieve
+
+    built = []
+
+    class Counting(SieveContext):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "SieveContext", Counting)
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    cplx = build_modified(character_from_label("5.2"),
+                          {2: MINUS, 7: UnitValue.root(1, 3)})
+    x = 300_000
+    for f in (fig1, cplx):
+        rec = riesz_means(f, [0], x, "geometric:1.05")
+        assert built == []
+        ps = partial_sums(f, x, "geometric:1.05")
+        assert rec.row(0).tobytes() == ps.sums.tobytes()
+        riesz_means(f, [0, 2], x, "geometric:1.05")     # k > 0 walks
+        assert built == [x]
+        built.clear()
+        riesz_means(f, [0], 2 * CHUNK, "every:1")       # the sieve route
+        assert built == [2 * CHUNK]
+        built.clear()
+    with pytest.raises(BlockSizeError):     # still checked with no walk
+        riesz_means(fig1, [0], x, "geometric:1.05", block_size=0)
