@@ -291,7 +291,7 @@ def cmd_kmin(args) -> int:
 def cmd_poleseries(args) -> int:
     cfg = _load_config(args)
     mc = cfg.modified()
-    trace = pole_series_diagnostic(mc, args.anchor, args.k, args.nmax)
+    trace = pole_series_diagnostic(mc, args.anchor, args.decay, args.nmax)
     _write_text(cfg.out, _pole_csv(trace))
     summary = sys.stderr if cfg.out in (None, "-") else sys.stdout
     print(f"largest term {_fmt(trace.max_term)} at n = {trace.max_term_n};"
@@ -536,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     with_config(p, xmax=False, out=True)
     p.add_argument("--anchor", type=int, required=True,
                    help="prime of S anchoring the comparison")
-    p.add_argument("--k", type=int, required=True, help="decay order k >= 2")
+    # dest is not k: _load_config reads args.k as the config's Riesz orders
+    p.add_argument("--k", dest="decay", type=int, required=True,
+                   help="decay order k >= 2")
     p.add_argument("--nmax", type=_int_arg, default=10**5)
     p.set_defaults(func=cmd_poleseries)
 

@@ -21,7 +21,7 @@ from .characters import (MAX_MODULUS, Character, character_from_label,
 from .errors import ConfigError, DomainError, ModCharError
 from .modified import ModifiedCharacter, build_modified
 from .roots import UnitValue
-from .sieve import MAX_SIEVE_X as MAX_X, angle_scale
+from .sieve import MAX_SIEVE_X as MAX_X, angle_scale, parse_checkpoint_rule
 
 _TOP_FIELDS = {"character", "modifications", "x_max", "checkpoints",
                "orders", "gamma", "normalized", "allow_imprimitive", "out"}
@@ -87,18 +87,26 @@ class RunConfig:
         return replace(self, **live) if live else self
 
     def with_flags(self, **flags) -> "RunConfig":
-        """with_overrides for command-line flags. checkpoints and gamma go
-        through the rules their config fields get, so a bad flag is a
+        """with_overrides for command-line flags. Each flag goes through
+        the rule its config field gets, and an explicit checkpoint list
+        must end within the resulting x_max, so a bad flag is a
         ConfigError that names it, as a bad field is."""
-        cps, gamma = flags.get("checkpoints"), flags.get("gamma")
+        x_max, cps = flags.get("x_max"), flags.get("checkpoints")
+        orders, gamma = flags.get("orders"), flags.get("gamma")
+        if x_max is not None:
+            flags["x_max"] = _want_int("", ("--xmax",), x_max, lo=1, hi=MAX_X)
         if cps is not None:
-            flags["checkpoints"] = _parse_checkpoints(
-                "", ("--checkpoints",),
-                list(cps) if isinstance(cps, tuple) else cps)
+            flags["checkpoints"] = _parse_checkpoints("", ("--checkpoints",),
+                                                      cps)
+        if orders is not None:
+            flags["orders"] = _parse_orders("", ("--k",), orders)
         if gamma is not None:
             flags["gamma"] = _want_number("", ("--gamma",), gamma,
                                           positive=True)
-        return self.with_overrides(**flags)
+        cfg = self.with_overrides(**flags)
+        _check_last_checkpoint(
+            "", ("--checkpoints",) if cps is not None else ("--xmax",), cfg)
+        return cfg
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -316,22 +324,11 @@ def _parse_modifications(text, path, doc
 
 def _parse_checkpoints(text, path, v):
     if isinstance(v, str):
-        name, _, arg = v.partition(":")
-        if name == "dyadic":
-            if arg:
-                _fail(text, path, "dyadic takes no argument")
-            return "dyadic"
-        if name == "every":
-            step = _want_int(text, path, _num_or_fail(text, path, arg), lo=1)
-            return f"every:{step}"
-        if name == "geometric":
-            r = _want_number(text, path, _num_or_fail(text, path, arg))
-            if r <= 1.0:
-                _fail(text, path, f"geometric ratio must exceed 1, got {r}")
-            return v
-        _fail(text, path, f"unknown checkpoint rule {v!r};"
-              f" use dyadic, every:n, geometric:r or an explicit list")
-    if isinstance(v, list):
+        try:
+            return parse_checkpoint_rule(v)[0]
+        except DomainError as e:
+            _fail(text, path, str(e))
+    if isinstance(v, (list, tuple)):     # a tuple from --checkpoints
         pts = [_want_int(text, path + (i,), c, lo=1)
                for i, c in enumerate(v)]
         if not pts:
@@ -342,17 +339,10 @@ def _parse_checkpoints(text, path, v):
     _fail(text, path, "checkpoints must be a rule string or a list")
 
 
-def _num_or_fail(text, path, arg: str):
-    try:
-        return json.loads(arg)
-    except (json.JSONDecodeError, TypeError):
-        _fail(text, path, f"rule argument {arg!r} is not a number")
-
-
 def _parse_orders(text, path, v):
     if v == "auto":
         return "auto"
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):     # a tuple from --k
         ks = [_want_int(text, path + (i,), k, lo=0) for i, k in enumerate(v)]
         if not ks:
             _fail(text, path, "orders list must not be empty")
@@ -395,11 +385,16 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         _fail(text, ("out",), "out must be a path string")
-    if isinstance(cps, tuple) and cps[-1] > x_max:
-        _fail(text, ("checkpoints",),
-              f"last checkpoint {cps[-1]} exceeds x_max {x_max}")
-    return RunConfig(chi, mods, x_max, cps, orders, gamma, normalized,
-                     allow, out)
+    cfg = RunConfig(chi, mods, x_max, cps, orders, gamma, normalized,
+                    allow, out)
+    _check_last_checkpoint(text, ("checkpoints",), cfg)
+    return cfg
+
+
+def _check_last_checkpoint(text, path, cfg: RunConfig):
+    if isinstance(cfg.checkpoints, tuple) and cfg.checkpoints[-1] > cfg.x_max:
+        _fail(text, path, f"last checkpoint {cfg.checkpoints[-1]} exceeds"
+                          f" x_max {cfg.x_max}")
 
 
 def parse_config(path: str) -> RunConfig:

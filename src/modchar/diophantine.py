@@ -35,6 +35,7 @@ from .errors import (DomainError, InvalidPrimeError, PrecisionError,
                      TruncatedTableWarning)
 from .characters import is_prime
 from .modified import ModifiedCharacter
+from .sieve import checkpoints_from_rule
 from .summation import NeumaierSum
 
 MAX_DEPTH = 200
@@ -292,13 +293,7 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
     # to float64
     low63 = np.uint64((1 << _FRAC_BITS) - 1)
 
-    cps: list[int] = []
-    c = 1
-    while c < n_max:
-        cps.append(c)
-        c = max(c + 1, int(c * 1.05))
-    cps.append(n_max)
-    checkpoints = np.array(cps, dtype=np.int64)
+    checkpoints = checkpoints_from_rule("geometric:1.05", n_max)
 
     acc = NeumaierSum()
     ns: list[np.ndarray] = []

@@ -474,18 +474,17 @@ def L0_exact(chi: Character):
     Returns a Fraction when the character is real (angles 0 and 1/2 fold
     into rationals), otherwise an exact CyclotomicSum. Odd chi only: for
     even chi the value is 0 by the sine factor, which is the wrong-parity
-    case here.
+    case here. The a of each angle of chi(a) add up exactly in int64.
     """
     if parity(chi) != -1:
         raise ParityError("L(0, chi) vanishes for even chi; odd chi required")
     q = chi.modulus
-    pairs = []
-    for a in range(1, q):
-        v = eval_char(chi, a)
-        if v.is_zero:
-            continue
-        pairs.append((v.angle, Fraction(-a, q)))
-    cs = CyclotomicSum.from_pairs(pairs)
+    r, k, order = _char_vector(chi)     # odd chi has q >= 3, so r < q
+    per_angle = np.zeros(order, dtype=np.int64)
+    np.add.at(per_angle, k, r)
+    cs = CyclotomicSum.from_pairs(
+        (Fraction(j, order), Fraction(-int(per_angle[j]), q))
+        for j in np.flatnonzero(per_angle).tolist())
     if cs.is_rational:
         return cs.rational
     return cs

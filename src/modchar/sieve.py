@@ -26,6 +26,10 @@ a prefix table over min(q, x_max + 1) residues. Its cost is the number of
 it is cheaper than the sieve, which stays the route for dense grids, for
 the Riesz power sums and for the Mellin transform.
 
+Each public call (`partial_sums`, `riesz_means`, `mellin_transform`)
+builds one `SieveContext` and hands it to whichever routes it runs, so D,
+the chi angle table and the digit tables are made once per call.
+
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
 folds the piece sums into M once (exact integers for real f, a compensated
@@ -41,8 +45,10 @@ there are summed directly (see `riesz_means`).
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,26 +185,22 @@ def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
     return out
 
 
-def _block_length(x_max: int, block_size: int | None) -> int:
-    """Validate x_max and a block size; the block length on the chunk grid."""
-    if x_max < 0 or x_max > MAX_SIEVE_X:
-        raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
-    bs = DEFAULT_BLOCK if block_size is None else int(block_size)
-    if bs < 1:
-        raise BlockSizeError(f"block size must be positive, got {bs}")
-    if bs > MAX_BLOCK:
-        raise BlockSizeError(
-            f"block size {bs} exceeds the memory budget; the engine holds"
-            f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
-    return -(-bs // CHUNK) * CHUNK
-
-
 class SieveContext:
-    """Prepared tables for streaming one modified character over blocks."""
+    """One modified character's tables up to x_max, shared by every route
+    of a call; tables (of `unit_tables`) is None for real f (D <= 2)."""
 
     def __init__(self, mc: ModifiedCharacter, x_max: int,
                  block_size: int | None = None, threads: int | None = None):
-        self.block = _block_length(x_max, block_size)
+        if x_max < 0 or x_max > MAX_SIEVE_X:
+            raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
+        bs = DEFAULT_BLOCK if block_size is None else int(block_size)
+        if bs < 1:
+            raise BlockSizeError(f"block size must be positive, got {bs}")
+        if bs > MAX_BLOCK:
+            raise BlockSizeError(
+                f"block size {bs} exceeds the memory budget; the engine holds"
+                f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
+        self.block = -(-bs // CHUNK) * CHUNK    # on the chunk grid
         self.mc = mc
         self.x_max = int(x_max)
         self.threads = thread_count(threads)
@@ -237,8 +239,7 @@ class SieveContext:
         self.part_d = np.array(sorted(parts), dtype=np.int64)
         self.part_angle = [parts[d] for d in sorted(parts)]
         self.is_real = scale <= 2
-        if not self.is_real:
-            self.tables = unit_tables(scale)
+        self.tables = None if self.is_real else unit_tables(scale)
 
     def block_angles(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Angle numerators (mod scale, in self.dtype) and zero mask for n in
@@ -285,13 +286,8 @@ class SieveContext:
         return vals
 
     def block_bounds(self) -> list[tuple[int, int]]:
-        out = []
-        lo = 1
-        while lo <= self.x_max:
-            hi = min(lo + self.block, self.x_max + 1)
-            out.append((lo, hi))
-            lo = hi
-        return out
+        return [(lo, min(lo + self.block, self.x_max + 1))
+                for lo in range(1, self.x_max + 1, self.block)]
 
     def iter_blocks(self):
         """Yield (lo, hi, block_values(lo, hi)) in order."""
@@ -321,8 +317,45 @@ def sieve_values(mc: ModifiedCharacter, x_max: int,
         yield from vals.astype(np.complex128, copy=False)
 
 
+def parse_checkpoint_rule(rule: str) -> tuple[str, int | float]:
+    """A checkpoint rule string in normal form, with its argument.
+
+    every:n takes a whole step n >= 1 and geometric:r a finite ratio
+    r > 1, each written as a JSON number; every:1e3 has the normal form
+    every:1000, a geometric rule keeps its text. dyadic (or dyadic:) is
+    the ratio 2. Anything else is a DomainError.
+    """
+    name, _, text = rule.partition(":")
+    if name == "dyadic":
+        if text:
+            raise DomainError(f"checkpoint rule {rule!r}: dyadic takes no"
+                              f" argument")
+        return "dyadic", 2.0
+    if name not in ("every", "geometric"):
+        raise DomainError(f"unknown checkpoint rule {rule!r}; use dyadic,"
+                          f" every:n, geometric:r or an explicit list")
+    try:
+        arg = json.loads(text)
+    except (ValueError, RecursionError):
+        arg = None
+    if isinstance(arg, bool) or not isinstance(arg, (int, float)):
+        raise DomainError(f"checkpoint rule {rule!r}: argument {text!r} is"
+                          f" not a number")
+    if name == "geometric":
+        if not 1 < arg <= sys.float_info.max:
+            raise DomainError(f"checkpoint rule {rule!r}: the ratio must"
+                              f" exceed 1 and be finite")
+        return rule, float(arg)
+    if isinstance(arg, float) and arg.is_integer() and abs(arg) < 2**53:
+        arg = int(arg)
+    if isinstance(arg, float) or arg < 1:
+        raise DomainError(f"checkpoint rule {rule!r}: the step must be >= 1"
+                          f" and whole")
+    return f"every:{arg}", arg
+
+
 def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
-    """Materialize a checkpoint rule: every:n, geometric:r, dyadic, or a list.
+    """Materialize a checkpoint rule (see `parse_checkpoint_rule`) or a list.
 
     The final checkpoint is always x_max.
     """
@@ -335,28 +368,15 @@ def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
         if pts[-1] != x_max:
             pts.append(x_max)
         return np.array(pts, dtype=np.int64)
-    name, _, arg = rule.partition(":")
-    pts: list[int] = []
-    if name == "dyadic":
-        c = 1
-        while c <= x_max:
-            pts.append(c)
-            c *= 2
-    elif name == "every":
-        step = int(arg or 1)
-        if step < 1:
-            raise DomainError(f"every:{arg}: step must be >= 1")
+    normal, arg = parse_checkpoint_rule(rule)
+    if normal.startswith("every:"):
+        step = min(arg, x_max + 1)
         pts = np.arange(step, x_max + 1, step, dtype=np.int64)
-    elif name == "geometric":
-        ratio = float(arg or 2.0)
-        if ratio <= 1.0:
-            raise DomainError(f"geometric:{arg}: ratio must exceed 1")
-        c = 1
+    else:                           # a geometric ratio; dyadic doubles
+        pts, c = [], 1
         while c <= x_max:
             pts.append(c)
-            c = max(c + 1, int(c * ratio))
-    else:
-        raise DomainError(f"unknown checkpoint rule {rule!r}")
+            c = max(c + 1, int(c * arg))
     # every rule's points increase strictly and stay <= x_max
     pts = np.asarray(pts, dtype=np.int64)
     if not len(pts) or pts[-1] != x_max:
@@ -432,27 +452,23 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
         yield lo, hi, vals, starts, np.searchsorted(cuts, ends), run
 
 
-def _sieve_sums(mc: ModifiedCharacter, x_max: int, cps: np.ndarray,
-                block_size: int | None = None,
-                threads: int | None = None) -> np.ndarray:
+def _sieve_sums(ctx: SieveContext, cps: np.ndarray) -> np.ndarray:
     """M at the checkpoints from one sieve pass: int64 for real f, else
     the compensated complex128 fold of `_walk`."""
-    ctx = SieveContext(mc, x_max, block_size, threads)
     return np.concatenate([run[closed] for *_, closed, run in _walk(ctx, cps)])
 
 
-def _smooth_terms(mc: ModifiedCharacter, scale: int, x_top: int,
-                  limit=math.inf):
+def _smooth_terms(ctx: SieveContext, x_top: int, limit=math.inf):
     """The S-smooth d <= x_top, ascending, as (d, angle, g); None past
     `limit` d.
 
     f = chi * h with h(p^e) = f(p)^(e-1) g_p, g_p = f(p) - chi(p), on S
     only. The d come as array products over p in S, each next to the
-    exact angle numerator sum_p (e_p - 1) angle(f(p)) over D = scale and
-    the product g of its g_p, so h(d) = e(angle/D) g: an int64 for real f
-    (D <= 2), else complex128, with g_p from `UnitValue.to_complex`.
+    exact angle numerator sum_p (e_p - 1) angle(f(p)) over D = ctx.scale
+    and the product g of its g_p, so h(d) = e(angle/D) g: an int64 for
+    real f, else complex128, with g_p from `UnitValue.to_complex`.
     """
-    real = scale <= 2
+    mc, scale, real = ctx.mc, ctx.scale, ctx.is_real
 
     def value(u):                   # f(p) or chi(p) in h's arithmetic
         if u.is_zero:
@@ -481,23 +497,22 @@ def _smooth_terms(mc: ModifiedCharacter, scale: int, x_top: int,
     return d[order], angle[order], g[order]
 
 
-def _chi_prefix(mc: ModifiedCharacter, n: int, scale: int, tables):
+def _chi_prefix(ctx: SieveContext, n: int):
     """X(r) = chi(1) + ... + chi(r) for r < n <= q, and X(q).
 
-    Real chi (D = scale <= 2): int8 values summed into an int32 prefix
-    (|X| <= q <= 1e6). Complex: values from `unit_values` over `tables`,
-    prefix through the compensated `ComplexNeumaierSum` fold. X(q) is
-    phi(q) for principal chi, else 0.
+    Real chi: int8 values summed into an int32 prefix (|X| <= q <= 1e6).
+    Complex: values from `unit_values` over ctx.tables, prefix through the
+    compensated `ComplexNeumaierSum` fold. X(q) is phi(q) for principal
+    chi, else 0.
     """
-    chi = mc.base
-    t = chi.angle_numerators(scale)
-    x_q = int(np.count_nonzero(t >= 0)) if chi.is_principal else 0
-    t = t[:n].copy()
+    t = ctx.chi_table
+    x_q = int(np.count_nonzero(t >= 0)) if ctx.mc.base.is_principal else 0
+    t = t[:n].copy()                # the sieve shares ctx.chi_table
     t[0] = -1                       # X(0) = 0, not chi(q) = chi(0)
-    if scale <= 2:                  # angles -1, 0, 1 are chi = 0, 1, -1
+    if ctx.is_real:                 # angles -1, 0, 1 are chi = 0, 1, -1
         vals = np.take(np.array([0, 1, -1], np.int8), t + 1)
         return np.add.accumulate(vals, dtype=np.int32), x_q
-    vals = unit_values(tables, np.maximum(t, 0))
+    vals = unit_values(ctx.tables, np.maximum(t, 0))
     vals[t < 0] = 0
     return ComplexNeumaierSum().add_many(vals), x_q
 
@@ -516,33 +531,28 @@ def _pair_blocks(cps: np.ndarray, d: np.ndarray):
         i = i1
 
 
-def _smooth_sums(mc: ModifiedCharacter, cps: np.ndarray,
-                 plan=None) -> np.ndarray:
+def _smooth_sums(ctx: SieveContext, cps: np.ndarray,
+                 terms=None) -> np.ndarray:
     """M at the checkpoints as sum_{d <= x} h(d) X(floor(x/d)).
 
-    plan is (D, d, angle, g) from `_smooth_plan`, else built here for the
-    d <= cps[-1]. The digit tables of `unit_tables` are built once and
-    give both h(d) = e(angle/D) g and the chi values of `_chi_prefix`;
-    X(y) = floor(y/q) X(q) + X(y mod q). The pairs (d, x) go through
-    `_pair_blocks` as 2-D arrays: y = floor(x/d) and floor(y/q) in
-    float64, exact for x < 2^52: where d does not divide x, x/d lies at
-    least 1/d below the next integer, more than the rounding error u x/d,
-    and an integer quotient is exact. A pair with x < d in a block has
-    y = 0 and X(0) = 0, so it adds nothing. Sums are int64 for real f,
-    else complex128, each block's rows added in turn.
+    terms is (d, angle, g) from `_smooth_plan`, else listed here for the
+    d <= cps[-1]. The context's digit tables give both h(d) = e(angle/D) g
+    and the chi values of `_chi_prefix`; X(y) = floor(y/q) X(q) +
+    X(y mod q). The pairs (d, x) go through `_pair_blocks` as 2-D arrays:
+    y = floor(x/d) and floor(y/q) in float64, exact for x < 2^52: where d
+    does not divide x, x/d lies at least 1/d below the next integer, more
+    than the rounding error u x/d, and an integer quotient is exact. A pair
+    with x < d in a block has y = 0 and X(0) = 0, so it adds nothing. Sums
+    are int64 for real f, else complex128, each block's rows added in turn.
     """
     x_top = int(cps[-1])
-    if cps[0] < 1 or x_top > MAX_SIEVE_X:
-        raise DomainError(f"checkpoints must lie in [1, {MAX_SIEVE_X}]")
-    if plan is None:
-        scale = angle_scale(mc.base, [v for _, v in mc.modifications])
-        plan = (scale, *_smooth_terms(mc, scale, x_top))
-    scale, d, angle, g = plan
-    real = scale <= 2
-    tables = None if real else unit_tables(scale)
-    h = g * (1 - 2 * angle) if real else unit_values(tables, angle) * g
-    q = mc.base.modulus
-    prefix, x_q = _chi_prefix(mc, min(q, x_top + 1), scale, tables)
+    if cps[0] < 1 or x_top > ctx.x_max:
+        raise DomainError(f"checkpoints must lie in [1, {ctx.x_max}]")
+    d, angle, g = _smooth_terms(ctx, x_top) if terms is None else terms
+    real = ctx.is_real
+    h = g * (1 - 2 * angle) if real else unit_values(ctx.tables, angle) * g
+    q = ctx.q
+    prefix, x_q = _chi_prefix(ctx, min(q, x_top + 1))
     out = np.zeros(len(cps), dtype=np.int64 if real else np.complex128)
     xs, ds = cps.astype(np.float64), d.astype(np.float64)
     for i0, i1, k in _pair_blocks(cps, d):
@@ -562,25 +572,23 @@ def _smooth_sums(mc: ModifiedCharacter, cps: np.ndarray,
     return out
 
 
-def _smooth_plan(mc: ModifiedCharacter, x_max: int, cps: np.ndarray):
-    """(D, d, angle, g) for `_smooth_sums` when its modelled cost is at
-    most the sieve's, else None; see `partial_sums` for the model. It
-    reads only mc, x_max and the checkpoints."""
-    chi = mc.base
-    scale = angle_scale(chi, [v for _, v in mc.modifications])
-    levels = 0 if scale <= 2 else -(-scale.bit_length() // 16)
-    budget = SIEVE_NS[levels] * x_max
+def _smooth_plan(ctx: SieveContext, cps: np.ndarray):
+    """(d, angle, g) for `_smooth_sums` when its modelled cost is at most
+    the sieve's, else None; see `partial_sums` for the model. It reads
+    only the character, x_max and the checkpoints."""
+    levels = 0 if ctx.is_real else len(ctx.tables)
+    budget = SIEVE_NS[levels] * ctx.x_max
     # every d meets the last checkpoint, so each costs at least one pair
-    terms = _smooth_terms(mc, scale, int(cps[-1]),
+    terms = _smooth_terms(ctx, int(cps[-1]),
                           min(MAX_SMOOTH_TERMS, budget / PAIR_NS))
     if terms is None:
         return None
-    cost = min(chi.modulus, x_max + 1) * RESIDUE_NS[levels > 0]
+    cost = min(ctx.q, ctx.x_max + 1) * RESIDUE_NS[levels > 0]
     for i0, i1, k in _pair_blocks(cps, terms[0]):
         cost += BLOCK_NS + PAIR_NS * (i1 - i0) * (len(cps) - k)
         if cost > budget:
             return None
-    return (scale, *terms)
+    return terms
 
 
 def partial_sums(mc: ModifiedCharacter, x_max: int,
@@ -590,7 +598,8 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     """Partial sums M(x) at rule-selected checkpoints, by the cheaper route.
 
     Routes: the sieve (`_sieve_sums`, one pass over n <= x_max) and the
-    convolution f = chi * h over the S-smooth d (`_smooth_sums`). The
+    convolution f = chi * h over the S-smooth d (`_smooth_sums`), both
+    reading the one `SieveContext` this call builds. The
     route depends only on (mc, x_max, checkpoints), never on block size or
     threads, so sums stay bit-identical across those. Real f gives the same
     exact integers on both.
@@ -625,10 +634,9 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     bounds.
     """
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
-    _block_length(x_max, block_size)
-    plan = _smooth_plan(mc, x_max, cps)
-    m = (_sieve_sums(mc, x_max, cps, block_size, threads) if plan is None
-         else _smooth_sums(mc, cps, plan))
+    ctx = SieveContext(mc, x_max, block_size, threads)
+    terms = _smooth_plan(ctx, cps)
+    m = _sieve_sums(ctx, cps) if terms is None else _smooth_sums(ctx, cps, terms)
     sums = m.astype(np.complex128, copy=False)
     exact = m if m.dtype.kind == "i" else None
     rule_name = checkpoint_rule if isinstance(checkpoint_rule, str) else "explicit"
@@ -692,9 +700,9 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     if x_max < 1:
         raise DomainError("x must be at least 1")
     cps = checkpoints_from_rule(checkpoints, x_max)
-    _block_length(x_max, block_size)
+    ctx = SieveContext(mc, x_max, block_size, threads)
     kmax = ks[-1]
-    plan = _smooth_plan(mc, x_max, cps) if ks[0] == 0 else None
+    terms = _smooth_plan(ctx, cps) if ks[0] == 0 else None
     ncp = len(cps)
     n_chunks = (x_max + CHUNK - 1) // CHUNK
     n_direct = int(np.searchsorted(cps, CHUNK, side="right"))
@@ -705,8 +713,7 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
             f"{ncp} checkpoints with order {kmax} over {n_chunks} chunks"
             f" is {work:.2g} recombination terms; thin the checkpoints")
 
-    is_real = angle_scale(mc.base, [v for _, v in mc.modifications]) <= 2
-    dtype = np.longdouble if is_real else np.clongdouble
+    dtype = np.longdouble if ctx.is_real else np.clongdouble
     chunk_lo = np.arange(n_chunks, dtype=np.longdouble) * CHUNK + 1
     centers = 0.5 * (np.log(chunk_lo) + np.log(chunk_lo + (CHUNK - 1)))
     log_cp = np.log(cps.astype(np.longdouble))
@@ -716,10 +723,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     partial = np.zeros((kmax + 1, ncp), dtype)      # x's own chunk, up to x
     values = np.zeros((len(ks), ncp), dtype=np.complex128)
     m_rows, done = [], 0
-    # the sieve context (the O(q) chi table) only when a walk runs: k = 0
-    # alone on the smooth route needs none
-    walk = (_walk(SieveContext(mc, x_max, block_size, threads), cps)
-            if rows or plan is None else ())
+    # k = 0 alone on the smooth route walks nothing
+    walk = _walk(ctx, cps) if rows or terms is None else ()
     for lo, hi, vals, starts, closed, run in walk:
         m_rows.append(run[closed])
         if lo == 1 and rows and n_direct:
@@ -770,8 +775,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
 
     for row, k in enumerate(ks):
         if k == 0:
-            values[row] = (np.concatenate(m_rows) if plan is None
-                           else _smooth_sums(mc, cps, plan))
+            values[row] = (np.concatenate(m_rows) if terms is None
+                           else _smooth_sums(ctx, cps, terms))
         if normalized:
             values[row] *= _inv_factorial(k)
     return RieszRecord(tuple(ks), cps, values, normalized, x_max,

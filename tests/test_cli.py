@@ -372,6 +372,30 @@ def test_bad_checkpoint_flag_is_a_config_error(tmp_path, capsys, command):
         assert "Traceback" not in err
 
 
+def test_xmax_and_k_flags_get_the_config_checks(tmp_path, capsys):
+    # --xmax and --k go through the rules of the x_max and orders fields,
+    # and an explicit checkpoint list is checked against the final x_max
+    cfg = write_config(tmp_path, checkpoints="dyadic")
+    for argv, flag in ((["simulate", cfg, "--xmax", "0"], "--xmax"),
+                       (["simulate", cfg, "--xmax", "2e9"], "--xmax"),
+                       (["simulate", cfg, "--checkpoints", "1,10,5000"],
+                        "--checkpoints"),
+                       (["riesz", cfg, "--k=-1"], "--k"),
+                       (["riesz", cfg, "--xmax", "-5"], "--xmax")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}"), err
+        assert "Traceback" not in err
+    listed = write_config(tmp_path, "listed.json")   # checkpoints up to 1000
+    assert main(["simulate", listed, "--xmax", "500"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --xmax")
+    # orders are not capped in the config: coeff takes any order
+    assert main(["coeff", cfg, "--k", "500"]) == 0
+    # poleseries' --k is its decay order, not the config's orders
+    assert main(["poleseries", cfg, "--anchor", "3", "--k", "-1"]) == 1
+    assert "series needs k >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["kmin", "verify"])
 def test_bad_gamma_flag_is_a_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path)

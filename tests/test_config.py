@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+from modchar.characters import character_from_label
 from modchar.config import (MAX_X, RunConfig, parse_config, parse_config_text)
 from modchar.errors import ConfigError, DomainError
+from modchar.modified import build_modified
 from modchar.presets import (EXPECTED_N, NOTES, PRESET_NAMES, preset_config,
                              run_preset)
 from modchar.roots import UnitValue
+from modchar.sieve import (checkpoints_from_rule, parse_checkpoint_rule,
+                           partial_sums, riesz_means)
 
 FULL_DOC = {
     "character": {"label": "5.2"},
@@ -150,6 +154,35 @@ def test_checkpoint_rules():
             parse({**ok, "checkpoints": bad})
     with pytest.raises(ConfigError, match="exceeds x_max"):
         parse({**ok, "x_max": 100, "checkpoints": [10, 200]})
+
+
+# rules one grammar rejects, through the library and the config alike
+BAD_RULES = ("every:", "geometric:", "dyadic:7", "every:x", "every:2.5",
+             "every:true", "geometric:nan", "geometric:inf", "geometric:1",
+             "geometric:" + "9" * 400, "every", "fibonacci")
+
+
+def test_one_rule_grammar_for_library_and_config():
+    ok = {"character": {"label": "3.2"}}
+    bcc = build_modified(character_from_label("3.2"), {3: UnitValue.one()})
+    for bad in BAD_RULES:
+        with pytest.raises(DomainError):
+            checkpoints_from_rule(bad, 1000)
+        with pytest.raises(DomainError):
+            riesz_means(bcc, [1], 1000, bad)
+        with pytest.raises(ConfigError, match="checkpoints"):
+            parse({**ok, "checkpoints": bad})
+    # JSON numbers: the config keeps the normal form, the library reads
+    # the same points off the raw rule
+    for rule, normal in (("every:1e3", "every:1000"), ("every:2.0", "every:2"),
+                         ("every: 7", "every:7"), ("dyadic:", "dyadic"),
+                         ("geometric:2", "geometric:2")):
+        assert parse({**ok, "checkpoints": rule}).checkpoints == normal
+        assert parse_checkpoint_rule(rule)[0] == normal
+        got = partial_sums(bcc, 5000, rule)
+        want = partial_sums(bcc, 5000, normal)
+        assert got.checkpoints.tolist() == want.checkpoints.tolist()
+        assert got.sums.tobytes() == want.sums.tobytes()
 
 
 def test_order_forms():

@@ -308,6 +308,31 @@ def test_l0_exact_values():
         L0_exact(character_from_label("5.4"))
 
 
+def _l0_by_residue(chi):
+    """L(0, chi) from eval_char one residue at a time, the reference."""
+    q = chi.modulus
+    pairs = []
+    for a in range(1, q):
+        v = eval_char(chi, a)
+        if not v.is_zero:
+            pairs.append((v.angle, Fraction(-a, q)))
+    cs = CyclotomicSum.from_pairs(pairs)
+    return cs.rational if cs.is_rational else cs
+
+
+def test_l0_exact_matches_the_per_residue_sum():
+    # the chi vector with per-angle int64 sums against eval_char, over
+    # every odd character mod q <= 60 and a few larger moduli
+    chars = [chi for q in range(3, 61) for chi in enumerate_characters(q)
+             if parity(chi) == -1]
+    for q in (1009, 2021, 4096):
+        chars += [chi for chi in enumerate_characters(q)
+                  if parity(chi) == -1][:3]
+    for chi in chars:
+        got, want = L0_exact(chi), _l0_by_residue(chi)
+        assert type(got) is type(want) and got == want, chi.label
+
+
 def test_lprime0_known_values():
     # L'(0, chi5) = log((1+sqrt 5)/2), L'(0, chi8) = log(1+sqrt 2)
     v5 = Lprime0(character_from_label("5.4"))

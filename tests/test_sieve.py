@@ -261,7 +261,13 @@ def test_checkpoint_rules():
     # geometric always advances even when the ratio rounds to a step of 0
     pts = checkpoints_from_rule("geometric:1.0001", 50)
     assert pts.tolist() == list(range(1, 51))
-    for bad in ("every:0", "geometric:1.0", "geometric:0.5", "nonsense"):
+    # JSON-number arguments; rules the config rejects are DomainErrors
+    assert checkpoints_from_rule("every:4e0", 10).tolist() == [4, 8, 10]
+    assert checkpoints_from_rule("every:20", 10).tolist() == [10]
+    assert checkpoints_from_rule("every:" + "9" * 30, 10).tolist() == [10]
+    for bad in ("every:0", "geometric:1.0", "geometric:0.5", "nonsense",
+                "every:", "geometric:", "dyadic:7", "every:1e3x",
+                "geometric:nan", "geometric:inf", "every"):
         with pytest.raises(DomainError):
             checkpoints_from_rule(bad, 10)
     for bad_list in ([0, 5], [5, 20], []):

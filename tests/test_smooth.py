@@ -17,8 +17,8 @@ from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
                            _sieve_sums, _smooth_plan, _smooth_sums,
-                           _smooth_terms, angle_scale, checkpoints_from_rule,
-                           partial_sums, riesz_means, unit_tables)
+                           _smooth_terms, checkpoints_from_rule,
+                           partial_sums, riesz_means)
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -31,12 +31,8 @@ def _modified(chi, mods):
         return build_modified(chi, mods, allow_imprimitive=True)
 
 
-def _scale(mc):
-    return angle_scale(mc.base, [v for _, v in mc.modifications])
-
-
 def _smooth_d(mc, x):
-    return _smooth_terms(mc, _scale(mc), x)[0]
+    return _smooth_terms(SieveContext(mc, x), x)[0]
 
 
 def _exact_sums(mc, cps):
@@ -80,8 +76,11 @@ def _cases(draw):
 
 
 def _assert_routes_agree(mc, x_max, cps):
-    smooth = _smooth_sums(mc, cps)
-    sieve = _sieve_sums(mc, x_max, cps)
+    # both routes read one context, the smooth one first: a chi prefix
+    # that wrote into the shared chi table would throw the sieve off
+    ctx = SieveContext(mc, x_max)
+    smooth = _smooth_sums(ctx, cps)
+    sieve = _sieve_sums(ctx, cps)
     exact = _exact_sums(mc, cps)
     assert smooth.dtype == sieve.dtype
     if smooth.dtype.kind == "i":
@@ -129,10 +128,11 @@ def test_smooth_route_near_the_sieve_cap():
     ]
     w = 40
     for mc in cases:
+        ctx = SieveContext(mc, MAX_SIEVE_X)
         for x in (MAX_SIEVE_X, MAX_SIEVE_X - 12345):
             cps = np.array([x - w, x], dtype=np.int64)
-            m = _smooth_sums(mc, cps)
-            window = SieveContext(mc, MAX_SIEVE_X).block_values(x - w + 1, x + 1)
+            m = _smooth_sums(ctx, cps)
+            window = ctx.block_values(x - w + 1, x + 1)
             exact = [eval_f_exact(mc, n) for n in range(x - w + 1, x + 1)]
             if m.dtype.kind == "i":
                 got = int(m[1] - m[0])
@@ -153,11 +153,12 @@ def test_smooth_terms_stop_at_the_last_checkpoint():
                    {p: ONE for p in (2, 5, 7, 11)})
     x_max = 10**6
     cps = np.arange(1, 301, dtype=np.int64)
-    plan = _smooth_plan(mc, x_max, cps)
-    assert plan is not None and plan[1][-1] <= cps[-1] < plan[1][-1] * 2
-    sieve = _sieve_sums(mc, x_max, cps)
-    assert np.array_equal(_smooth_sums(mc, cps, plan), sieve)
-    assert np.array_equal(_smooth_sums(mc, cps), sieve)
+    ctx = SieveContext(mc, x_max)
+    terms = _smooth_plan(ctx, cps)
+    assert terms is not None and terms[0][-1] <= cps[-1] < terms[0][-1] * 2
+    sieve = _sieve_sums(ctx, cps)
+    assert np.array_equal(_smooth_sums(ctx, cps, terms), sieve)
+    assert np.array_equal(_smooth_sums(ctx, cps), sieve)
 
 
 def _value_bound(levels):
@@ -171,10 +172,9 @@ def _smooth_bound(mc, x_max, cps, levels):
     """The first-order error bound of the `partial_sums` docstring."""
     e = _value_bound(levels)
     q = mc.base.modulus
-    d = _smooth_d(mc, x_max)
-    scale = _scale(mc)
-    prefix, x_q = _chi_prefix(mc, min(q, x_max + 1), scale,
-                              unit_tables(scale))
+    ctx = SieveContext(mc, x_max)
+    d = _smooth_terms(ctx, x_max)[0]
+    prefix, x_q = _chi_prefix(ctx, min(q, x_max + 1))
     w = np.array([sum(int(dd) % p == 0 for p in mc.primes) for dd in d])
     out = []
     for x in cps.tolist():
@@ -204,8 +204,9 @@ def test_complex_smooth_sums_within_their_bound_against_mpmath():
     ]
     for mc, x, levels in cases:
         cps = checkpoints_from_rule("geometric:1.3", x)
-        assert -(-SieveContext(mc, 1).scale.bit_length() // 16) == levels
-        got = _smooth_sums(mc, cps)
+        ctx = SieveContext(mc, x)
+        assert len(ctx.tables) == levels
+        got = _smooth_sums(ctx, cps)
         bound = _smooth_bound(mc, x, cps, levels)
         with mpmath.workdps(40):
             for g, m, b in zip(got, _exact_sums(mc, cps), bound):
@@ -222,8 +223,9 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
     sparse = checkpoints_from_rule("geometric:1.05", x)
     dense = checkpoints_from_rule("every:1", x)
     for f in (mc, cplx):
-        assert _smooth_plan(f, x, sparse) is not None
-        assert _smooth_plan(f, x, dense) is None
+        ctx = SieveContext(f, x)
+        assert _smooth_plan(ctx, sparse) is not None
+        assert _smooth_plan(ctx, dense) is None
     x = 2 * CHUNK + 77
     for f in (mc, cplx):
         for rule in ("dyadic", "every:1"):
@@ -232,34 +234,31 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
             assert np.array_equal(rec.row(0), ps.sums)
 
 
-def test_riesz_k0_alone_builds_no_sieve_context(monkeypatch):
-    # k = 0 alone on the smooth route walks nothing, so it must not pay
-    # for the O(q) chi table of a SieveContext
-    from modchar import sieve
-
+def test_one_chi_table_per_public_call(monkeypatch):
+    # one SieveContext per call feeds every route the call runs, so the
+    # O(q) chi angle table is built once per partial_sums or riesz_means
+    # call: on the smooth route, on the sieve, and for k = 0 next to k > 0
     built = []
+    table = Character.angle_numerators
 
-    class Counting(SieveContext):
-        def __init__(self, *args, **kwargs):
-            built.append(args[1])
-            super().__init__(*args, **kwargs)
+    def counting(chi, scale):
+        built.append(scale)
+        return table(chi, scale)
 
-    monkeypatch.setattr(sieve, "SieveContext", Counting)
+    monkeypatch.setattr(Character, "angle_numerators", counting)
     fig1 = build_modified(character_from_label("3.2"),
                           {p: ONE for p in (2, 3, 5, 11)})
     cplx = build_modified(character_from_label("5.2"),
                           {2: MINUS, 7: UnitValue.root(1, 3)})
-    x = 300_000
     for f in (fig1, cplx):
-        rec = riesz_means(f, [0], x, "geometric:1.05")
-        assert built == []
-        ps = partial_sums(f, x, "geometric:1.05")
-        assert rec.row(0).tobytes() == ps.sums.tobytes()
-        riesz_means(f, [0, 2], x, "geometric:1.05")     # k > 0 walks
-        assert built == [x]
-        built.clear()
-        riesz_means(f, [0], 2 * CHUNK, "every:1")       # the sieve route
-        assert built == [2 * CHUNK]
-        built.clear()
-    with pytest.raises(BlockSizeError):     # still checked with no walk
-        riesz_means(fig1, [0], x, "geometric:1.05", block_size=0)
+        for x, rule in ((300_000, "geometric:1.05"), (2 * CHUNK, "every:1")):
+            ps = partial_sums(f, x, rule)
+            assert len(built) == 1
+            for orders in ([0], [0, 2]):
+                built.clear()
+                rec = riesz_means(f, orders, x, rule)
+                assert len(built) == 1, (rule, orders)
+                assert rec.row(0).tobytes() == ps.sums.tobytes()
+            built.clear()
+    with pytest.raises(BlockSizeError):     # checked with no walk too
+        riesz_means(fig1, [0], 300_000, "geometric:1.05", block_size=0)
