@@ -263,17 +263,20 @@ class Character:
             j = 1
         return f"{q}.{j}"
 
-    def angle_numerators(self, scale: int) -> np.ndarray:
+    def angle_numerators(self, scale: int, dtype=np.int64) -> np.ndarray:
         """Angles of chi(0..q-1) as integer numerators over `scale`.
 
-        scale must be a multiple of the character's order. Entries for
-        gcd(n, q) > 1 are -1. Vectorized; this is the sieve's lookup table.
+        scale must be a multiple of the character's order, and dtype, a
+        signed integer type, must hold 2 scale - 2: the table is built in
+        dtype, each basis element's term added to a reduced sum and reduced
+        again. Entries for gcd(n, q) > 1 are -1. Vectorized; this is the
+        sieve's lookup table.
         """
         q = self.modulus
         basis = self.group.basis
-        if scale * len(basis) >= 1 << 63:
-            raise ValueError("scale too large for int64 angle sums")
-        t = np.zeros(q, dtype=np.int64)
+        if 2 * scale - 2 > np.iinfo(dtype).max:
+            raise ValueError(f"scale too large for {np.dtype(dtype)} angle sums")
+        t = np.zeros(q, dtype=dtype)
         bad = np.zeros(q, dtype=bool)
         for b, c in zip(basis, self.exponents):
             if c * scale % b.order:
@@ -283,15 +286,15 @@ class Character:
             dlog = b.dlog if pe == q else np.tile(b.dlog, q // pe)
             bad |= dlog < 0
             # (c k / order) scale mod scale as (scale/o) ((c/g) k mod o), with
-            # g = gcd(c, order) and o = order/g: each term is below scale, so
-            # their sum stays below len(basis) * scale < 2^63 until reduced
+            # g = gcd(c, order) and o = order/g: each term is below scale,
+            # so with t reduced, t + term stays below 2 scale
             g = math.gcd(c, b.order)
             o = b.order // g
             k = np.multiply(dlog, c // g, dtype=np.int64)
             k -= k // o * o             # k %= o, but libdivide-fast
             k *= scale // o
-            t += k
-        t -= t // scale * scale
+            t += k.astype(dtype, copy=False)
+            np.subtract(t, scale, out=t, where=t >= scale)
         if self.group._check_odd:
             t[::2] = -1
         t[bad] = -1

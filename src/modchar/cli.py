@@ -30,7 +30,7 @@ from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
 from .lfunctions import (LContext, L_value_with_bound,
                          functional_equation_check, leading_coefficient)
 from .presets import PRESET_NAMES, run_preset
-from .sieve import partial_sums, riesz_means
+from .sieve import DEFAULT_BLOCK, partial_sums, riesz_means
 
 _GROUP_LABEL = {1: "(1 - chi(p))/log p",
                 2: "log p/(1 - f(p))",
@@ -63,9 +63,18 @@ def _orders_arg(s: str):
 
 
 def _checkpoint_arg(s: str):
+    # list entries are read as JSON numbers, so the config's integer rule
+    # judges them: 1e3 is 1000, and 2.5 or x is a config error
     if "," in s:
-        return tuple(int(part) for part in s.split(","))
+        return tuple(_json_or_text(part) for part in s.split(","))
     return s
+
+
+def _json_or_text(s: str):
+    try:
+        return json.loads(s)
+    except (ValueError, RecursionError):
+        return s
 
 
 def _write_text(path: str | None, text: str):
@@ -474,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def with_engine(p):
         p.add_argument("--block-size", type=_int_arg, default=None,
-                       help="sieve block length (default 2^20)")
+                       help=f"sieve block length (default"
+                            f" 2^{DEFAULT_BLOCK.bit_length() - 1})")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default MODCHAR_THREADS or 1)")
 

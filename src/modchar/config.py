@@ -21,7 +21,8 @@ from .characters import (MAX_MODULUS, Character, character_from_label,
 from .errors import ConfigError, DomainError, ModCharError
 from .modified import ModifiedCharacter, build_modified
 from .roots import UnitValue
-from .sieve import MAX_SIEVE_X as MAX_X, angle_scale, parse_checkpoint_rule
+from .sieve import (MAX_SIEVE_X as MAX_X, angle_scale, parse_checkpoint_rule,
+                    whole_number)
 
 _TOP_FIELDS = {"character", "modifications", "x_max", "checkpoints",
                "orders", "gamma", "normalized", "allow_imprimitive", "out"}
@@ -214,11 +215,10 @@ def _fail(text: str, path: tuple, message: str):
 
 
 def _want_int(text, path, v, lo=None, hi=None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
-            v = int(v)
-        else:
-            _fail(text, path, f"expected an integer, got {v!r}")
+    n = whole_number(v)
+    if n is None:
+        _fail(text, path, f"expected an integer, got {v!r}")
+    v = n
     if lo is not None and v < lo:
         _fail(text, path, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:

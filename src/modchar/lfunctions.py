@@ -482,9 +482,7 @@ def L0_exact(chi: Character):
     r, k, order = _char_vector(chi)     # odd chi has q >= 3, so r < q
     per_angle = np.zeros(order, dtype=np.int64)
     np.add.at(per_angle, k, r)
-    cs = CyclotomicSum.from_pairs(
-        (Fraction(j, order), Fraction(-int(per_angle[j]), q))
-        for j in np.flatnonzero(per_angle).tolist())
+    cs = CyclotomicSum.from_numerators(-per_angle, order, q)
     if cs.is_rational:
         return cs.rational
     return cs

@@ -175,6 +175,24 @@ class CyclotomicSum:
         terms = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
         return CyclotomicSum(terms)
 
+    @staticmethod
+    def from_numerators(numerators, order: int,
+                        denominator: int) -> "CyclotomicSum":
+        """sum_j (numerators[j]/denominator) e(j/order) over j < order.
+
+        The integer numerators fold the angle 1/2 into 0 and drop zeros
+        before any Fraction is made; the survivors come out in angle order,
+        so this equals `from_pairs` on the same terms.
+        """
+        c = np.array(numerators, dtype=np.int64)
+        if order % 2 == 0:
+            c[0] -= c[order // 2]
+            c[order // 2] = 0
+        js = np.flatnonzero(c)
+        return CyclotomicSum(tuple(
+            (Fraction(j, order), Fraction(n, denominator))
+            for j, n in zip(js.tolist(), c[js].tolist())))
+
     def scale(self, factor: Fraction) -> "CyclotomicSum":
         return CyclotomicSum.from_pairs((a, c * factor) for a, c in self.terms)
 

@@ -27,8 +27,12 @@ it is cheaper than the sieve, which stays the route for dense grids, for
 the Riesz power sums and for the Mellin transform.
 
 Each public call (`partial_sums`, `riesz_means`, `mellin_transform`)
-builds one `SieveContext` and hands it to whichever routes it runs, so D,
-the chi angle table and the digit tables are made once per call.
+builds one `SieveContext` and hands it to whichever routes it runs, so D
+and the digit tables are made once per call. The chi angle table outlives
+the call: `chi_angle_table` keeps the last one built, read-only, so calls
+that follow on the same chi, D and dtype (`verify`'s partial sums, then
+its Riesz means) build it once. The one entry holds q bytes for real f and
+at most 8q bytes (int64), 8 MB at q = 1e6.
 
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
@@ -45,8 +49,10 @@ there are summed directly (see `riesz_means`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +66,8 @@ from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
 from .summation import CHUNK, ComplexNeumaierSum, chunk_cuts, piecewise_sums
 
-DEFAULT_BLOCK = 1 << 20
+# 2^18 entries: a complex block's angles and values stay in cache
+DEFAULT_BLOCK = 1 << 18
 MAX_BLOCK = 1 << 22
 MAX_SIEVE_X = 10**9
 MAX_ORDER = 200
@@ -185,6 +192,16 @@ def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def chi_angle_table(chi, scale: int, dtype) -> np.ndarray:
+    """chi's angle table over `scale` (`Character.angle_numerators`) in
+    the sieve dtype, read-only. The last one built is kept, with its
+    character: q bytes for int8, 8q bytes at most."""
+    table = chi.angle_numerators(scale, dtype)
+    table.flags.writeable = False
+    return table
+
+
 class SieveContext:
     """One modified character's tables up to x_max, shared by every route
     of a call; tables (of `unit_tables`) is None for real f (D <= 2)."""
@@ -209,10 +226,10 @@ class SieveContext:
         self.q = q
         scale = angle_scale(chi, [v for _, v in mc.modifications])
         self.scale = scale
-        table = chi.angle_numerators(scale)
         q_primes = {p for p, _ in chi.group.factorization}
         # p in S off q: the exact shift angle(f(p)) - angle(chi(p))
-        self.shifts = [(p, (int(v.angle * scale) - int(table[p % q])) % scale)
+        self.shifts = [(p, int((v.angle - eval_char(chi, p).angle) * scale)
+                        % scale)
                        for p, v in mc.modifications if p not in q_primes]
         top = 2 * scale     # bounds each angle a block holds before reduction
         for p, shift in self.shifts:
@@ -224,7 +241,7 @@ class SieveContext:
         # each below D <= 2^53
         self.dtype = next((dt for dt in (np.int8, np.int16, np.int32)
                            if top <= np.iinfo(dt).max), np.int64)
-        self.chi_table = table.astype(self.dtype, copy=False)
+        self.chi_table = chi_angle_table(chi, scale, self.dtype)
         # p in S dividing q: every product 1 < d <= x_max of them with the
         # angle of f(d), ascending in d
         parts = {1: 0}
@@ -317,6 +334,19 @@ def sieve_values(mc: ModifiedCharacter, x_max: int,
         yield from vals.astype(np.complex128, copy=False)
 
 
+def whole_number(v) -> int | None:
+    """v as an int if it is a whole number, else None: an integer that is
+    not a bool, or a float with an integer value below 2^53 in size. The
+    one integer rule for checkpoints, rule steps and config fields."""
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
+        return int(v)
+    return None
+
+
 def parse_checkpoint_rule(rule: str) -> tuple[str, int | float]:
     """A checkpoint rule string in normal form, with its argument.
 
@@ -346,23 +376,30 @@ def parse_checkpoint_rule(rule: str) -> tuple[str, int | float]:
             raise DomainError(f"checkpoint rule {rule!r}: the ratio must"
                               f" exceed 1 and be finite")
         return rule, float(arg)
-    if isinstance(arg, float) and arg.is_integer() and abs(arg) < 2**53:
-        arg = int(arg)
-    if isinstance(arg, float) or arg < 1:
+    step = whole_number(arg)
+    if step is None or step < 1:
         raise DomainError(f"checkpoint rule {rule!r}: the step must be >= 1"
                           f" and whole")
-    return f"every:{arg}", arg
+    return f"every:{step}", step
 
 
 def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
-    """Materialize a checkpoint rule (see `parse_checkpoint_rule`) or a list.
+    """Materialize a checkpoint rule (see `parse_checkpoint_rule`) or a
+    list of whole numbers (`whole_number`).
 
     The final checkpoint is always x_max.
     """
     if x_max < 1:
         raise DomainError("x_max must be at least 1 for checkpoints")
     if not isinstance(rule, str):
-        pts = sorted({int(c) for c in rule})
+        pts = []
+        for c in rule:
+            n = whole_number(c)
+            if n is None:
+                raise DomainError(f"explicit checkpoints must be whole"
+                                  f" numbers, got {c!r}")
+            pts.append(n)
+        pts = sorted(set(pts))
         if not pts or pts[0] < 1 or pts[-1] > x_max:
             raise DomainError("explicit checkpoints must lie in [1, x_max]")
         if pts[-1] != x_max:
@@ -428,6 +465,18 @@ class RieszRecord:
                 yield int(x), k, v.real, v.imag
 
 
+def _merge_cuts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d of two sorted arrays without repeats, without its hash:
+    one stable sort (a linear merge of the two runs), adjacent repeats
+    dropped."""
+    cuts = np.concatenate((a, b))
+    cuts.sort(kind="stable")
+    keep = np.empty(len(cuts), dtype=bool)
+    keep[:1] = True
+    np.not_equal(cuts[1:], cuts[:-1], out=keep[1:])
+    return cuts[keep]
+
+
 def _walk(ctx: SieveContext, checkpoints: np.ndarray):
     """Yield (lo, hi, vals, starts, closed, run) for every block, in order.
 
@@ -441,7 +490,7 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
     for lo, hi, vals in ctx.iter_blocks():
         a, b = np.searchsorted(checkpoints, [lo, hi])
         ends = checkpoints[a:b] + 1           # a checkpoint x closes at x + 1
-        cuts = np.union1d(chunk_cuts(lo, hi), ends[ends < hi])
+        cuts = _merge_cuts(chunk_cuts(lo, hi), ends[ends < hi])
         pieces = piecewise_sums(vals, lo, cuts)
         if ctx.is_real:
             run = np.cumsum(pieces, dtype=np.int64) + carry
@@ -507,7 +556,7 @@ def _chi_prefix(ctx: SieveContext, n: int):
     """
     t = ctx.chi_table
     x_q = int(np.count_nonzero(t >= 0)) if ctx.mc.base.is_principal else 0
-    t = t[:n].copy()                # the sieve shares ctx.chi_table
+    t = t[:n].copy()                # ctx.chi_table is read-only
     t[0] = -1                       # X(0) = 0, not chi(q) = chi(0)
     if ctx.is_real:                 # angles -1, 0, 1 are chi = 0, 1, -1
         vals = np.take(np.array([0, 1, -1], np.int8), t + 1)
@@ -605,7 +654,7 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     exact integers on both.
 
     Cost model (ns, measured with numpy 2 on a 2-vCPU Xeon; the chi angle
-    table is built by both routes and left out): the sieve costs x_max
+    table, which both routes read, is left out): the sieve costs x_max
     times SIEVE_NS = 3 per integer for real f, 7, 12, 20 and 30 for complex
     f at table depth L = 1..4. The smooth route costs RESIDUE_NS = 8 (real)
     or 60 (complex) per prefix residue, min(q, x_max + 1) of them, plus

@@ -396,6 +396,22 @@ def test_xmax_and_k_flags_get_the_config_checks(tmp_path, capsys):
     assert "series needs k >= 2" in capsys.readouterr().err
 
 
+def test_checkpoint_list_flag_gets_the_config_integer_rule(tmp_path, capsys):
+    # --checkpoints entries are JSON numbers judged as a config list's are:
+    # a fraction or a word is a config error, 1e2 is 100
+    cfg = write_config(tmp_path, checkpoints="dyadic")
+    for arg in ("2.5,10.9", "10,x", "10,true"):
+        assert main(["simulate", cfg, "--checkpoints", arg]) == 2, arg
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --checkpoints"), err
+        assert "expected an integer" in err and "Traceback" not in err
+    out = tmp_path / "sums.csv"
+    assert main(["simulate", cfg, "--checkpoints", "1e1,1e2",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows][:2] == ["10", "100"]
+
+
 @pytest.mark.parametrize("command", ["kmin", "verify"])
 def test_bad_gamma_flag_is_a_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from modchar.characters import character_from_label
@@ -183,6 +184,26 @@ def test_one_rule_grammar_for_library_and_config():
         want = partial_sums(bcc, 5000, normal)
         assert got.checkpoints.tolist() == want.checkpoints.tolist()
         assert got.sums.tobytes() == want.sums.tobytes()
+
+
+def test_one_integer_rule_for_library_and_config_lists():
+    # an explicit list is judged entry by entry as a config file's list is:
+    # whole numbers pass (1e2 is 100), anything else is a DomainError, never
+    # truncated through int()
+    ok = {"character": {"label": "3.2"}}
+    bcc = build_modified(character_from_label("3.2"), {3: UnitValue.one()})
+    for bad in ([2.5, 10.9], [10, 2.0**53], [True, 10], ["10"], [None],
+                [float("nan")]):
+        with pytest.raises(DomainError, match="whole numbers"):
+            partial_sums(bcc, 100, bad)
+        with pytest.raises(DomainError, match="whole numbers"):
+            riesz_means(bcc, [0, 1], 100, bad)
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse({**ok, "x_max": 100, "checkpoints": bad})
+    for good in ([1e1, 100.0], [np.int64(10), 100], (10, 100), range(10, 11)):
+        assert partial_sums(bcc, 100, good).checkpoints.tolist() == [10, 100]
+    assert parse({**ok, "x_max": 100,
+                  "checkpoints": [1e1, 100.0]}).checkpoints == (10, 100)
 
 
 def test_order_forms():

@@ -333,6 +333,22 @@ def test_l0_exact_matches_the_per_residue_sum():
         assert type(got) is type(want) and got == want, chi.label
 
 
+@pytest.mark.parametrize("q", [101, 1009, 9973])
+def test_l0_exact_on_random_odd_characters(q):
+    # the integer fold of CyclotomicSum.from_numerators against the
+    # per-residue Fractions of from_pairs, on seeded random odd chi
+    rng = random.Random(q)
+    grp = character_group(q)
+    chars = []
+    while len(chars) < 4:
+        chi = grp.character(tuple(rng.randrange(o) for o in grp.orders))
+        if parity(chi) == -1:
+            chars.append(chi)
+    for chi in chars:
+        got, want = L0_exact(chi), _l0_by_residue(chi)
+        assert type(got) is type(want) and got == want, chi.label
+
+
 def test_lprime0_known_values():
     # L'(0, chi5) = log((1+sqrt 5)/2), L'(0, chi8) = log(1+sqrt 2)
     v5 = Lprime0(character_from_label("5.4"))

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,3 +142,17 @@ def test_to_complex_is_rounded_once_from_the_exact_angle():
         assert abs(mpmath.mpc(z.real, z.imag) - ref) <= mass * (
             bound + len(s.terms) * 2 * u)
     assert worst <= bound, worst / u
+
+
+def test_from_numerators_equals_from_pairs():
+    # angle 1/2 folds into 0, zero terms drop out, angles come out sorted
+    rng = np.random.default_rng(7)
+    for order in (1, 2, 3, 4, 12, 97, 256):
+        for _ in range(20):
+            c = rng.integers(-5, 6, size=order) * (rng.random(order) < 0.6)
+            den = int(rng.integers(1, 50))
+            got = CyclotomicSum.from_numerators(c, order, den)
+            want = CyclotomicSum.from_pairs(
+                (Fraction(j, order), Fraction(int(n), den))
+                for j, n in enumerate(c.tolist()))
+            assert got == want, (order, c.tolist())

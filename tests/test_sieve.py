@@ -16,11 +16,11 @@ from modchar.errors import BlockSizeError, DomainError, OrderTooLargeError
 from modchar.lfunctions import L_value, LContext, evaluate_F
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
-from modchar.sieve import (CHUNK, VALUE_SLICE, SieveContext,
-                           checkpoints_from_rule, mellin_transform,
-                           partial_sums, periodic_slice, riesz_means,
-                           sieve_values)
-from modchar.summation import ComplexNeumaierSum, NeumaierSum
+from modchar.sieve import (CHUNK, VALUE_SLICE, SieveContext, _merge_cuts,
+                           _smooth_plan, _walk, checkpoints_from_rule,
+                           mellin_transform, partial_sums, periodic_slice,
+                           riesz_means, sieve_values)
+from modchar.summation import ComplexNeumaierSum, NeumaierSum, chunk_cuts
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -314,6 +314,66 @@ def test_block_and_thread_independence():
             rz = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic",
                              block_size=bs, threads=th)
             assert rz.values.tobytes() == rz_ref.values.tobytes()
+
+
+def test_block_sizes_chunk_to_2_20_are_bit_identical():
+    # past 2^20, so the default 2^18 block and the old default 2^20 both cut
+    # the range; a dense grid keeps partial sums on the sieve
+    x = (1 << 20) + (1 << 18) + 77
+    for mc in (bcc(), complex_mc()):
+        assert _smooth_plan(SieveContext(mc, x),
+                            checkpoints_from_rule("every:7", x)) is None
+        runs = {(partial_sums(mc, x, "every:7", block_size=bs).sums.tobytes(),
+                 riesz_means(mc, [0, 2], x, "geometric:1.2",
+                             block_size=bs).values.tobytes())
+                for bs in (CHUNK, 1 << 18, 1 << 20)}
+        assert len(runs) == 1
+
+
+def test_merge_cuts_is_union1d():
+    rng = np.random.default_rng(1101)
+    for _ in range(500):
+        lo = int(rng.integers(1, 10**7))
+        hi = lo + int(rng.integers(1, 6 * CHUNK))
+        ends = np.unique(rng.integers(lo + 1, hi + 1,
+                                      size=int(rng.integers(0, 30))))
+        ends = ends[ends < hi]
+        for extra in (ends, ends[:0]):
+            want = np.union1d(chunk_cuts(lo, hi), extra)
+            got = _merge_cuts(chunk_cuts(lo, hi), extra)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    empty = np.zeros(0, np.int64)
+    assert len(_merge_cuts(empty, empty)) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_cuts_are_chunks_and_checkpoint_ends(seed):
+    # the walk's pieces start at the chunk grid and after each checkpoint,
+    # as np.union1d makes them; edges: blocks with no cut at all, a
+    # checkpoint x = 0 mod 4096 whose end x + 1 is a chunk cut, and a
+    # checkpoint at hi - 1 that closes its block's last piece
+    rng = np.random.default_rng(seed)
+    block = CHUNK * int(rng.integers(1, 4))
+    x = 7 * CHUNK + int(rng.integers(0, CHUNK))
+    cps = {2 * CHUNK, 3 * CHUNK, block, 2 * block, x}
+    cps |= set(rng.integers(1, x, size=int(rng.integers(0, 40))).tolist())
+    cps = np.array(sorted(cps), dtype=np.int64)
+    for mc in (bcc(), complex_mc()):
+        ctx = SieveContext(mc, x, block_size=block)
+        no_cut = 0
+        for lo, hi, vals, starts, closed, run in _walk(ctx, cps):
+            ends = cps[(cps >= lo) & (cps < hi)] + 1
+            want = np.union1d(chunk_cuts(lo, hi), ends[ends < hi])
+            assert np.array_equal(starts, np.concatenate(([0], want - lo)))
+            assert np.array_equal(closed, np.searchsorted(want, ends))
+            assert len(run) == len(starts)
+            no_cut += len(starts) == 1
+        if block == CHUNK:
+            assert no_cut
+    ref = partial_sums(fig1(), x, cps)
+    for bs in (CHUNK, 3 * CHUNK):
+        ps = partial_sums(fig1(), x, cps, block_size=bs)
+        assert np.array_equal(ps.exact_sums, ref.exact_sums)
 
 
 def test_float_accumulation_drift_large_x():

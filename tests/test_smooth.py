@@ -18,7 +18,7 @@ from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
                            _sieve_sums, _smooth_plan, _smooth_sums,
                            _smooth_terms, checkpoints_from_rule,
-                           partial_sums, riesz_means)
+                           chi_angle_table, partial_sums, riesz_means)
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -234,16 +234,16 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
             assert np.array_equal(rec.row(0), ps.sums)
 
 
-def test_one_chi_table_per_public_call(monkeypatch):
-    # one SieveContext per call feeds every route the call runs, so the
-    # O(q) chi angle table is built once per partial_sums or riesz_means
-    # call: on the smooth route, on the sieve, and for k = 0 next to k > 0
+def test_one_chi_table_across_calls(monkeypatch):
+    # the last chi angle table is kept, read-only: partial_sums, then
+    # riesz_means of [0] and of [0, 2], on one chi and D build it once, on
+    # the smooth route and on the sieve; another chi or D builds it once more
     built = []
     table = Character.angle_numerators
 
-    def counting(chi, scale):
+    def counting(chi, scale, dtype=np.int64):
         built.append(scale)
-        return table(chi, scale)
+        return table(chi, scale, dtype)
 
     monkeypatch.setattr(Character, "angle_numerators", counting)
     fig1 = build_modified(character_from_label("3.2"),
@@ -252,13 +252,25 @@ def test_one_chi_table_per_public_call(monkeypatch):
                           {2: MINUS, 7: UnitValue.root(1, 3)})
     for f in (fig1, cplx):
         for x, rule in ((300_000, "geometric:1.05"), (2 * CHUNK, "every:1")):
-            ps = partial_sums(f, x, rule)
-            assert len(built) == 1
-            for orders in ([0], [0, 2]):
-                built.clear()
-                rec = riesz_means(f, orders, x, rule)
-                assert len(built) == 1, (rule, orders)
-                assert rec.row(0).tobytes() == ps.sums.tobytes()
+            chi_angle_table.cache_clear()
             built.clear()
+            ps = partial_sums(f, x, rule)
+            for orders in ([0], [0, 2]):
+                rec = riesz_means(f, orders, x, rule)
+                assert rec.row(0).tobytes() == ps.sums.tobytes()
+            assert len(built) == 1, (rule, built)
+    built.clear()
+    partial_sums(fig1, 300_000, "geometric:1.05")     # another chi
+    partial_sums(fig1, 300_000, "dyadic")
+    assert built == [2]
+    fig1_d6 = build_modified(character_from_label("3.2"),
+                             {2: UnitValue.root(1, 3)})
+    partial_sums(fig1_d6, 300_000, "geometric:1.05")  # same chi, D = 6
+    riesz_means(fig1_d6, [0, 1], 300_000, "geometric:1.05")
+    assert built == [2, 6]
+    assert chi_angle_table.cache_info().currsize == 1
+    ctx = SieveContext(fig1_d6, 100)
+    with pytest.raises(ValueError):
+        ctx.chi_table[1] = 0
     with pytest.raises(BlockSizeError):     # checked with no walk too
         riesz_means(fig1, [0], 300_000, "geometric:1.05", block_size=0)
