@@ -11,9 +11,13 @@ Moduli up to 10**6 are supported. Discrete-log tables are built once per
 modulus and shared by every character mod q; characters themselves are
 lightweight exponent tuples. Each table is an int32 array over the residues
 mod p^e, -1 off the units: the powers g^k for k < order are listed with
-array ops (a giant-step column times a baby-step row, see `_orbit`) and
-arange(order) is scattered onto them. CharacterGroup(999983), the largest
-table, takes 15-25 ms on a 2-vCPU Xeon.
+array ops (giant-step rows times a baby-step row, see `_orbit`) and each
+k is scattered onto its power.
+
+Every O(q) build here (the dlog tables, `Character.angle_numerators`)
+works SPAN entries at a time, so its peak memory is its result plus at
+most SPAN_BUDGET bytes, whatever q is. `sieve` builds its O(q) prefix
+table the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ from .errors import InvalidModulusError, InvariantError
 from .roots import UnitValue
 
 MAX_MODULUS = 10**6
+# Entries per step of every O(q) table build, here and in `sieve`.
+SPAN = 1 << 16
+# Most bytes of temporaries one step of such a build holds on top of the
+# table it fills, whatever q: about 1 MiB for a dlog or angle table, 4-6
+# MiB for the complex chi prefix of `sieve` (digit lookups and the
+# compensated fold, ~15 float64 arrays of SPAN entries).
+SPAN_BUDGET = 128 * SPAN
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -108,12 +119,26 @@ def _crt_lift(g: int, pe: int, q: int) -> int:
     return (1 + m * t) % q
 
 
-def _orbit(g: int, order: int, pe: int) -> np.ndarray:
-    """g^k mod pe for k < order, as one int64 array.
+def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
+    """table[(start + i) % len(table)] for i < n, by doubling copies, no gather."""
+    out = np.empty(n, dtype=table.dtype)
+    head = table[start:start + n]
+    k = min(n, len(table))
+    out[:len(head)] = head
+    out[len(head):k] = table[:k - len(head)]
+    while k < n:                      # out[:k] is whole periods
+        out[k:2 * k] = out[:min(k, n - k)]
+        k *= 2
+    return out
 
-    The powers are a giant-step column (g^b)^i times a baby-step row g^j,
-    b = ceil(sqrt(order)), reduced in place. Both factors are below
-    pe <= MAX_MODULUS, so every product is exact in int64.
+
+def _orbit(g: int, order: int, pe: int):
+    """Yield (k0, g^k mod pe for k0 <= k < k0 + n) over k < order, in int64
+    spans of at most max(SPAN, b) powers.
+
+    The powers are giant-step rows (g^b)^i times the baby-step row g^j,
+    b = ceil(sqrt(order)), reduced in place SPAN // b rows at a time. Both
+    factors are below pe <= MAX_MODULUS, so every product is exact in int64.
     """
     b = math.isqrt(order - 1) + 1
 
@@ -125,10 +150,12 @@ def _orbit(g: int, order: int, pe: int) -> np.ndarray:
             x = x * r % pe
         return out
 
-    orbit = np.multiply.outer(steps(pow(g, b, pe), -(-order // b)),
-                              steps(g, b))
-    orbit %= pe
-    return orbit.ravel()[:order]
+    giant, baby = steps(pow(g, b, pe), -(-order // b)), steps(g, b)
+    rows = max(1, SPAN // b)
+    for i in range(0, len(giant), rows):
+        powers = np.multiply.outer(giant[i:i + rows], baby)
+        powers %= pe
+        yield i * b, powers.ravel()[:order - i * b]
 
 
 def _component_basis(p: int, e: int, q: int) -> list[BasisElement]:
@@ -137,15 +164,15 @@ def _component_basis(p: int, e: int, q: int) -> list[BasisElement]:
         # r = (-1)^a 5^b: the orbit of 5 is the units = 1 mod 4, and its
         # negatives pe - 5^b are the units = 3 mod 4
         half = pe // 4
-        ks = np.arange(half, dtype=np.int32)
         dlog5 = np.full(pe, -1, dtype=np.int32)
         dlogm = np.full(pe, -1, dtype=np.int32)
-        orbit = _orbit(5, half, pe)
-        dlog5[orbit] = ks
-        dlogm[orbit] = 0
-        np.subtract(pe, orbit, out=orbit)
-        dlog5[orbit] = ks
-        dlogm[orbit] = 1
+        for k0, powers in _orbit(5, half, pe):
+            ks = np.arange(k0, k0 + len(powers), dtype=np.int32)
+            dlog5[powers] = ks
+            dlogm[powers] = 0
+            np.subtract(pe, powers, out=powers)
+            dlog5[powers] = ks
+            dlogm[powers] = 1
         return [
             BasisElement(2, pe, _crt_lift(pe - 1, pe, q), 2, dlogm),
             BasisElement(2, pe, _crt_lift(5, pe, q), half, dlog5),
@@ -160,7 +187,8 @@ def _component_basis(p: int, e: int, q: int) -> list[BasisElement]:
             g += p
         order = pe // p * (p - 1)
     dlog = np.full(pe, -1, dtype=np.int32)
-    dlog[_orbit(g, order, pe)] = np.arange(order, dtype=np.int32)
+    for k0, powers in _orbit(g, order, pe):
+        dlog[powers] = np.arange(k0, k0 + len(powers), dtype=np.int32)
     return [BasisElement(p, pe, _crt_lift(g, pe, q), order, dlog)]
 
 
@@ -269,35 +297,38 @@ class Character:
         scale must be a multiple of the character's order, and dtype, a
         signed integer type, must hold 2 scale - 2: the table is built in
         dtype, each basis element's term added to a reduced sum and reduced
-        again. Entries for gcd(n, q) > 1 are -1. Vectorized; this is the
-        sieve's lookup table.
+        again. Entries for gcd(n, q) > 1 are -1. Vectorized, SPAN residues
+        at a time, so the peak is the table plus at most SPAN_BUDGET bytes;
+        this is the sieve's lookup table.
         """
         q = self.modulus
-        basis = self.group.basis
         if 2 * scale - 2 > np.iinfo(dtype).max:
             raise ValueError(f"scale too large for {np.dtype(dtype)} angle sums")
-        t = np.zeros(q, dtype=dtype)
-        bad = np.zeros(q, dtype=bool)
-        for b, c in zip(basis, self.exponents):
+        # (c k / order) scale mod scale as (scale/o) ((c/g) k mod o), with
+        # g = gcd(c, order) and o = order/g: each term is below scale, so
+        # with the sum reduced, sum + term stays below 2 scale
+        terms = []
+        for b, c in zip(self.group.basis, self.exponents):
             if c * scale % b.order:
                 raise ValueError("scale not divisible by the character order")
-            # dlog[n % p^e] for n < q: p^e divides q, so q / p^e copies
-            pe = b.prime_power
-            dlog = b.dlog if pe == q else np.tile(b.dlog, q // pe)
-            bad |= dlog < 0
-            # (c k / order) scale mod scale as (scale/o) ((c/g) k mod o), with
-            # g = gcd(c, order) and o = order/g: each term is below scale,
-            # so with t reduced, t + term stays below 2 scale
             g = math.gcd(c, b.order)
-            o = b.order // g
-            k = np.multiply(dlog, c // g, dtype=np.int64)
-            k -= k // o * o             # k %= o, but libdivide-fast
-            k *= scale // o
-            t += k.astype(dtype, copy=False)
-            np.subtract(t, scale, out=t, where=t >= scale)
+            terms.append((b.dlog, c // g, b.order // g))
+        t = np.zeros(q, dtype=dtype)
+        for a in range(0, q, SPAN):
+            acc = t[a:a + SPAN]
+            bad = np.zeros(len(acc), dtype=bool)
+            for dlog, c, o in terms:
+                # dlog[r % p^e] for the span's r: p^e divides q
+                k = periodic_slice(dlog, a % len(dlog), len(acc))
+                bad |= k < 0
+                k = np.multiply(k, c, dtype=np.int64)
+                k -= k // o * o         # k %= o, but libdivide-fast
+                k *= scale // o
+                np.add(acc, k, out=acc, casting="unsafe")
+                np.subtract(acc, scale, out=acc, where=acc >= scale)
+            acc[bad] = -1
         if self.group._check_odd:
             t[::2] = -1
-        t[bad] = -1
         return t
 
     def conductor(self) -> int:

@@ -373,10 +373,12 @@ def _char_vector(chi: Character) -> tuple[np.ndarray, np.ndarray, int]:
     """Residues r in [1, q] coprime to q, chi(r) = e(k_r/order) as (r, k, order)."""
     order = chi.order
     t = chi.angle_numerators(order)
-    r = np.arange(1, chi.modulus + 1)
-    k = t[r % chi.modulus]
-    keep = k >= 0
-    return r[keep], k[keep], order
+    keep = t >= 0
+    # residue 0 stands for r = q: a unit only when q = 1, as the one residue
+    r = np.flatnonzero(keep)
+    if chi.modulus == 1:
+        r[0] = 1
+    return r, t[keep], order
 
 
 def gauss_sum(chi: Character) -> complex:

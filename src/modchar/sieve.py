@@ -34,6 +34,20 @@ that follow on the same chi, D and dtype (`verify`'s partial sums, then
 its Riesz means) build it once. The one entry holds q bytes for real f and
 at most 8q bytes (int64), 8 MB at q = 1e6.
 
+Memory: a call's peak is the tables it keeps, plus one block's working
+set, plus one span. The kept tables are the chi angle table and, on the
+smooth route, the chi prefix of `_chi_prefix` (4 bytes per residue for
+real chi, 16 for complex). A block's working set is its angles, zero mask
+and values: about 30 bytes per integer for complex f and 9 for real f
+under `partial_sums`, and 65-75 under `riesz_means` and
+`mellin_transform`, whose longdouble logs and powers are per block too
+(7.5 and 18 MiB at the default 2^18). `_walk` and its consumers drop a
+block's arrays before the next block is built, so on one thread two
+blocks are never alive at once; with t threads up to t + 2 are in
+flight. A span is the temporaries of the one O(q) or O(block) builder
+running, which works SPAN entries at a time: at most
+`characters.SPAN_BUDGET` bytes, whatever q or the block size.
+
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
 folds the piece sums into M once (exact integers for real f, a compensated
@@ -60,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import eval_char
+from .characters import SPAN, eval_char, periodic_slice
 from .errors import BlockSizeError, DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
@@ -74,9 +88,6 @@ MAX_ORDER = 200
 # Largest angle denominator D: above 2^53 the int64 angle arithmetic of
 # `block_angles` is no longer exact.
 MAX_SCALE = 1 << 53
-# Entries per step of `block_values`' table walk: its digit and gather
-# buffers stay this long, so the complex output is its one full-block array.
-VALUE_SLICE = 1 << 16
 # Most S-smooth d the smooth route of `partial_sums` lists before it
 # yields to the sieve.
 MAX_SMOOTH_TERMS = 1 << 20
@@ -156,14 +167,15 @@ def unit_tables(scale: int) -> tuple[np.ndarray, ...]:
 def unit_values(tables, t: np.ndarray) -> np.ndarray:
     """e(t/D) as complex128 for exact angles 0 <= t < D, from the digit
     tables of `unit_tables`: one lookup per table and L - 1 products, in
-    steps of VALUE_SLICE entries, so the output is the one full-length
-    array. The error bound is that of `unit_tables`."""
+    steps of SPAN entries, so the output is the one full-length array. The
+    error bound is that of `unit_tables`."""
     vals = np.empty(len(t), dtype=np.complex128)
     base = t.dtype.type(len(tables[0]))    # B <= D fits t's dtype
     last = len(tables) - 1
-    factor = np.empty(min(len(t), VALUE_SLICE), np.complex128)
-    for a in range(0, len(t), VALUE_SLICE):
-        rest = t[a:a + VALUE_SLICE]
+    # the gather buffer for tables[1:]; one table needs none
+    factor = np.empty(min(len(t), SPAN), np.complex128) if last else None
+    for a in range(0, len(t), SPAN):
+        rest = t[a:a + SPAN]
         n = len(rest)
         out = vals[a:a + n]
         for i, table in enumerate(tables):
@@ -179,19 +191,6 @@ def unit_values(tables, t: np.ndarray) -> np.ndarray:
     return vals
 
 
-def periodic_slice(table: np.ndarray, start: int, n: int) -> np.ndarray:
-    """table[(start + i) % len(table)] for i < n, by doubling copies, no gather."""
-    out = np.empty(n, dtype=table.dtype)
-    head = table[start:start + n]
-    k = min(n, len(table))
-    out[:len(head)] = head
-    out[len(head):k] = table[:k - len(head)]
-    while k < n:                      # out[:k] is whole periods
-        out[k:2 * k] = out[:min(k, n - k)]
-        k *= 2
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def chi_angle_table(chi, scale: int, dtype) -> np.ndarray:
     """chi's angle table over `scale` (`Character.angle_numerators`) in
@@ -204,7 +203,11 @@ def chi_angle_table(chi, scale: int, dtype) -> np.ndarray:
 
 class SieveContext:
     """One modified character's tables up to x_max, shared by every route
-    of a call; tables (of `unit_tables`) is None for real f (D <= 2)."""
+    of a call; tables (of `unit_tables`) is None for real f (D <= 2).
+
+    Memory (see the module docstring): a call on this context peaks at the
+    tables it keeps, plus one block's working set, plus one span of at most
+    `characters.SPAN_BUDGET` bytes."""
 
     def __init__(self, mc: ModifiedCharacter, x_max: int,
                  block_size: int | None = None, threads: int | None = None):
@@ -485,6 +488,10 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
     ends piece closed[i]. run[i] is M after piece i, from the one fold every
     sum here shares: an exact int64 cumsum for real f, the compensated
     ComplexNeumaierSum otherwise, both carried across blocks.
+
+    One block is alive at a time: the walk drops its vals before it builds
+    the next block, and each consumer drops its own block arrays at the end
+    of its loop body.
     """
     fold, carry = ComplexNeumaierSum(), 0
     for lo, hi, vals in ctx.iter_blocks():
@@ -499,12 +506,17 @@ def _walk(ctx: SieveContext, checkpoints: np.ndarray):
             run = fold.add_many(pieces)
         starts = np.concatenate(([0], cuts - lo))
         yield lo, hi, vals, starts, np.searchsorted(cuts, ends), run
+        del vals
 
 
 def _sieve_sums(ctx: SieveContext, cps: np.ndarray) -> np.ndarray:
     """M at the checkpoints from one sieve pass: int64 for real f, else
     the compensated complex128 fold of `_walk`."""
-    return np.concatenate([run[closed] for *_, closed, run in _walk(ctx, cps)])
+    m = []
+    for _, _, vals, _, closed, run in _walk(ctx, cps):
+        m.append(run[closed])
+        del vals
+    return np.concatenate(m)
 
 
 def _smooth_terms(ctx: SieveContext, x_top: int, limit=math.inf):
@@ -549,21 +561,33 @@ def _smooth_terms(ctx: SieveContext, x_top: int, limit=math.inf):
 def _chi_prefix(ctx: SieveContext, n: int):
     """X(r) = chi(1) + ... + chi(r) for r < n <= q, and X(q).
 
-    Real chi: int8 values summed into an int32 prefix (|X| <= q <= 1e6).
-    Complex: values from `unit_values` over ctx.tables, prefix through the
-    compensated `ComplexNeumaierSum` fold. X(q) is phi(q) for principal
-    chi, else 0.
+    Built SPAN residues at a time, so the peak is the prefix plus one
+    span's temporaries. Real chi: int8 values summed into an int32 prefix
+    (|X| <= q <= 1e6). Complex: values from `unit_values` over ctx.tables,
+    prefix through one compensated `ComplexNeumaierSum` fold carried from
+    span to span, bit-identical to a fold over all n at once. X(q) is
+    phi(q) for principal chi, else 0.
     """
-    t = ctx.chi_table
-    x_q = int(np.count_nonzero(t >= 0)) if ctx.mc.base.is_principal else 0
-    t = t[:n].copy()                # ctx.chi_table is read-only
-    t[0] = -1                       # X(0) = 0, not chi(q) = chi(0)
+    chi = ctx.mc.base
+    x_q = chi.group.phi if chi.is_principal else 0
+    table = ctx.chi_table[:n]
     if ctx.is_real:                 # angles -1, 0, 1 are chi = 0, 1, -1
-        vals = np.take(np.array([0, 1, -1], np.int8), t + 1)
-        return np.add.accumulate(vals, dtype=np.int32), x_q
-    vals = unit_values(ctx.tables, np.maximum(t, 0))
-    vals[t < 0] = 0
-    return ComplexNeumaierSum().add_many(vals), x_q
+        out = np.empty(n, dtype=np.int32)
+        lut = np.array([0, 1, -1], np.int32)
+        for a in range(0, n, SPAN):
+            np.take(lut, table[a:a + SPAN] + 1, out=out[a:a + SPAN])
+        out[0] = 0                  # X(0) = 0, not chi(q) = chi(0)
+        return np.cumsum(out, out=out), x_q
+    out = np.empty(n, dtype=np.complex128)
+    fold = ComplexNeumaierSum()
+    for a in range(0, n, SPAN):
+        t = table[a:a + SPAN]
+        vals = unit_values(ctx.tables, np.maximum(t, 0))
+        vals[t < 0] = 0
+        if a == 0:
+            vals[0] = 0             # X(0) = 0, not chi(q) = chi(0)
+        out[a:a + SPAN] = fold.add_many(vals)
+    return out, x_q
 
 
 def _pair_blocks(cps: np.ndarray, d: np.ndarray):
@@ -681,6 +705,12 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     left to right. So complex M(x) from two checkpoint rules can differ in
     the last bits when they take different routes; both are inside their
     bounds.
+
+    Memory: the peak is the retained tables (the chi angle table; the chi
+    prefix on the smooth route) plus one block's working set on the sieve
+    route (about 30 bytes per integer for complex f, 9 for real) plus one
+    span of at most `characters.SPAN_BUDGET` bytes; see the module
+    docstring.
     """
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
     ctx = SieveContext(mc, x_max, block_size, threads)
@@ -784,7 +814,9 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
                 pw = np.cumprod(np.broadcast_to(log_cp[i] - logn[:x_i],
                                                 (kmax, x_i)), axis=0)
                 values[rows, i] = pw[pows] @ f[:x_i]
+            del f, logn, pw
         if not rows:
+            del vals
             continue
         first, span = (lo - 1) // CHUNK, -(-(hi - lo) // CHUNK)
         logs = np.log(np.arange(lo, hi, dtype=np.longdouble))
@@ -805,6 +837,7 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
             partial[:, done:done + len(closed)] = \
                 np.add.reduceat(sums, pairs, axis=1)[:, ::2]
             done += len(closed)
+        del vals, logs, pw, sums
 
     # at x, chunks before own[x] are complete; own[x] is summed up to x
     own = (cps - 1) // CHUNK
@@ -898,6 +931,7 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
         if a:
             absm = absm[n >= 2] / np.log(n[n >= 2]) ** a
         sup_ratio = max(sup_ratio, float(absm.max(initial=0.0)))
+        del vals, n, m, absm
     value = total.value - complex(m_before) * float(X) ** -sigma
     z = sigma * math.log(X)
     tail = sup_ratio * _upper_gamma_int(a, z) / sigma ** a

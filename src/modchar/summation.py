@@ -65,7 +65,9 @@ class ComplexNeumaierSum:
         self.im.add(z.imag)
 
     def add_many(self, z: np.ndarray) -> np.ndarray:
-        """add() each element of z in turn; returns the value after each."""
+        """add() each element of z in turn; returns the value after each.
+        The state carries over, so folding an array span by span is bit
+        for bit one call on the whole array."""
         out = np.empty(len(z), dtype=np.complex128)
         out.real = self.re.add_many(z.real)
         out.imag = self.im.add_many(z.imag)

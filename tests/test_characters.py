@@ -162,6 +162,53 @@ def test_angle_table_matches_per_residue_evaluation(q):
             assert table.tolist() == want, (chi.label, scale)
 
 
+# one basis element each: pe = 3^11 tiled twice across q = 2 3^11, and
+# pe = q for the other two; all three span several SPAN boundaries
+SPAN_MODULI = (2 * 3**11, 5**8, 999983)
+
+
+@pytest.mark.parametrize("q", SPAN_MODULI)
+def test_angle_table_across_span_boundaries(q):
+    # the table is filled SPAN residues at a time, each p^e < q tiled
+    # within the span: both sides of every span and period boundary, for a
+    # character of order phi(q) and a real one, in every dtype that fits
+    grp = character_group(q)
+    edges = {0, 1, q - 2, q - 1}
+    for step in (characters.SPAN, *(b.prime_power for b in grp.basis)):
+        for a in range(step, q, step):
+            edges.update((a - 1, a))
+    edges = sorted(edges)
+    for chi in (Character(grp, (1,)), Character(grp, (grp.orders[0] // 2,))):
+        want = [eval_char(chi, n) for n in edges]
+        for scale in (chi.order, chi.order * 3**20):
+            for dtype in (np.int8, np.int32, np.int64):
+                if 2 * scale - 2 > np.iinfo(dtype).max:
+                    continue
+                table = chi.angle_numerators(scale, dtype)
+                assert table.dtype == dtype and len(table) == q
+                assert table[edges].tolist() == [
+                    -1 if v.is_zero else v.angle * scale for v in want], \
+                    (q, chi.order, scale, np.dtype(dtype))
+
+
+@pytest.mark.parametrize("q", (*SPAN_MODULI, 2**19))
+def test_dlog_tables_across_span_boundaries(q):
+    # `_orbit` lists g^k in rows of b = ceil(sqrt(order)) powers, several
+    # rows per span, so every span boundary is a row boundary: check
+    # dlog[g^k] = k on both sides of every row boundary, and for 2^e the
+    # negatives -5^k too
+    for b in characters.CharacterGroup(q).basis:
+        pe, order, g = b.prime_power, b.order, b.generator % b.prime_power
+        row = math.isqrt(order - 1) + 1
+        ks = {order - 1} | {k for r in range(0, order, row)
+                            for k in (r - 1, r) if k >= 0}
+        for k in sorted(ks):
+            r = pow(g, k, pe)
+            assert b.dlog[r] == k, (q, pe, k)
+            if b.prime == 2 and order > 2:
+                assert b.dlog[pe - r] == k, (q, pe, k)
+
+
 def _prime_divisors(n):
     out, d = [], 2
     while d * d <= n:

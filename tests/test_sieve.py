@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modchar.characters import (Character, character_from_label,
+from modchar.characters import (SPAN, Character, character_from_label,
                                 character_group, enumerate_characters,
-                                is_prime)
+                                is_prime, periodic_slice)
 from modchar.errors import BlockSizeError, DomainError, OrderTooLargeError
 from modchar.lfunctions import L_value, LContext, evaluate_F
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
-from modchar.sieve import (CHUNK, VALUE_SLICE, SieveContext, _merge_cuts,
-                           _smooth_plan, _walk, checkpoints_from_rule,
-                           mellin_transform, partial_sums, periodic_slice,
-                           riesz_means, sieve_values)
+from modchar.sieve import (CHUNK, SieveContext, _merge_cuts, _smooth_plan,
+                           _walk, checkpoints_from_rule, mellin_transform,
+                           partial_sums, riesz_means, sieve_values)
 from modchar.summation import ComplexNeumaierSum, NeumaierSum, chunk_cuts
 
 ONE = UnitValue.one()
@@ -182,13 +181,13 @@ def test_block_values_match_mpmath_at_every_table_depth():
     # one config per table depth L = ceil(bitlen(D)/16), each value checked
     # against mpmath's e(a/b) for the exact angle a/b of eval_f_exact, a
     # route that shares nothing with the tables; the L = 2 block is longer
-    # than VALUE_SLICE, so the walk crosses a slice boundary
+    # than SPAN, so the walk crosses a span boundary
     chi_40961 = Character(character_group(40961), (1,))      # order 40960
     chi_999983 = Character(character_group(999983), (1,))    # order 999982
     cases = [
         (build_modified(chi_40961, {2: UnitValue.root(1, 5)}), 1, 3000),
         (build_modified(chi_999983, {2: UnitValue.root(1, 3)}), 2,
-         VALUE_SLICE + 1000),
+         SPAN + 1000),
         (build_modified(chi_999983, {3: UnitValue.root(7, 65521)}), 3, 2000),
         # two overrides of prime order near 2^26 and 2^25: D near 2^52
         (build_modified(character_from_label("3.2"),

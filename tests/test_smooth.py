@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modchar.characters import (Character, character_from_label,
+from modchar.characters import (SPAN, Character, character_from_label,
                                 character_group, enumerate_characters)
 from modchar.errors import BlockSizeError
 from modchar.modified import build_modified, eval_f_exact
@@ -18,7 +18,9 @@ from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
                            _sieve_sums, _smooth_plan, _smooth_sums,
                            _smooth_terms, checkpoints_from_rule,
-                           chi_angle_table, partial_sums, riesz_means)
+                           chi_angle_table, partial_sums, riesz_means,
+                           unit_values)
+from modchar.summation import ComplexNeumaierSum
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -159,6 +161,35 @@ def test_smooth_terms_stop_at_the_last_checkpoint():
     sieve = _sieve_sums(ctx, cps)
     assert np.array_equal(_smooth_sums(ctx, cps, terms), sieve)
     assert np.array_equal(_smooth_sums(ctx, cps), sieve)
+
+
+def test_chi_prefix_spans_match_one_fold():
+    # `_chi_prefix` works SPAN residues at a time, carrying one compensated
+    # fold: bit-identical to one add_many over every value at once, for a
+    # prefix of all q residues and for one ending just past a span; for
+    # real chi equal to one integer accumulate
+    q = 999983
+    grp = character_group(q)
+    cplx = _modified(Character(grp, (1,)), {2: UnitValue.root(1, 3)})
+    real = _modified(Character(grp, ((q - 1) // 2,)), {2: ONE, 3: ONE})
+    for mc in (cplx, real):
+        for n in (q, 3 * SPAN + 7):
+            ctx = SieveContext(mc, n - 1)
+            prefix, x_q = _chi_prefix(ctx, n)
+            assert x_q == 0 and len(prefix) == n
+            t = ctx.chi_table[:n].copy()
+            t[0] = -1
+            if mc is real:
+                want = np.add.accumulate(np.array([0, 1, -1])[t + 1])
+                assert prefix.dtype == np.int32
+                assert np.array_equal(prefix, want)
+                continue
+            vals = unit_values(ctx.tables, np.maximum(t, 0))
+            vals[t < 0] = 0
+            want = ComplexNeumaierSum().add_many(vals)
+            assert prefix.tobytes() == want.tobytes(), n
+    principal = _modified(grp.principal(), {2: MINUS})
+    assert _chi_prefix(SieveContext(principal, 10), 11)[1] == q - 1
 
 
 def _value_bound(levels):
