@@ -3,7 +3,7 @@
 Output discipline: data (CSV, JSON) goes to the requested file or to
 stdout; progress and summaries go to stdout only when they will not mix
 with data, otherwise stderr. All floats print at 17 significant digits,
-so identical configs and thread counts reproduce byte-identical files.
+so identical configs reproduce byte-identical files.
 Exit codes: 0 success, 1 computational failure, 2 config or usage error.
 """
 
@@ -193,7 +193,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     mc = cfg.modified()
     series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=args.block_size, threads=args.threads)
+                          block_size=args.block_size)
     _write_text(cfg.out, _sums_csv(series))
     if cfg.out not in (None, "-"):
         print(f"wrote {cfg.out}: {len(series.checkpoints)} checkpoints"
@@ -207,7 +207,7 @@ def cmd_riesz(args) -> int:
     ks = cfg.resolved_orders(mc)
     record = riesz_means(mc, ks, cfg.x_max, checkpoints=cfg.checkpoints,
                          normalized=cfg.normalized,
-                         block_size=args.block_size, threads=args.threads)
+                         block_size=args.block_size)
     _write_text(cfg.out, _riesz_csv(record))
     if cfg.out not in (None, "-"):
         print(f"wrote {cfg.out}: orders {list(ks)},"
@@ -310,8 +310,7 @@ def cmd_poleseries(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    bundle = run_preset(args.name, x_max=args.xmax,
-                        block_size=args.block_size, threads=args.threads)
+    bundle = run_preset(args.name, x_max=args.xmax, block_size=args.block_size)
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, f"{args.name}_sums.csv")
     _write_text(csv_path, _sums_csv(bundle.series))
@@ -370,7 +369,7 @@ def cmd_verify(args) -> int:
           f" k_min = {k_min} at gamma = {_fmt(cfg.gamma)}, running k = {k}")
 
     series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=args.block_size, threads=args.threads)
+                          block_size=args.block_size)
     upper = growth_check(series, exponent=len(mc.primes), mode="upper")
     print(f"upper: sup |M(x)|/(log x)^{len(mc.primes)}"
           f" = {_fmt(upper.sup)}, {upper.verdict}")
@@ -384,7 +383,7 @@ def cmd_verify(args) -> int:
 
     record = riesz_means(mc, sorted({0, k}), cfg.x_max,
                          checkpoints=cfg.checkpoints,
-                         block_size=args.block_size, threads=args.threads)
+                         block_size=args.block_size)
     fit = None
     fit_report: dict = {}
     below = False
@@ -485,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--block-size", type=_int_arg, default=None,
                        help=f"sieve block length (default"
                             f" 2^{DEFAULT_BLOCK.bit_length() - 1})")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default MODCHAR_THREADS or 1)")
 
     p = sub.add_parser("characters", help="list all characters mod q")
     p.add_argument("--modulus", type=int, required=True)

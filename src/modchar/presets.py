@@ -106,8 +106,7 @@ class PresetBundle:
 
 
 def run_preset(name: str, x_max: int = 10**6,
-               block_size: int | None = None,
-               threads: int | None = None) -> PresetBundle:
+               block_size: int | None = None) -> PresetBundle:
     """Sieve a preset and package partial sums plus its growth headline.
 
     The ratio sup is |M(x)| / (log x)^e over checkpoints x >= 2, with
@@ -117,7 +116,7 @@ def run_preset(name: str, x_max: int = 10**6,
     cfg = preset_config(name, x_max=x_max)
     mc = cfg.modified()
     series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=block_size, threads=threads)
+                          block_size=block_size)
     n = mc.pole_order
     e = n if n >= 1 else len(mc.primes)
     xs = series.checkpoints.astype(np.float64)

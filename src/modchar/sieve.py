@@ -42,10 +42,9 @@ and values: about 30 bytes per integer for complex f and 9 for real f
 under `partial_sums`, and 65-75 under `riesz_means` and
 `mellin_transform`, whose longdouble logs and powers are per block too
 (7.5 and 18 MiB at the default 2^18). `_walk` and its consumers drop a
-block's arrays before the next block is built, so on one thread two
-blocks are never alive at once; with t threads up to t + 2 are in
-flight. A span is the temporaries of the one O(q) or O(block) builder
-running, which works SPAN entries at a time: at most
+block's arrays before the next block is built, so two blocks are never
+alive at once. A span is the temporaries of the one O(q) or O(block)
+builder running, which works SPAN entries at a time: at most
 `characters.SPAN_BUDGET` bytes, whatever q or the block size.
 
 One walker, `_walk`, drives every reduction: it cuts each block on the
@@ -53,12 +52,13 @@ fixed 4096-chunk grid from `summation` and again after each checkpoint, and
 folds the piece sums into M once (exact integers for real f, a compensated
 fold otherwise). Sieved partial sums, Riesz means and the Mellin transform
 all read M from it, so every reported sum is bit-identical under any block
-size or thread count; the smooth route never sees either. Riesz means of
-all requested orders come out of the same pass: power sums P_j = sum f(n) (log n - c)^j per chunk, centered at each
-chunk's own log-midpoint c, recombined binomially at checkpoints in
-longdouble. Past the first chunk centering keeps |log n - c| at most
-log(2)/2; in the first chunk it reaches log(4096)/2 = 4.16, so checkpoints
-there are summed directly (see `riesz_means`).
+size; the smooth route never sees blocks. Riesz means of all requested
+orders come out of the same pass: power sums
+P_j = sum f(n) (log n - c)^j per chunk, centered at each chunk's own
+log-midpoint c, recombined binomially at checkpoints in longdouble. Past
+the first chunk centering keeps |log n - c| at most log(2)/2; in the
+first chunk it reaches log(4096)/2 = 4.16, so checkpoints there are
+summed directly (see `riesz_means`).
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ import functools
 import json
 import math
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,17 +99,6 @@ SIEVE_NS = (3.0, 7.0, 12.0, 20.0, 30.0)
 RESIDUE_NS = (8.0, 60.0)
 PAIR_NS = 7.0
 BLOCK_NS = 10_000.0
-
-
-def thread_count(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else MODCHAR_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("MODCHAR_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def angle_scale(chi, values) -> int:
@@ -210,20 +197,21 @@ class SieveContext:
     `characters.SPAN_BUDGET` bytes."""
 
     def __init__(self, mc: ModifiedCharacter, x_max: int,
-                 block_size: int | None = None, threads: int | None = None):
+                 block_size: int | None = None):
+        x_max = _whole("x_max", x_max)
         if x_max < 0 or x_max > MAX_SIEVE_X:
             raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
-        bs = DEFAULT_BLOCK if block_size is None else int(block_size)
-        if bs < 1:
-            raise BlockSizeError(f"block size must be positive, got {bs}")
+        bs = DEFAULT_BLOCK if block_size is None else whole_number(block_size)
+        if bs is None or bs < 1:
+            raise BlockSizeError(f"block size must be a positive whole number,"
+                                 f" got {block_size!r}")
         if bs > MAX_BLOCK:
             raise BlockSizeError(
                 f"block size {bs} exceeds the memory budget; the engine holds"
                 f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
         self.block = -(-bs // CHUNK) * CHUNK    # on the chunk grid
         self.mc = mc
-        self.x_max = int(x_max)
-        self.threads = thread_count(threads)
+        self.x_max = x_max
         chi = mc.base
         q = chi.modulus
         self.q = q
@@ -305,34 +293,18 @@ class SieveContext:
         vals[zero] = 0
         return vals
 
-    def block_bounds(self) -> list[tuple[int, int]]:
-        return [(lo, min(lo + self.block, self.x_max + 1))
-                for lo in range(1, self.x_max + 1, self.block)]
-
     def iter_blocks(self):
-        """Yield (lo, hi, block_values(lo, hi)) in order."""
-        bounds = self.block_bounds()
-        if self.threads <= 1:
-            for lo, hi in bounds:
-                yield lo, hi, self.block_values(lo, hi)
-            return
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            window = self.threads + 2
-            futures = {}
-            for i, (lo, hi) in enumerate(bounds[:window]):
-                futures[i] = pool.submit(self.block_values, lo, hi)
-            for i, (lo, hi) in enumerate(bounds):
-                vals = futures.pop(i).result()
-                nxt = i + window
-                if nxt < len(bounds):
-                    futures[nxt] = pool.submit(self.block_values, *bounds[nxt])
-                yield lo, hi, vals
+        """Yield (lo, hi, block_values(lo, hi)) for the blocks of [1, x_max],
+        in order."""
+        for lo in range(1, self.x_max + 1, self.block):
+            hi = min(lo + self.block, self.x_max + 1)
+            yield lo, hi, self.block_values(lo, hi)
 
 
 def sieve_values(mc: ModifiedCharacter, x_max: int,
-                 block_size: int | None = None, threads: int | None = None):
+                 block_size: int | None = None):
     """Stream f(1), f(2), ..., f(x_max) as complex numbers."""
-    ctx = SieveContext(mc, x_max, block_size, threads)
+    ctx = SieveContext(mc, x_max, block_size)
     for _, _, vals in ctx.iter_blocks():
         yield from vals.astype(np.complex128, copy=False)
 
@@ -348,6 +320,14 @@ def whole_number(v) -> int | None:
     if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
         return int(v)
     return None
+
+
+def _whole(name: str, v) -> int:
+    """v through `whole_number`, else a DomainError naming it."""
+    n = whole_number(v)
+    if n is None:
+        raise DomainError(f"{name} must be a whole number, got {v!r}")
+    return n
 
 
 def parse_checkpoint_rule(rule: str) -> tuple[str, int | float]:
@@ -666,16 +646,15 @@ def _smooth_plan(ctx: SieveContext, cps: np.ndarray):
 
 def partial_sums(mc: ModifiedCharacter, x_max: int,
                  checkpoint_rule="dyadic",
-                 block_size: int | None = None,
-                 threads: int | None = None) -> PartialSumSeries:
+                 block_size: int | None = None) -> PartialSumSeries:
     """Partial sums M(x) at rule-selected checkpoints, by the cheaper route.
 
     Routes: the sieve (`_sieve_sums`, one pass over n <= x_max) and the
     convolution f = chi * h over the S-smooth d (`_smooth_sums`), both
-    reading the one `SieveContext` this call builds. The
-    route depends only on (mc, x_max, checkpoints), never on block size or
-    threads, so sums stay bit-identical across those. Real f gives the same
-    exact integers on both.
+    reading the one `SieveContext` this call builds. The route depends
+    only on (mc, x_max, checkpoints), never on the block size, so sums stay
+    bit-identical across block sizes. Real f gives the same exact integers
+    on both.
 
     Cost model (ns, measured with numpy 2 on a 2-vCPU Xeon; the chi angle
     table, which both routes read, is left out): the sieve costs x_max
@@ -712,8 +691,9 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     span of at most `characters.SPAN_BUDGET` bytes; see the module
     docstring.
     """
+    x_max = _whole("x_max", x_max)
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
-    ctx = SieveContext(mc, x_max, block_size, threads)
+    ctx = SieveContext(mc, x_max, block_size)
     terms = _smooth_plan(ctx, cps)
     m = _sieve_sums(ctx, cps) if terms is None else _smooth_sums(ctx, cps, terms)
     sums = m.astype(np.complex128, copy=False)
@@ -740,8 +720,7 @@ def _signed_binomials(k: int) -> np.ndarray:
 def riesz_means(mc: ModifiedCharacter, orders, x,
                 checkpoints="dyadic",
                 normalized: bool = False,
-                block_size: int | None = None,
-                threads: int | None = None) -> RieszRecord:
+                block_size: int | None = None) -> RieszRecord:
     """Riesz means sum f(n) log(x/n)^k at checkpoints for several orders k.
 
     One sieve pass serves every order. The k = 0 row is M(x) from the
@@ -767,19 +746,19 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     O(x * k), hence the density guard on their sum. normalized=True divides
     order k by k!.
     """
-    ks = sorted({int(k) for k in (orders if hasattr(orders, "__iter__")
-                                  else [orders])})
+    ks = sorted({_whole("order", k) for k in
+                 (orders if hasattr(orders, "__iter__") else [orders])})
     if not ks or ks[0] < 0:
         raise DomainError("orders must be nonnegative integers")
     if ks[-1] > MAX_ORDER:
         raise OrderTooLargeError(
             f"order {ks[-1]} exceeds {MAX_ORDER}; (log x)^k binomial"
             f" recombination would overflow float64")
-    x_max = int(x)
+    x_max = _whole("x", x)
     if x_max < 1:
         raise DomainError("x must be at least 1")
     cps = checkpoints_from_rule(checkpoints, x_max)
-    ctx = SieveContext(mc, x_max, block_size, threads)
+    ctx = SieveContext(mc, x_max, block_size)
     kmax = ks[-1]
     terms = _smooth_plan(ctx, cps) if ks[0] == 0 else None
     ncp = len(cps)
@@ -896,8 +875,7 @@ def _upper_gamma_int(a: int, z: float) -> float:
 
 
 def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
-                     block_size: int | None = None,
-                     threads: int | None = None) -> MellinResult:
+                     block_size: int | None = None) -> MellinResult:
     """sigma * integral_1^x_cut M(x) x^(-1-sigma) dx, summed exactly.
 
     M is constant on [n, n+1), so the truncated integral is
@@ -905,14 +883,14 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
     sum_{n <= X} f(n) n^-sigma - M(X) X^-sigma: no difference of nearly
     equal weights. Its piece sums go through the compensated fold on the
     fixed chunk grid and M comes from the walk, so the result is block-size
-    and thread-count independent like every other sum here.
+    independent like every other sum here.
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    X = int(x_cut)
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    X = _whole("x_cut", x_cut)
     if X < 2:
         raise DomainError("x_cut must be at least 2")
-    ctx = SieveContext(mc, X, block_size, threads)
+    ctx = SieveContext(mc, X, block_size)
     a = len(mc.modifications)
     total = ComplexNeumaierSum()
     sup_ratio, m_before = 0.0, 0

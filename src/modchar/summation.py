@@ -2,12 +2,11 @@
 
 Sieved values are reduced chunk-by-chunk on a fixed absolute grid: chunk c
 covers n in [1 + c*CHUNK, 1 + (c+1)*CHUNK). Per-chunk partial sums depend
-only on the data, never on how work was split into blocks or threads, and
-the chunk sums are folded left to right through a Neumaier accumulator
-(one piece at a time with `add`, or a whole array of pieces at once with
-the bit-identical `add_many`).
-Consequently every reported sum is bit-identical for any block size and any
-thread count, which the test suite asserts literally.
+only on the data, never on how work was split into blocks, and the chunk
+sums are folded left to right through a Neumaier accumulator (one piece
+at a time with `add`, or a whole array of pieces at once with the
+bit-identical `add_many`). Consequently every reported sum is
+bit-identical for any block size, which the test suite asserts literally.
 """
 
 from __future__ import annotations

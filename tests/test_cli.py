@@ -88,12 +88,18 @@ def test_simulate_byte_identity(tmp_path, capsys):
     cfg = write_config(tmp_path, x_max=100000, checkpoints="geometric:1.03")
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["simulate", cfg, "--out", a, "--block-size", "4096"]) == 0
-    assert main(["simulate", cfg, "--out", b, "--block-size", "65536",
-                 "--threads", "3"]) == 0
+    assert main(["simulate", cfg, "--out", b, "--block-size", "65536"]) == 0
     wrote = capsys.readouterr().out
     assert f"wrote {a}" in wrote and f"wrote {b}" in wrote
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_threads_flag_is_a_usage_error(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", cfg, "--threads", "3"])
+    assert exc.value.code == 2
 
 
 def _special_values():

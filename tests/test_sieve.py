@@ -300,18 +300,17 @@ def test_partial_sums_complex_route():
     assert ps.float_sums is ps.sums
 
 
-def test_block_and_thread_independence():
-    # the spec pins block sizes 1e4 and 1e6; threads ride the same contract
+def test_block_independence():
+    # the spec pins block sizes 1e4 and 1e6
     for mc in (bcc(), complex_mc()):
         ref = partial_sums(mc, 2 * 10**5, "geometric:1.1")
         rz_ref = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic")
-        for bs, th in ((10**4, 1), (10**6, 1), (10**4, 3), (None, 4)):
-            ps = partial_sums(mc, 2 * 10**5, "geometric:1.1",
-                              block_size=bs, threads=th)
+        for bs in (10**4, 10**6, None):
+            ps = partial_sums(mc, 2 * 10**5, "geometric:1.1", block_size=bs)
             assert np.array_equal(ps.sums, ref.sums)
             assert ps.float_sums.tobytes() == ref.float_sums.tobytes()
             rz = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic",
-                             block_size=bs, threads=th)
+                             block_size=bs)
             assert rz.values.tobytes() == rz_ref.values.tobytes()
 
 
@@ -377,7 +376,7 @@ def test_walk_cuts_are_chunks_and_checkpoint_ends(seed):
 
 def test_float_accumulation_drift_large_x():
     # compensated float route vs exact integers over the full 1e8 range
-    ps = partial_sums(bcc(), 10**8, "dyadic", threads=4)
+    ps = partial_sums(bcc(), 10**8, "dyadic")
     drift = np.abs(ps.float_sums - ps.exact_sums.astype(np.complex128))
     assert drift.max() <= 1e-8
 
@@ -487,6 +486,10 @@ def test_sieve_context_guards():
         SieveContext(mc, 100, block_size=0)
     with pytest.raises(BlockSizeError):
         SieveContext(mc, 100, block_size=(1 << 22) + 1)
+    with pytest.raises(BlockSizeError):
+        SieveContext(mc, 100, block_size=4096.5)
+    with pytest.raises(DomainError):
+        SieveContext(mc, 100.5)
     with pytest.raises(DomainError):
         SieveContext(mc, 10**9 + 1)
     with pytest.raises(DomainError):
@@ -503,6 +506,32 @@ def test_sieve_context_rejects_inexact_scale():
         SieveContext(mc, 100)
 
 
+@pytest.mark.parametrize("call, args", [
+    (partial_sums, (100.7,)),
+    (partial_sums, (True,)),
+    (riesz_means, ([1], 100.9)),
+    (riesz_means, ([1.5], 100)),
+    (riesz_means, ([True], 100)),
+    (riesz_means, (["3"], 100)),
+    (mellin_transform, (1.0, 1000.5)),
+    (mellin_transform, (1.0, "1000")),
+], ids=["x_max-float", "x_max-bool", "x-float", "order-float", "order-bool",
+        "order-str", "x_cut-float", "x_cut-str"])
+def test_sizes_and_orders_must_be_whole(call, args):
+    # no silent int(): sizes and orders follow the config's `whole_number`
+    with pytest.raises(DomainError):
+        call(bcc(), *args)
+
+
+def test_whole_float_sizes_are_taken_as_ints():
+    ps = partial_sums(bcc(), 1000.0)
+    assert type(ps.x_max) is int and ps.x_max == 1000
+    assert ps.checkpoints[-1] == 1000
+    rec = riesz_means(bcc(), [np.int64(3), 3.0], 1000.0)
+    assert rec.orders == (3,) and type(rec.x_max) is int
+    assert mellin_transform(bcc(), 1.0, 1000.0).x_cut == 1000
+
+
 def test_mellin_guards():
     with pytest.raises(DomainError):
         mellin_transform(bcc(), 0.0, 1000)
@@ -510,13 +539,17 @@ def test_mellin_guards():
         mellin_transform(bcc(), -0.5, 1000)
     with pytest.raises(DomainError):
         mellin_transform(bcc(), 1.0, 1)
+    with pytest.raises(DomainError):
+        mellin_transform(bcc(), float("nan"), 1000)
+    with pytest.raises(DomainError):
+        mellin_transform(bcc(), float("inf"), 1000)
 
 
 def test_mellin_agrees_with_series_evaluation():
     # the truncated part misses about a1 * (1 + sigma log X) X^-sigma of
     # F(sigma), so sigma = 0.1 needs X around 1e7 before the factor-2
     # bracket closes; the a-priori tail bound stays honest (larger) still
-    res = mellin_transform(bcc(), 0.1, 10**7, threads=2)
+    res = mellin_transform(bcc(), 0.1, 10**7)
     direct = abs(evaluate_F(bcc(), 0.1))
     assert direct / 2 <= abs(res.value) <= 2 * direct
     assert abs(res.value - evaluate_F(bcc(), 0.1)) <= res.tail_bound
@@ -534,9 +567,8 @@ def test_mellin_unmodified_chi3_hits_l_value():
 
 def test_mellin_block_independence():
     ref = mellin_transform(complex_mc(), 0.5, 3 * 10**4)
-    for bs, th in ((10**4, 1), (10**6, 2), (None, 3)):
-        r = mellin_transform(complex_mc(), 0.5, 3 * 10**4,
-                             block_size=bs, threads=th)
+    for bs in (10**4, 10**6, None):
+        r = mellin_transform(complex_mc(), 0.5, 3 * 10**4, block_size=bs)
         assert r.value == ref.value and r.sup_ratio == ref.sup_ratio
 
 

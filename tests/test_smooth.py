@@ -261,7 +261,7 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
     for f in (mc, cplx):
         for rule in ("dyadic", "every:1"):
             ps = partial_sums(f, x, rule, block_size=CHUNK)
-            rec = riesz_means(f, [0, 3], x, rule, threads=2)
+            rec = riesz_means(f, [0, 3], x, rule)
             assert np.array_equal(rec.row(0), ps.sums)
 
 
