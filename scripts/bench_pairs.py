@@ -12,19 +12,27 @@ and each seed, both sides run `perfbench/run.py --workload W --seed S
 run_seconds, one run at a time, the side that goes first alternating by
 pair. Then each side makes one `--trace 1` run per workload at seed 1.
 
+After each untraced run the SHA-256 of every file the run left under
+<tree>/.perfbench_out/<workload>/ (but probe/ and trace.jsonl) goes into
+the pair as that side's "outputs".
+
 The output JSON has the layout of the committed BENCH_<n>.json files:
 what, parent, machine, how, summary, pairs and trace_seed_1. In the
 summary each end-to-end metric of BENCHMARK.json gets, per side, the
 median and the quartiles (statistics.quantiles, n=4) over the pairs;
 change_wins counts the pairs where the change reads better (lower or
 higher, as BENCHMARK.json says); median_gap_exceeds_parent_iqr compares
-|median change - median parent| with the parent's q3 - q1; and
-failed_of_attempted sums perfbench's failed and attempted counts.
+|median change - median parent| with the parent's q3 - q1;
+failed_of_attempted sums perfbench's failed and attempted counts; and
+outputs_identical says whether both sides left the same files, byte for
+byte, at every seed. It only records: a change to the numerics may move
+last digits on purpose.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -82,6 +90,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: float,
     return out
 
 
+def output_hashes(tree: str, workload: str) -> dict:
+    """SHA-256 of each file a run left in its work directory, by relative
+    path; the setup probes and the trace are skipped."""
+    top = os.path.join(tree, ".perfbench_out", workload)
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = sorted(d for d in dirnames
+                             if dirpath != top or d != "probe")
+        for name in sorted(filenames):
+            if name == "trace.jsonl":
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, top)] = hashlib.sha256(
+                    fh.read()).hexdigest()
+    return out
+
+
 def _stats(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
@@ -107,6 +133,8 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     out["failed_of_attempted"] = {
         side: [sum(p[side]["failed"] for p in pairs),
                sum(p[side]["attempted"] for p in pairs)] for side in SIDES}
+    out["outputs_identical"] = all(
+        p["parent"]["outputs"] == p["change"]["outputs"] for p in pairs)
     return out
 
 
@@ -161,6 +189,7 @@ def main(argv=None) -> int:
                     print(f"bench_pairs: {wl} seed {seed} {side}",
                           file=sys.stderr, flush=True)
                     pair[side] = run_once(trees[side], wl, seed, seconds, 0)
+                    pair[side]["outputs"] = output_hashes(trees[side], wl)
                 pairs[wl].append(pair)
             summary[wl] = summarise(pairs[wl], bench["end_to_end"])
             traces[wl] = {}
@@ -191,6 +220,9 @@ def main(argv=None) -> int:
         for name, row in rows.items():
             if name == "failed_of_attempted":
                 print(f"{wl} {name} {row['parent']} -> {row['change']}")
+                continue
+            if name == "outputs_identical":
+                print(f"{wl} {name} {row}")
                 continue
             print(f"{wl} {name} {row['parent']['median']:.4g} ->"
                   f" {row['change']['median']:.4g}"

@@ -37,8 +37,10 @@ MAX_MODULUS = 10**6
 SPAN = 1 << 16
 # Most bytes of temporaries one step of such a build holds on top of the
 # table it fills, whatever q: about 1 MiB for a dlog or angle table, 4-6
-# MiB for the complex chi prefix of `sieve` (digit lookups and the
-# compensated fold, ~15 float64 arrays of SPAN entries).
+# MiB for the complex chi prefix of `sieve`, set by its digit-table
+# lookups (3.25 MiB for SPAN values from two tables, 5 MiB from three;
+# the compensated fold beside them holds about 1 MiB). `csvrows` writes
+# CSV rows within the same budget.
 SPAN_BUDGET = 128 * SPAN
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -4,6 +4,13 @@ Output discipline: data (CSV, JSON) goes to the requested file or to
 stdout; progress and summaries go to stdout only when they will not mix
 with data, otherwise stderr. All floats print at 17 significant digits,
 so identical configs reproduce byte-identical files.
+
+CSV rows are written by numpy (`csvrows`). A float's 17 digits come from
+one longdouble product with an exactly parsed power of ten, laid out by
+C's %g rules; near-ties of that product and special values (0, inf, nan,
+subnormals, |v| outside [1e-300, 1e300]) go through Python's formatter.
+The bytes equal '%.17g' % v for every double. Where longdouble is only a
+double, every value takes the Python route.
 Exit codes: 0 success, 1 computational failure, 2 config or usage error.
 """
 
@@ -11,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -23,6 +29,7 @@ import numpy as np
 from .analysis import fit_riesz_polynomial, growth_check
 from .characters import character_from_label, enumerate_characters, parity
 from .config import RunConfig, parse_config
+from .csvrows import csv_text
 from .diophantine import (continued_fraction, min_riesz_order,
                           pole_series_diagnostic)
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
@@ -113,36 +120,25 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _csv(header: str, row: str, columns) -> str:
-    """header, then one `row % values` line per row of the columns: a
-    single % over the interleaved values."""
-    n = len(columns[0])
-    return header + (row * n) % tuple(itertools.chain.from_iterable(
-        zip(*columns)))
-
-
 def _sums_csv(series) -> str:
-    xs = series.checkpoints.tolist()
+    xs = series.checkpoints
     if series.exact_sums is not None:   # |M| <= 1e9: %d prints the digits
-        return _csv("x,re_sum,im_sum\n", "%d,%d,0\n",
-                    (xs, series.exact_sums.tolist()))
-    return _csv("x,re_sum,im_sum\n", "%d,%.17g,%.17g\n",
-                (xs, series.sums.real.tolist(), series.sums.imag.tolist()))
+        return csv_text("x,re_sum,im_sum\n", [(
+            xs, series.exact_sums, np.broadcast_to(np.int64(0), xs.shape))])
+    return csv_text("x,re_sum,im_sum\n",
+                    [(xs, series.sums.real, series.sums.imag)])
 
 
 def _riesz_csv(record) -> str:
-    xs = record.checkpoints.tolist()
-    vals = record.values              # row i holds orders[i]
-    return _csv("x,k,re_value,im_value\n", "%d,%d,%.17g,%.17g\n",
-                (xs * len(record.orders),
-                 [k for k in record.orders for _ in xs],
-                 vals.real.ravel().tolist(), vals.imag.ravel().tolist()))
+    xs = record.checkpoints
+    return csv_text("x,k,re_value,im_value\n", [
+        (xs, np.broadcast_to(np.int64(k), xs.shape), row.real, row.imag)
+        for k, row in zip(record.orders, record.values)])
 
 
 def _pole_csv(trace) -> str:
-    return _csv("n,term,partial_sum\n", "%d,%.17g,%.17g\n",
-                (trace.ns.tolist(), trace.terms.tolist(),
-                 trace.partials.tolist()))
+    return csv_text("n,term,partial_sum\n",
+                    [(trace.ns, trace.terms, trace.partials)])
 
 
 def cmd_characters(args) -> int:

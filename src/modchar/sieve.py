@@ -422,10 +422,6 @@ class PartialSumSeries:
     source: ModifiedCharacter | None = field(default=None, repr=False)
     float_sums: np.ndarray | None = field(default=None, repr=False)
 
-    def rows(self):
-        for x, s in zip(self.checkpoints, self.sums):
-            yield int(x), s.real, s.imag
-
 
 @dataclass
 class RieszRecord:
@@ -441,11 +437,6 @@ class RieszRecord:
 
     def row(self, k: int) -> np.ndarray:
         return self.values[self.orders.index(k)]
-
-    def rows(self):
-        for i, k in enumerate(self.orders):
-            for x, v in zip(self.checkpoints, self.values[i]):
-                yield int(x), k, v.real, v.imag
 
 
 def _merge_cuts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -566,7 +557,7 @@ def _chi_prefix(ctx: SieveContext, n: int):
         vals[t < 0] = 0
         if a == 0:
             vals[0] = 0             # X(0) = 0, not chi(q) = chi(0)
-        out[a:a + SPAN] = fold.add_many(vals)
+        fold.add_many(vals, out=out[a:a + SPAN])
     return out, x_q
 
 

@@ -33,17 +33,36 @@ class NeumaierSum:
             self.c += (x - t) + self.s
         self.s = t
 
-    def add_many(self, x: np.ndarray) -> np.ndarray:
+    def add_many(self, x: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
         """add() each x_i in turn, returning the value after each, bit for bit:
-        np.cumsum is a sequential fold, s_i = fl(s_(i-1) + x_i) as in add()."""
+        np.cumsum is a sequential fold, s_i = fl(s_(i-1) + x_i) as in add().
+        The values go to `out` (a float64 array or view of len(x)) if given;
+        besides it the fold holds two float64 arrays of len(x) + 1 and one
+        bool mask."""
         x = np.asarray(x, dtype=np.float64)
-        run = np.cumsum(np.concatenate(([self.s], x)))
+        n = len(x)
+        if out is None:
+            out = np.empty(n)
+        run = np.empty(n + 1)               # s before x_0, then each s_i
+        run[0] = self.s
+        run[1:] = x
+        np.cumsum(run, out=run)
         prev, s = run[:-1], run[1:]
-        e = np.where(np.abs(prev) >= np.abs(x), (prev - s) + x, (x - s) + prev)
-        c = np.cumsum(np.concatenate(([self.c], e)))[1:]
-        if len(x):
+        c = np.empty(n + 1)                 # c before x_0, then each error
+        e = c[1:]
+        np.abs(prev, out=out)
+        np.abs(x, out=e)
+        big = out >= e
+        np.subtract(x, s, out=e)            # (x - s) + prev, and where
+        e += prev                           # |prev| >= |x|, (prev - s) + x
+        np.subtract(prev, s, out=e, where=big)
+        np.add(e, x, out=e, where=big)
+        c[0] = self.c
+        np.cumsum(c, out=c)
+        if n:
             self.s, self.c = float(s[-1]), float(c[-1])
-        return s + c
+        return np.add(s, e, out=out)
 
     @property
     def value(self) -> float:
@@ -63,13 +82,18 @@ class ComplexNeumaierSum:
         self.re.add(z.real)
         self.im.add(z.imag)
 
-    def add_many(self, z: np.ndarray) -> np.ndarray:
-        """add() each element of z in turn; returns the value after each.
-        The state carries over, so folding an array span by span is bit
-        for bit one call on the whole array."""
-        out = np.empty(len(z), dtype=np.complex128)
-        out.real = self.re.add_many(z.real)
-        out.imag = self.im.add_many(z.imag)
+    def add_many(self, z: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """add() each element of z in turn; returns the value after each,
+        in `out` (complex128, len(z)) if given. The state carries over, so
+        folding an array span by span is bit for bit one call on the whole
+        array. The parts fold straight into out.real and out.imag, so at
+        2^16 values the fold peaks near 2.1 MiB besides z, 1 MiB of it the
+        result."""
+        if out is None:
+            out = np.empty(len(z), dtype=np.complex128)
+        self.re.add_many(z.real, out=out.real)
+        self.im.add_many(z.imag, out=out.imag)
         return out
 
     @property

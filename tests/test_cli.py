@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from modchar import csvrows
 from modchar.characters import character_from_label
 from modchar.cli import _fmt, _sums_csv, main
 from modchar import lfunctions
@@ -481,3 +484,75 @@ def test_riesz_and_pole_csv_match_the_per_row_formula():
     # an empty table is its header
     empty = PartialSumSeries(xs[:0], z[:0], None, 1, "r", "d")
     assert _sums_csv(empty) == "x,re_sum,im_sum\n"
+
+
+def _column_csv(values, dtype):
+    """The CSV writer's lines for one column, without a header."""
+    return csvrows.csv_text("", [(np.array(values, dtype=dtype),)])
+
+
+def _per_value(values, spec):
+    return "".join(spec % v + "\n" for v in values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+@example([2**63 - 1, -(2**63 - 1), -2**63, 0, -1, 9, 10, 99, 100, -100])
+def test_int_fields_match_percent_d(ns):
+    assert _column_csv(ns, np.int64) == _per_value(ns, "%d")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(width=64), max_size=40))
+def test_float_fields_match_percent_17g(vs):
+    assert _column_csv(vs, np.float64) == _per_value(vs, "%.17g")
+
+
+def _float_cases():
+    """Doubles where a %.17g writer goes wrong first."""
+    tiny = 5e-324
+    cases = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
+             tiny, -tiny, 3 * tiny, 2.2250738585072009e-308,  # subnormals
+             2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1e-300, 1e300,
+             # where %g switches between fixed and exponent notation
+             9.9999999999999995e-5, 1e-4, 1e16, 9.999999999999999e16,
+             1e17, 123456789012345678.0, 0.5, 1.0, 100.0]
+    for k in range(-30, 31):               # 10^k and both neighbours
+        x = float(f"1e{k}")
+        cases += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    cases += [1.5 * 10.0**k for k in range(100, 309, 13)]     # e+XXX
+    cases += [-2.5 * 10.0**-k for k in range(100, 300, 17)]   # e-XXX
+    # 1 + m 2^-17, m odd: 18 significant digits ending in 5, so the 17th
+    # rounds half to even
+    cases += [1 + m * 2.0**-17 for m in range(1, 2**12, 2)]
+    # within 0.005 of a half-unit in the 17th digit, where a longdouble
+    # product alone rounds the wrong way
+    cases += [38285990747.16645, -1.477821946937792e-14, 0.6406216692486865,
+              -2.3045635512501467e-05, 7.90502263664952e-20,
+              -72.51361207651655, -81.88017550119005, -0.532723874825441]
+    return cases
+
+
+def test_float_fields_fixed_cases():
+    cases = _float_cases()
+    assert _column_csv(cases, np.float64) == _per_value(cases, "%.17g")
+
+
+def test_float_fields_without_a_wide_longdouble_take_pythons_route(
+        monkeypatch):
+    # a double's eps puts the margin above 1/2: every value falls back,
+    # as where longdouble is only a double, and the bytes stay the same
+    rng = np.random.default_rng(11)
+    vs = _float_cases() + list(rng.normal(size=3000)
+                               * 10.0 ** rng.integers(-30, 30, 3000))
+    want = _per_value(vs, "%.17g")
+    assert _column_csv(vs, np.float64) == want
+    eps = float(np.finfo(np.float64).eps)
+    monkeypatch.setattr(csvrows, "_TIE_MARGIN", 1e17 * eps * (1 + eps))
+    calls = []
+    real_format = csvrows._python_fields
+    monkeypatch.setattr(csvrows, "_python_fields",
+                        lambda v: calls.append(len(v)) or real_format(v))
+    assert _column_csv(vs, np.float64) == want
+    assert sum(calls) == len(vs)

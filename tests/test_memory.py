@@ -1,4 +1,5 @@
-"""Peak memory of the O(q) table builds and of the block walk.
+"""Peak memory of the O(q) table builds, the block walk, the compensated
+fold and the CSV writer.
 
 NumPy reports its array buffers to tracemalloc, so a traced peak counts
 every array a call holds at once. A table build at q = 999983 may hold at
@@ -13,13 +14,15 @@ import warnings
 import numpy as np
 import pytest
 
+from modchar import cli, csvrows
 from modchar.characters import (SPAN_BUDGET, Character, CharacterGroup,
                                 character_group)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
-from modchar.sieve import (SieveContext, _chi_prefix, _sieve_sums,
-                           checkpoints_from_rule, mellin_transform,
-                           riesz_means)
+from modchar.sieve import (RieszRecord, SieveContext, _chi_prefix,
+                           _sieve_sums, checkpoints_from_rule,
+                           mellin_transform, riesz_means)
+from modchar.summation import ComplexNeumaierSum
 
 Q = 999983
 
@@ -98,3 +101,32 @@ def test_one_block_alive_during_the_walk(route):
     _, peak4, kept4 = _traced(lambda: run(4 * BLOCK))
     assert peak4 <= peak1 + (kept4 - kept1) + BLOCK, \
         (peak1 / 2**20, peak4 / 2**20)
+
+
+def test_complex_fold_runs_in_its_result():
+    # 2^16 values: the result is 1 MiB; the two parts fold straight into
+    # it through two float64 arrays and a mask, not ~10 temporaries
+    z = np.random.default_rng(5).normal(size=(1 << 16, 2)) @ [1, 1j]
+    out, peak, kept = _traced(lambda: ComplexNeumaierSum().add_many(z))
+    assert kept >= out.nbytes == 1 << 20
+    assert peak <= 2.25 * 2**20, peak / 2**20
+
+
+def test_riesz_csv_transient_within_span_budget():
+    # 2^18 rows: four orders at 2^16 checkpoints, magnitudes 1e-20..1e20
+    n = 1 << 16
+    rng = np.random.default_rng(6)
+    xs = np.cumsum(rng.integers(1, 1000, n)) * 10**4
+    vals = rng.normal(size=(4, n, 2)) @ [1, 1j] * 10.0 ** rng.integers(
+        -20, 20, (4, n))
+    rec = RieszRecord((0, 3, 13, 39), xs, vals, False, int(xs[-1]), "d")
+    text, peak, kept = _traced(lambda: cli._riesz_csv(rec))
+    assert kept >= len(text) > 4 * n * 40
+    # one span of rows holds at most SPAN_BUDGET beyond its text; joining
+    # the span texts into one str holds them beside the result once more
+    assert peak - 2 * kept <= SPAN_BUDGET, (peak - kept) / 2**20
+    rows = csvrows._CSV_ROWS
+    cols = [xs[:rows], np.full(rows, 39), vals[0, :rows].real,
+            vals[0, :rows].imag]
+    span, peak, kept = _traced(lambda: csvrows._rows(cols))
+    assert peak - kept <= SPAN_BUDGET, (peak - kept) / 2**20
