@@ -30,8 +30,7 @@ from .modified import (ModifiedCharacter, build_modified, compute_N,
 from .presets import PRESET_NAMES, PresetBundle, preset_config, run_preset
 from .roots import CyclotomicSum, UnitValue
 from .sieve import (PartialSumSeries, RieszRecord, checkpoints_from_rule,
-                    mellin_transform, partial_sums, riesz_means,
-                    sieve_values)
+                    mellin_transform, partial_sums, riesz_means)
 
 __version__ = "0.1.0"
 
@@ -55,6 +54,6 @@ __all__ = [
     "PRESET_NAMES", "PresetBundle", "preset_config", "run_preset",
     "CyclotomicSum", "UnitValue",
     "PartialSumSeries", "RieszRecord", "checkpoints_from_rule",
-    "mellin_transform", "partial_sums", "riesz_means", "sieve_values",
+    "mellin_transform", "partial_sums", "riesz_means",
     "__version__",
 ]

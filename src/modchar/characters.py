@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidModulusError, InvariantError
+from .errors import ConfigError, InvalidModulusError, InvariantError
 from .roots import UnitValue
 
 MAX_MODULUS = 10**6
@@ -431,7 +431,11 @@ def is_primitive(chi: Character) -> bool:
 def character_from_label(label: str) -> Character:
     """Resolve a q.j label back to the character with that generator image."""
     q_str, _, j_str = label.partition(".")
-    q, j = int(q_str), int(j_str)
+    try:
+        q, j = int(q_str), int(j_str)
+    except ValueError:
+        raise ConfigError(f"label {label!r} is not q.j with integers q"
+                          f" and j") from None
     grp = character_group(q)
     ks = grp.dlogs(j % q if q > 1 else 0)
     if ks is None:

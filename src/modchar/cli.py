@@ -37,7 +37,7 @@ from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
 from .lfunctions import (LContext, L_value_with_bound,
                          functional_equation_check, leading_coefficient)
 from .presets import PRESET_NAMES, run_preset
-from .sieve import DEFAULT_BLOCK, partial_sums, riesz_means
+from .sieve import partial_sums, riesz_means
 
 _GROUP_LABEL = {1: "(1 - chi(p))/log p",
                 2: "log p/(1 - f(p))",
@@ -188,8 +188,7 @@ def cmd_describe(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     mc = cfg.modified()
-    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=args.block_size)
+    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints)
     _write_text(cfg.out, _sums_csv(series))
     if cfg.out not in (None, "-"):
         print(f"wrote {cfg.out}: {len(series.checkpoints)} checkpoints"
@@ -202,8 +201,7 @@ def cmd_riesz(args) -> int:
     mc = cfg.modified()
     ks = cfg.resolved_orders(mc)
     record = riesz_means(mc, ks, cfg.x_max, checkpoints=cfg.checkpoints,
-                         normalized=cfg.normalized,
-                         block_size=args.block_size)
+                         normalized=cfg.normalized)
     _write_text(cfg.out, _riesz_csv(record))
     if cfg.out not in (None, "-"):
         print(f"wrote {cfg.out}: orders {list(ks)},"
@@ -306,7 +304,7 @@ def cmd_poleseries(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    bundle = run_preset(args.name, x_max=args.xmax, block_size=args.block_size)
+    bundle = run_preset(args.name, x_max=args.xmax)
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, f"{args.name}_sums.csv")
     _write_text(csv_path, _sums_csv(bundle.series))
@@ -364,8 +362,7 @@ def cmd_verify(args) -> int:
     print(f"config {mc.digest()}: T = {mc.sign_shift}, N = {n},"
           f" k_min = {k_min} at gamma = {_fmt(cfg.gamma)}, running k = {k}")
 
-    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=args.block_size)
+    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints)
     upper = growth_check(series, exponent=len(mc.primes), mode="upper")
     print(f"upper: sup |M(x)|/(log x)^{len(mc.primes)}"
           f" = {_fmt(upper.sup)}, {upper.verdict}")
@@ -378,8 +375,7 @@ def cmd_verify(args) -> int:
         print("omega: skipped, N = 0 promises no growth")
 
     record = riesz_means(mc, sorted({0, k}), cfg.x_max,
-                         checkpoints=cfg.checkpoints,
-                         block_size=args.block_size)
+                         checkpoints=cfg.checkpoints)
     fit = None
     fit_report: dict = {}
     below = False
@@ -476,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None,
                            help="output file ('-' or omit for stdout)")
 
-    def with_engine(p):
-        p.add_argument("--block-size", type=_int_arg, default=None,
-                       help=f"sieve block length (default"
-                            f" 2^{DEFAULT_BLOCK.bit_length() - 1})")
-
     p = sub.add_parser("characters", help="list all characters mod q")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--json", action="store_true")
@@ -493,14 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="partial sums CSV over checkpoints")
     with_config(p, checkpoints=True, out=True)
-    with_engine(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("riesz", help="Riesz means CSV for orders k")
     with_config(p, checkpoints=True, out=True)
     p.add_argument("--k", type=_orders_arg, default=None,
                    help="auto, an integer, or a comma list like 0,13")
-    with_engine(p)
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("coeff", help="leading coefficient a_(N+k) breakdown")
@@ -552,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto (default) or an explicit order")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--outdir", default=".")
-    with_engine(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("preset", help="run a packaged configuration")
@@ -560,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=_int_arg, default=10**6)
     p.add_argument("--outdir", default=".")
     p.add_argument("--json", action="store_true")
-    with_engine(p)
     p.set_defaults(func=cmd_preset)
 
     return ap

@@ -264,7 +264,7 @@ def _parse_character(text, path, doc) -> Character:
             _fail(text, path + ("label",), "label must be a string like '3.2'")
         try:
             by_label = character_from_label(label)
-        except (ModCharError, ValueError) as e:
+        except ModCharError as e:
             _fail(text, path + ("label",), str(e))
     if modulus is None and exponents is None:
         return by_label

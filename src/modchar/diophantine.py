@@ -43,6 +43,11 @@ MIN_BITS = 128
 MAX_SERIES_N = 10**7
 _FRAC_BITS = 63
 _SERIES_BLOCK = 1 << 20
+# pole_series_diagnostic keeps every row for n <= _FULL_ROWS, then only
+# the checkpoints
+_FULL_ROWS = 4096
+# fitted_lower_constant skips convergents with a denominator above this
+_MAX_B = 10**6
 
 
 def _scaled_log(n: int, bits: int) -> int:
@@ -193,9 +198,9 @@ def bugeaud_mu(p: int, q: int, gamma: float) -> float:
     return gamma * (math.log(p) * math.log(q))
 
 
-def fitted_lower_constant(table: ConvergentTable, gamma: float = 1.0,
-                          max_denominator: int = 10**6) -> float:
-    """Empirical inf of |alpha - h/b| * b^(mu+1) over the table's convergents.
+def fitted_lower_constant(table: ConvergentTable, gamma: float = 1.0) -> float:
+    """Empirical inf of |alpha - h/b| * b^(mu+1) over the table's convergents
+    with 2 <= b <= _MAX_B.
 
     A recorded lower bound for the constant C(p, q); nothing is proved by
     it, the convergents are merely the worst rationals available.
@@ -203,7 +208,7 @@ def fitted_lower_constant(table: ConvergentTable, gamma: float = 1.0,
     mu = bugeaud_mu(table.p, table.q, gamma)
     best = math.inf
     for (h, b), quality in zip(table.convergents, table.quality):
-        if b < 2 or b > max_denominator or not math.isfinite(quality):
+        if b < 2 or b > _MAX_B or not math.isfinite(quality):
             continue
         # |alpha - h/b| = b^(-quality)
         best = min(best, b ** (mu + 1 - quality))
@@ -214,7 +219,7 @@ def min_riesz_order(mc: ModifiedCharacter, gamma: float) -> int:
     """Least admissible Riesz order: ceil(10 + gamma (|S|+1) max (log p)^2).
 
     With S empty there are no off-axis poles to dodge and any order works,
-    so the answer is 0.
+    so the answer is 0. DomainError if the threshold overflows a float.
     """
     if not 0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
@@ -222,7 +227,10 @@ def min_riesz_order(mc: ModifiedCharacter, gamma: float) -> int:
     if not primes:
         return 0
     worst = max(math.log(p) for p in primes) ** 2
-    return math.ceil(10 + gamma * (len(primes) + 1) * worst)
+    threshold = 10 + gamma * (len(primes) + 1) * worst
+    if not math.isfinite(threshold):
+        raise DomainError(f"the order threshold overflows at gamma = {gamma:g}")
+    return math.ceil(threshold)
 
 
 @dataclass(frozen=True)
@@ -264,13 +272,13 @@ def _fixed_point_angles(others: list[int], anchor: int) -> list[int]:
 
 
 def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
-                           n_max: int, record_cap: int = 4096) -> PoleSeriesTrace:
+                           n_max: int) -> PoleSeriesTrace:
     """Partial sums of sum_n n^(-k) prod_{p in S, p != anchor} 1/|1 - e(n a_p)|.
 
     a_p = log p / log anchor. The product factor spikes exactly when some
     n a_p is near an integer, i.e. at convergent denominators of a_p, so the
     trace keeps every running record of the product alongside geometrically
-    spaced partial sums. Full per-n rows are kept while n <= record_cap.
+    spaced partial sums. Full per-n rows are kept while n <= _FULL_ROWS.
 
     Each block of _SERIES_BLOCK integers is a few whole-array passes: the
     63-bit fixed-point angles n a_p mod 1 as one wrapping uint64 product
@@ -347,8 +355,8 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
             sum_g_tail += float(np.sum(g[cut - lo:]))
             cnt_tail += hi - cut
 
-        a, b = np.searchsorted(checkpoints, (max(lo, record_cap + 1), hi))
-        keep = np.concatenate((np.arange(max(min(hi, record_cap + 1) - lo, 0)),
+        a, b = np.searchsorted(checkpoints, (max(lo, _FULL_ROWS + 1), hi))
+        keep = np.concatenate((np.arange(max(min(hi, _FULL_ROWS + 1) - lo, 0)),
                                checkpoints[a:b] - lo))
         running = acc.value + np.cumsum(term)
         ns.append(lo + keep)

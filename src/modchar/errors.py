@@ -41,10 +41,6 @@ class OrderTooLargeError(ModCharError, ValueError):
     """Riesz order k exceeds the float-safe ceiling."""
 
 
-class BlockSizeError(ModCharError, ValueError):
-    """Sieve block size unusable for the requested range."""
-
-
 class PoleError(ModCharError, ArithmeticError):
     """Evaluation point sits exactly on a pole.
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +39,15 @@ from .modified import ModifiedCharacter, compute_pole_order
 from .roots import CyclotomicSum, turns_cos_sin
 
 MAX_ABS_S = 100.0
+# The Euler-Maclaurin cut hurwitz_zeta_with_bound starts from: M power
+# terms and B Bernoulli terms, raised from there until the truncation bound
+# meets eps.
+_START_M = 8
+_START_B = 20
+# Largest |L'(0) direct - L'(0) via the functional equation| Lprime0 accepts.
+_LPRIME0_GAP = 1e-8
+# Distance to a pole of euler_factor_ratio below which it warns.
+_NEAR_POLE = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -223,9 +232,8 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
     return val, rounding
 
 
-def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
-                            *, q: int = 1, angles=None,
-                            order: int = 1) -> tuple[complex, float]:
+def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
+                            angles=None, order: int = 1) -> tuple[complex, float]:
     """q^(-s) sum_i e(angles_i/order) zeta(s, a_i/q) with a rigorous error bound.
 
     With the defaults this is zeta(s, a) for one 0 < a <= 1 (or the sum over
@@ -235,8 +243,8 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
 
     The returned bound is absolute and sums three parts:
     - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
-      and scaled by q^(-sigma). M and B escalate, once for the whole vector,
-      until it is at most eps/8.
+      and scaled by q^(-sigma). M and B escalate from _START_M and _START_B,
+      once for the whole vector, until it is at most eps/8.
     - rounding: every term is evaluated in np.clongdouble (see _em_sum) and
       the bound adds K u sum|terms added| |q^(-s)|, u the longdouble unit
       roundoff, plus 14 u sum_j j |Bernoulli term j|. To first order in u,
@@ -272,8 +280,8 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, M: int = 8, B: int = 20,
                           f" is supported")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
-    B = max(B, int((2 - s.real) / 2) + 3)
-    M = max(M, int(abs(s)))
+    B = max(_START_B, int((2 - s.real) / 2) + 3)
+    M = max(_START_M, int(abs(s)))
     a64 = num / q
     a_min = float(a64.min())
     scale = q ** -s.real
@@ -394,10 +402,6 @@ class LContext:
 
     chi: Character
     eps: float = 1e-12
-    em_shift: int = 8
-    bernoulli_depth: int = 20
-    _tau: complex | None = field(default=None, repr=False)
-    _eps_chi: complex | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # checked here, not only in hurwitz_zeta_with_bound, because the
@@ -410,27 +414,22 @@ class LContext:
     def kappa(self) -> int:
         return 0 if parity(self.chi) == 1 else 1
 
-    @property
+    @cached_property
     def tau(self) -> complex:
-        if self._tau is None:
-            self._tau = gauss_sum(self.chi)
-        return self._tau
+        return gauss_sum(self.chi)
 
-    @property
+    @cached_property
     def root_number(self) -> complex:
         """epsilon(chi) = tau(chi)/(i^kappa sqrt(q)); unimodular if primitive."""
-        if self._eps_chi is None:
-            q = self.chi.modulus
-            eps_chi = self.tau / (1j ** self.kappa * math.sqrt(q))
-            if is_primitive(self.chi) and abs(abs(eps_chi) - 1) > 10 * self.eps:
-                raise PrecisionError(
-                    f"|epsilon(chi)| = {abs(eps_chi)!r} should be 1 for"
-                    f" primitive chi {self.chi.label}")
-            self._eps_chi = eps_chi
-        return self._eps_chi
+        eps_chi = self.tau / (1j ** self.kappa * math.sqrt(self.chi.modulus))
+        if is_primitive(self.chi) and abs(abs(eps_chi) - 1) > 10 * self.eps:
+            raise PrecisionError(
+                f"|epsilon(chi)| = {abs(eps_chi)!r} should be 1 for"
+                f" primitive chi {self.chi.label}")
+        return eps_chi
 
 
-def _l_at_one(chi: Character, eps: float) -> complex:
+def _l_at_one(chi: Character) -> complex:
     """L(1, chi) for non-principal chi: -(1/q) sum chi(a) psi(a/q).
 
     The Hurwitz route has a removable singularity at s = 1 (each term poles,
@@ -438,7 +437,6 @@ def _l_at_one(chi: Character, eps: float) -> complex:
     array pass: chi(a) from `_char_vector` and `_unit_roots`, psi(a/q) from
     the array form of `digamma`, summed in clongdouble.
     """
-    del eps
     r, k, order = _char_vector(chi)
     q = chi.modulus
     return complex(-(_unit_roots(k, order) * digamma(r / q)).sum() / q)
@@ -458,11 +456,10 @@ def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
     if s == 1:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
-        return _l_at_one(chi, ctx.eps), None
+        return _l_at_one(chi), None
     r, k, order = _char_vector(chi)
-    return hurwitz_zeta_with_bound(s, r, ctx.eps, ctx.em_shift,
-                                   ctx.bernoulli_depth, q=chi.modulus,
-                                   angles=k, order=order)
+    return hurwitz_zeta_with_bound(s, r, ctx.eps, q=chi.modulus, angles=k,
+                                   order=order)
 
 
 def L_value(ctx: LContext, s) -> complex:
@@ -509,7 +506,7 @@ def lprime0_direct(chi: Character) -> complex:
     return complex((_unit_roots(k, order) * lgammas).sum())
 
 
-def lprime0_functional(chi: Character, eps: float = 1e-12) -> complex:
+def lprime0_functional(chi: Character) -> complex:
     """L'(0, chi) = epsilon(chi) sqrt(q) L(1, conj chi) / 2, the second route."""
     if parity(chi) != 1:
         raise ParityError("L'(0, chi) formula requires even chi")
@@ -517,32 +514,31 @@ def lprime0_functional(chi: Character, eps: float = 1e-12) -> complex:
         raise PrimitivityError("principal characters excluded (L is not entire)")
     if not is_primitive(chi):
         raise PrimitivityError("functional-equation route requires primitive chi")
-    ctx = LContext(chi, eps)
-    lbar = _l_at_one(chi.conjugate(), eps)
-    return ctx.root_number * math.sqrt(chi.modulus) * lbar / 2
+    lbar = _l_at_one(chi.conjugate())
+    return LContext(chi).root_number * math.sqrt(chi.modulus) * lbar / 2
 
 
-def Lprime0(chi: Character, eps: float = 1e-12,
-            agreement: float = 1e-8) -> complex:
-    """L'(0, chi) with the mandatory two-route agreement check."""
+def Lprime0(chi: Character) -> complex:
+    """L'(0, chi) with the mandatory two-route check: PrecisionError if the
+    routes differ by more than _LPRIME0_GAP."""
     direct = lprime0_direct(chi)
-    via_fe = lprime0_functional(chi, eps)
+    via_fe = lprime0_functional(chi)
     gap = abs(direct - via_fe)
-    if gap > agreement:
+    if gap > _LPRIME0_GAP:
         raise PrecisionError(
             f"L'(0, chi) routes disagree by {gap:.3e} for {chi.label}",
             suggested={"direct": direct, "functional": via_fe})
     return direct
 
 
-def euler_factor_ratio(mc: ModifiedCharacter, s,
-                       near_tol: float = 1e-8) -> complex:
+def euler_factor_ratio(mc: ModifiedCharacter, s) -> complex:
     """prod over S of (1 - chi(p) p^-s) / (1 - f(p) p^-s).
 
     Poles sit exactly at s = 2*pi*i*(a_p/b_p + n)/log p where
     f(p) = e(a_p/b_p). The nearest lattice point is computed from the exact
-    angle; a hit raises PoleError carrying (p, n), a near miss (< near_tol)
-    computes the value but emits NearPoleWarning with the exact location.
+    angle; a hit raises PoleError carrying (p, n), a near miss (closer than
+    _NEAR_POLE) computes the value but emits NearPoleWarning with the exact
+    location.
     """
     s = complex(s)
     chi = mc.base
@@ -557,7 +553,7 @@ def euler_factor_ratio(mc: ModifiedCharacter, s,
             raise PoleError(
                 f"s = {s} is a pole of the factor at p = {p} (branch n = {n_near})",
                 prime=p, index=n_near)
-        if dist < near_tol:
+        if dist < _NEAR_POLE:
             warnings.warn(
                 f"s within {dist:.2e} of the pole at p={p}, n={n_near},"
                 f" location {s_pole}", NearPoleWarning, stacklevel=2)

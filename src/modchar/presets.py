@@ -56,9 +56,9 @@ NOTES = {
 }
 
 
-def preset_config(name: str, x_max: int = 10**6,
-                  checkpoints: str = "geometric:1.01") -> RunConfig:
-    """The RunConfig behind a preset name, overridable range and grid."""
+def preset_config(name: str, x_max: int = 10**6) -> RunConfig:
+    """The RunConfig behind a preset name, on the grid geometric:1.01, with
+    an overridable range."""
     if name not in PRESET_NAMES:
         raise DomainError(f"unknown preset {name!r}; choose from"
                           f" {', '.join(PRESET_NAMES)}")
@@ -66,7 +66,7 @@ def preset_config(name: str, x_max: int = 10**6,
         "character": {"label": "3.2"},
         "modifications": [{"p": p, "angle": a} for p, a in _MODS[name]],
         "x_max": int(x_max),
-        "checkpoints": checkpoints,
+        "checkpoints": "geometric:1.01",
         "orders": "auto",
     }
     return parse_config_text(json.dumps(doc), source=f"<preset {name}>")
@@ -105,8 +105,7 @@ class PresetBundle:
         }
 
 
-def run_preset(name: str, x_max: int = 10**6,
-               block_size: int | None = None) -> PresetBundle:
+def run_preset(name: str, x_max: int = 10**6) -> PresetBundle:
     """Sieve a preset and package partial sums plus its growth headline.
 
     The ratio sup is |M(x)| / (log x)^e over checkpoints x >= 2, with
@@ -115,8 +114,7 @@ def run_preset(name: str, x_max: int = 10**6,
     """
     cfg = preset_config(name, x_max=x_max)
     mc = cfg.modified()
-    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints,
-                          block_size=block_size)
+    series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints)
     n = mc.pole_order
     e = n if n >= 1 else len(mc.primes)
     xs = series.checkpoints.astype(np.float64)

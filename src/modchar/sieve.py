@@ -41,18 +41,18 @@ real chi, 16 for complex). A block's working set is its angles, zero mask
 and values: about 30 bytes per integer for complex f and 9 for real f
 under `partial_sums`, and 65-75 under `riesz_means` and
 `mellin_transform`, whose longdouble logs and powers are per block too
-(7.5 and 18 MiB at the default 2^18). `_walk` and its consumers drop a
+(7.5 and 18 MiB at BLOCK = 2^18). `_walk` and its consumers drop a
 block's arrays before the next block is built, so two blocks are never
 alive at once. A span is the temporaries of the one O(q) or O(block)
 builder running, which works SPAN entries at a time: at most
-`characters.SPAN_BUDGET` bytes, whatever q or the block size.
+`characters.SPAN_BUDGET` bytes, whatever q or BLOCK.
 
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
 folds the piece sums into M once (exact integers for real f, a compensated
 fold otherwise). Sieved partial sums, Riesz means and the Mellin transform
-all read M from it, so every reported sum is bit-identical under any block
-size; the smooth route never sees blocks. Riesz means of all requested
+all read M from it, so every reported sum is bit-identical whatever BLOCK
+is; the smooth route never sees blocks. Riesz means of all requested
 orders come out of the same pass: power sums
 P_j = sum f(n) (log n - c)^j per chunk, centered at each chunk's own
 log-midpoint c, recombined binomially at checkpoints in longdouble. Past
@@ -73,14 +73,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import SPAN, eval_char, periodic_slice
-from .errors import BlockSizeError, DomainError, OrderTooLargeError
+from .errors import DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
 from .summation import CHUNK, ComplexNeumaierSum, chunk_cuts, piecewise_sums
 
-# 2^18 entries: a complex block's angles and values stay in cache
-DEFAULT_BLOCK = 1 << 18
-MAX_BLOCK = 1 << 22
+# Integers per sieve block, a multiple of CHUNK (the walk and the Riesz
+# and Mellin passes read each block's pieces off the chunk grid). 2^18: a
+# complex block's angles and values stay in cache.
+BLOCK = 1 << 18
 MAX_SIEVE_X = 10**9
 MAX_ORDER = 200
 # Largest angle denominator D: above 2^53 the int64 angle arithmetic of
@@ -190,26 +191,17 @@ def chi_angle_table(chi, scale: int, dtype) -> np.ndarray:
 
 class SieveContext:
     """One modified character's tables up to x_max, shared by every route
-    of a call; tables (of `unit_tables`) is None for real f (D <= 2).
+    of a call; tables (of `unit_tables`) is None for real f (D <= 2). Its
+    blocks (`iter_blocks`) are BLOCK integers long.
 
     Memory (see the module docstring): a call on this context peaks at the
     tables it keeps, plus one block's working set, plus one span of at most
     `characters.SPAN_BUDGET` bytes."""
 
-    def __init__(self, mc: ModifiedCharacter, x_max: int,
-                 block_size: int | None = None):
+    def __init__(self, mc: ModifiedCharacter, x_max: int):
         x_max = _whole("x_max", x_max)
         if x_max < 0 or x_max > MAX_SIEVE_X:
             raise DomainError(f"x_max must be in [0, {MAX_SIEVE_X}], got {x_max}")
-        bs = DEFAULT_BLOCK if block_size is None else whole_number(block_size)
-        if bs is None or bs < 1:
-            raise BlockSizeError(f"block size must be a positive whole number,"
-                                 f" got {block_size!r}")
-        if bs > MAX_BLOCK:
-            raise BlockSizeError(
-                f"block size {bs} exceeds the memory budget; the engine holds"
-                f" several 8-byte arrays per element, use <= {MAX_BLOCK}")
-        self.block = -(-bs // CHUNK) * CHUNK    # on the chunk grid
         self.mc = mc
         self.x_max = x_max
         chi = mc.base
@@ -295,18 +287,10 @@ class SieveContext:
 
     def iter_blocks(self):
         """Yield (lo, hi, block_values(lo, hi)) for the blocks of [1, x_max],
-        in order."""
-        for lo in range(1, self.x_max + 1, self.block):
-            hi = min(lo + self.block, self.x_max + 1)
+        BLOCK integers each but the last, in order."""
+        for lo in range(1, self.x_max + 1, BLOCK):
+            hi = min(lo + BLOCK, self.x_max + 1)
             yield lo, hi, self.block_values(lo, hi)
-
-
-def sieve_values(mc: ModifiedCharacter, x_max: int,
-                 block_size: int | None = None):
-    """Stream f(1), f(2), ..., f(x_max) as complex numbers."""
-    ctx = SieveContext(mc, x_max, block_size)
-    for _, _, vals in ctx.iter_blocks():
-        yield from vals.astype(np.complex128, copy=False)
 
 
 def whole_number(v) -> int | None:
@@ -636,16 +620,15 @@ def _smooth_plan(ctx: SieveContext, cps: np.ndarray):
 
 
 def partial_sums(mc: ModifiedCharacter, x_max: int,
-                 checkpoint_rule="dyadic",
-                 block_size: int | None = None) -> PartialSumSeries:
+                 checkpoint_rule="dyadic") -> PartialSumSeries:
     """Partial sums M(x) at rule-selected checkpoints, by the cheaper route.
 
     Routes: the sieve (`_sieve_sums`, one pass over n <= x_max) and the
     convolution f = chi * h over the S-smooth d (`_smooth_sums`), both
     reading the one `SieveContext` this call builds. The route depends
-    only on (mc, x_max, checkpoints), never on the block size, so sums stay
-    bit-identical across block sizes. Real f gives the same exact integers
-    on both.
+    only on (mc, x_max, checkpoints), never on BLOCK, and the sieve's sums
+    do not depend on it either. Real f gives the same exact integers on
+    both.
 
     Cost model (ns, measured with numpy 2 on a 2-vCPU Xeon; the chi angle
     table, which both routes read, is left out): the sieve costs x_max
@@ -684,7 +667,7 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     """
     x_max = _whole("x_max", x_max)
     cps = checkpoints_from_rule(checkpoint_rule, x_max)
-    ctx = SieveContext(mc, x_max, block_size)
+    ctx = SieveContext(mc, x_max)
     terms = _smooth_plan(ctx, cps)
     m = _sieve_sums(ctx, cps) if terms is None else _smooth_sums(ctx, cps, terms)
     sums = m.astype(np.complex128, copy=False)
@@ -710,8 +693,7 @@ def _signed_binomials(k: int) -> np.ndarray:
 
 def riesz_means(mc: ModifiedCharacter, orders, x,
                 checkpoints="dyadic",
-                normalized: bool = False,
-                block_size: int | None = None) -> RieszRecord:
+                normalized: bool = False) -> RieszRecord:
     """Riesz means sum f(n) log(x/n)^k at checkpoints for several orders k.
 
     One sieve pass serves every order. The k = 0 row is M(x) from the
@@ -749,7 +731,7 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     if x_max < 1:
         raise DomainError("x must be at least 1")
     cps = checkpoints_from_rule(checkpoints, x_max)
-    ctx = SieveContext(mc, x_max, block_size)
+    ctx = SieveContext(mc, x_max)
     kmax = ks[-1]
     terms = _smooth_plan(ctx, cps) if ks[0] == 0 else None
     ncp = len(cps)
@@ -865,23 +847,22 @@ def _upper_gamma_int(a: int, z: float) -> float:
     return math.factorial(a) * math.exp(-z) * s
 
 
-def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut,
-                     block_size: int | None = None) -> MellinResult:
+def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut) -> MellinResult:
     """sigma * integral_1^x_cut M(x) x^(-1-sigma) dx, summed exactly.
 
     M is constant on [n, n+1), so the truncated integral is
     sum_{n < X} M(n) (n^-sigma - (n+1)^-sigma), which by parts is
     sum_{n <= X} f(n) n^-sigma - M(X) X^-sigma: no difference of nearly
     equal weights. Its piece sums go through the compensated fold on the
-    fixed chunk grid and M comes from the walk, so the result is block-size
-    independent like every other sum here.
+    fixed chunk grid and M comes from the walk, so the result does not
+    depend on BLOCK, like every other sum here.
     """
     if not 0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     X = _whole("x_cut", x_cut)
     if X < 2:
         raise DomainError("x_cut must be at least 2")
-    ctx = SieveContext(mc, X, block_size)
+    ctx = SieveContext(mc, X)
     a = len(mc.modifications)
     total = ComplexNeumaierSum()
     sup_ratio, m_before = 0.0, 0

@@ -6,7 +6,8 @@ only on the data, never on how work was split into blocks, and the chunk
 sums are folded left to right through a Neumaier accumulator (one piece
 at a time with `add`, or a whole array of pieces at once with the
 bit-identical `add_many`). Consequently every reported sum is
-bit-identical for any block size, which the test suite asserts literally.
+bit-identical whatever the sieve's block length (`sieve.BLOCK`), which the
+test suite asserts literally.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modchar import csvrows
+from modchar import csvrows, sieve
 from modchar.characters import character_from_label
 from modchar.cli import _fmt, _sums_csv, main
 from modchar import lfunctions
@@ -87,11 +87,13 @@ def test_simulate_stdout_matches_library(tmp_path, capsys):
         assert float(sre) == s.real and float(sim) == s.imag
 
 
-def test_simulate_byte_identity(tmp_path, capsys):
+def test_simulate_byte_identity(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, x_max=100000, checkpoints="geometric:1.03")
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert main(["simulate", cfg, "--out", a, "--block-size", "4096"]) == 0
-    assert main(["simulate", cfg, "--out", b, "--block-size", "65536"]) == 0
+    monkeypatch.setattr(sieve, "BLOCK", 4096)
+    assert main(["simulate", cfg, "--out", a]) == 0
+    monkeypatch.setattr(sieve, "BLOCK", 65536)
+    assert main(["simulate", cfg, "--out", b]) == 0
     wrote = capsys.readouterr().out
     assert f"wrote {a}" in wrote and f"wrote {b}" in wrote
     with open(a, "rb") as fa, open(b, "rb") as fb:
@@ -100,9 +102,14 @@ def test_simulate_byte_identity(tmp_path, capsys):
 
 def test_threads_flag_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", cfg, "--threads", "3"])
-    assert exc.value.code == 2
+    for argv in (["simulate", cfg, "--threads", "3"],
+                 ["simulate", cfg, "--block-size", "4096"],
+                 ["riesz", cfg, "--block-size", "4096"],
+                 ["verify", cfg, "--block-size", "4096"],
+                 ["preset", "bcc", "--block-size", "4096"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def _special_values():
@@ -210,6 +217,10 @@ def test_lfun_text(capsys):
     assert "skipped (needs a primitive" in capsys.readouterr().out
     assert main(["lfun", "--s", "2"]) == 2        # label is required
     assert "config error" in capsys.readouterr().err
+    for label in ("abc", "5", "5.x"):             # not q.j with integers
+        assert main(["lfun", "--label", label, "--s", "0.5"]) == 2, label
+        err = capsys.readouterr().err
+        assert err.startswith("config error: label") and "Traceback" not in err
     assert main(["lfun", "--label", "3.2", "--modulus", "5", "--s", "2"]) == 2
 
 
@@ -280,6 +291,12 @@ def test_kmin_output(tmp_path, capsys):
     assert main(["kmin", plain]) == 0
     out = capsys.readouterr().out
     assert "k_min = 0" in out and "no overrides" in out
+    # a finite gamma whose threshold overflows: exit 1, no traceback
+    huge = write_config(tmp_path, name="huge.json", gamma=1e308)
+    for argv in (["kmin", cfg, "--gamma", "1e308"], ["riesz", huge]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: the order threshold overflows"), err
 
 
 def test_poleseries_output_routing(tmp_path, capsys):

@@ -215,7 +215,8 @@ def test_min_riesz_order_thresholds():
     # up, and once gamma is small enough to round away the output is 10
     assert min_riesz_order(bcc(), 1e-12) == 11
     assert min_riesz_order(bcc(), 1e-18) == 10
-    for bad in (0.0, math.nan, math.inf):
+    # 1e308 is finite, but the threshold it gives is not
+    for bad in (0.0, math.nan, math.inf, 1e308):
         with pytest.raises(DomainError):
             min_riesz_order(bcc(), bad)
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from modchar import cli, csvrows
+from modchar import cli, csvrows, sieve
 from modchar.characters import (SPAN_BUDGET, Character, CharacterGroup,
                                 character_group)
 from modchar.modified import build_modified
@@ -81,20 +81,21 @@ BLOCK = 1 << 16
 
 @pytest.mark.parametrize("route", ["sieve_sums", "riesz_means",
                                    "mellin_transform"])
-def test_one_block_alive_during_the_walk(route):
+def test_one_block_alive_during_the_walk(route, monkeypatch):
     # complex f: a block's values are 16 bytes per integer, so a block
     # left alive while the next one is built adds 1 MiB to the peak; the
     # per-chunk arrays (Riesz centres and power sums) add a few KiB
     mc = _modified(Character(character_group(10007), (1,)),
                    {2: UnitValue.root(1, 3), 3: UnitValue.root(2, 5)})
+    monkeypatch.setattr(sieve, "BLOCK", BLOCK)
 
     def run(x):
         if route == "sieve_sums":       # the sieve route of partial_sums
-            return _sieve_sums(SieveContext(mc, x, BLOCK),
+            return _sieve_sums(SieveContext(mc, x),
                                checkpoints_from_rule("dyadic", x))
         if route == "riesz_means":
-            return riesz_means(mc, [1, 3], x, "dyadic", block_size=BLOCK)
-        return mellin_transform(mc, 0.5, x, block_size=BLOCK)
+            return riesz_means(mc, [1, 3], x, "dyadic")
+        return mellin_transform(mc, 0.5, x)
 
     run(BLOCK)                          # the chi angle table, kept
     _, peak1, kept1 = _traced(lambda: run(BLOCK))

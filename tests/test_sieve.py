@@ -1,4 +1,4 @@
-"""Sieve engine: streamed values, partial sums, Riesz means, Mellin."""
+"""Sieve engine: block values, partial sums, Riesz means, Mellin."""
 
 import math
 import warnings
@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modchar import sieve
 from modchar.characters import (SPAN, Character, character_from_label,
                                 character_group, enumerate_characters,
                                 is_prime, periodic_slice)
-from modchar.errors import BlockSizeError, DomainError, OrderTooLargeError
+from modchar.errors import DomainError, OrderTooLargeError
 from modchar.lfunctions import L_value, LContext, evaluate_F
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, SieveContext, _merge_cuts, _smooth_plan,
                            _walk, checkpoints_from_rule, mellin_transform,
-                           partial_sums, riesz_means, sieve_values)
+                           partial_sums, riesz_means)
 from modchar.summation import ComplexNeumaierSum, NeumaierSum, chunk_cuts
 
 ONE = UnitValue.one()
@@ -45,9 +46,9 @@ def complex_mc():
                           {2: MINUS, 7: UnitValue.root(1, 3)})
 
 
-def stream(mc, x, **kw):
-    return np.fromiter(sieve_values(mc, x, **kw), dtype=np.complex128,
-                       count=x)
+def stream(mc, x):
+    return np.concatenate([vals.astype(np.complex128, copy=False) for _, _, vals
+                           in SieveContext(mc, x).iter_blocks()])
 
 
 def test_first_values_and_running_sum():
@@ -300,31 +301,34 @@ def test_partial_sums_complex_route():
     assert ps.float_sums is ps.sums
 
 
-def test_block_independence():
-    # the spec pins block sizes 1e4 and 1e6
-    for mc in (bcc(), complex_mc()):
-        ref = partial_sums(mc, 2 * 10**5, "geometric:1.1")
-        rz_ref = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic")
-        for bs in (10**4, 10**6, None):
-            ps = partial_sums(mc, 2 * 10**5, "geometric:1.1", block_size=bs)
+def test_block_independence(monkeypatch):
+    # the spec pins block sizes 1e4 and 1e6, here on the chunk grid
+    mcs = (bcc(), complex_mc())
+    refs = [(partial_sums(mc, 2 * 10**5, "geometric:1.1"),
+             riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic")) for mc in mcs]
+    for bs in (12288, 1003520):
+        monkeypatch.setattr(sieve, "BLOCK", bs)
+        for mc, (ref, rz_ref) in zip(mcs, refs):
+            ps = partial_sums(mc, 2 * 10**5, "geometric:1.1")
             assert np.array_equal(ps.sums, ref.sums)
             assert ps.float_sums.tobytes() == ref.float_sums.tobytes()
-            rz = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic",
-                             block_size=bs)
+            rz = riesz_means(mc, [0, 3, 7], 2 * 10**5, "dyadic")
             assert rz.values.tobytes() == rz_ref.values.tobytes()
 
 
-def test_block_sizes_chunk_to_2_20_are_bit_identical():
+def test_block_sizes_chunk_to_2_20_are_bit_identical(monkeypatch):
     # past 2^20, so the default 2^18 block and the old default 2^20 both cut
     # the range; a dense grid keeps partial sums on the sieve
     x = (1 << 20) + (1 << 18) + 77
     for mc in (bcc(), complex_mc()):
         assert _smooth_plan(SieveContext(mc, x),
                             checkpoints_from_rule("every:7", x)) is None
-        runs = {(partial_sums(mc, x, "every:7", block_size=bs).sums.tobytes(),
-                 riesz_means(mc, [0, 2], x, "geometric:1.2",
-                             block_size=bs).values.tobytes())
-                for bs in (CHUNK, 1 << 18, 1 << 20)}
+        runs = set()
+        for bs in (CHUNK, 1 << 18, 1 << 20):
+            monkeypatch.setattr(sieve, "BLOCK", bs)
+            runs.add((partial_sums(mc, x, "every:7").sums.tobytes(),
+                      riesz_means(mc, [0, 2], x,
+                                  "geometric:1.2").values.tobytes()))
         assert len(runs) == 1
 
 
@@ -345,7 +349,7 @@ def test_merge_cuts_is_union1d():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_walk_cuts_are_chunks_and_checkpoint_ends(seed):
+def test_walk_cuts_are_chunks_and_checkpoint_ends(seed, monkeypatch):
     # the walk's pieces start at the chunk grid and after each checkpoint,
     # as np.union1d makes them; edges: blocks with no cut at all, a
     # checkpoint x = 0 mod 4096 whose end x + 1 is a chunk cut, and a
@@ -356,8 +360,10 @@ def test_walk_cuts_are_chunks_and_checkpoint_ends(seed):
     cps = {2 * CHUNK, 3 * CHUNK, block, 2 * block, x}
     cps |= set(rng.integers(1, x, size=int(rng.integers(0, 40))).tolist())
     cps = np.array(sorted(cps), dtype=np.int64)
+    ref = partial_sums(fig1(), x, cps)
+    monkeypatch.setattr(sieve, "BLOCK", block)
     for mc in (bcc(), complex_mc()):
-        ctx = SieveContext(mc, x, block_size=block)
+        ctx = SieveContext(mc, x)
         no_cut = 0
         for lo, hi, vals, starts, closed, run in _walk(ctx, cps):
             ends = cps[(cps >= lo) & (cps < hi)] + 1
@@ -368,9 +374,9 @@ def test_walk_cuts_are_chunks_and_checkpoint_ends(seed):
             no_cut += len(starts) == 1
         if block == CHUNK:
             assert no_cut
-    ref = partial_sums(fig1(), x, cps)
     for bs in (CHUNK, 3 * CHUNK):
-        ps = partial_sums(fig1(), x, cps, block_size=bs)
+        monkeypatch.setattr(sieve, "BLOCK", bs)
+        ps = partial_sums(fig1(), x, cps)
         assert np.array_equal(ps.exact_sums, ref.exact_sums)
 
 
@@ -482,20 +488,12 @@ def test_riesz_guards():
 
 def test_sieve_context_guards():
     mc = bcc()
-    with pytest.raises(BlockSizeError):
-        SieveContext(mc, 100, block_size=0)
-    with pytest.raises(BlockSizeError):
-        SieveContext(mc, 100, block_size=(1 << 22) + 1)
-    with pytest.raises(BlockSizeError):
-        SieveContext(mc, 100, block_size=4096.5)
     with pytest.raises(DomainError):
         SieveContext(mc, 100.5)
     with pytest.raises(DomainError):
         SieveContext(mc, 10**9 + 1)
     with pytest.raises(DomainError):
         SieveContext(mc, -1)
-    # block sizes round up to the chunk grid
-    assert SieveContext(mc, 100, block_size=10**4).block == 3 * CHUNK
 
 
 def test_sieve_context_rejects_inexact_scale():
@@ -565,10 +563,11 @@ def test_mellin_unmodified_chi3_hits_l_value():
     assert res.tail_bound < 1e-3
 
 
-def test_mellin_block_independence():
+def test_mellin_block_independence(monkeypatch):
     ref = mellin_transform(complex_mc(), 0.5, 3 * 10**4)
-    for bs in (10**4, 10**6, None):
-        r = mellin_transform(complex_mc(), 0.5, 3 * 10**4, block_size=bs)
+    for bs in (12288, 1003520):
+        monkeypatch.setattr(sieve, "BLOCK", bs)
+        r = mellin_transform(complex_mc(), 0.5, 3 * 10**4)
         assert r.value == ref.value and r.sup_ratio == ref.sup_ratio
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modchar.characters import (SPAN, Character, character_from_label,
                                 character_group, enumerate_characters)
-from modchar.errors import BlockSizeError
+from modchar import sieve
 from modchar.modified import build_modified, eval_f_exact
 from modchar.roots import UnitValue
 from modchar.sieve import (CHUNK, MAX_SIEVE_X, SieveContext, _chi_prefix,
@@ -245,7 +245,7 @@ def test_complex_smooth_sums_within_their_bound_against_mpmath():
                 assert err <= b, (float(err), b)
 
 
-def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
+def test_route_follows_the_cost_model_and_riesz_k0_follows_it(monkeypatch):
     mc = build_modified(character_from_label("3.2"),
                         {p: ONE for p in (2, 3, 5, 11)})
     cplx = build_modified(character_from_label("5.2"),
@@ -260,7 +260,9 @@ def test_route_follows_the_cost_model_and_riesz_k0_follows_it():
     x = 2 * CHUNK + 77
     for f in (mc, cplx):
         for rule in ("dyadic", "every:1"):
-            ps = partial_sums(f, x, rule, block_size=CHUNK)
+            with monkeypatch.context() as m:
+                m.setattr(sieve, "BLOCK", CHUNK)
+                ps = partial_sums(f, x, rule)
             rec = riesz_means(f, [0, 3], x, rule)
             assert np.array_equal(rec.row(0), ps.sums)
 
@@ -303,5 +305,3 @@ def test_one_chi_table_across_calls(monkeypatch):
     ctx = SieveContext(fig1_d6, 100)
     with pytest.raises(ValueError):
         ctx.chi_table[1] = 0
-    with pytest.raises(BlockSizeError):     # checked with no walk too
-        riesz_means(fig1, [0], 300_000, "geometric:1.05", block_size=0)
