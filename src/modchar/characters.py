@@ -436,7 +436,10 @@ def character_from_label(label: str) -> Character:
     except ValueError:
         raise ConfigError(f"label {label!r} is not q.j with integers q"
                           f" and j") from None
-    grp = character_group(q)
+    try:
+        grp = character_group(q)
+    except InvalidModulusError as e:
+        raise InvalidModulusError(f"label {label}: {e}") from None
     ks = grp.dlogs(j % q if q > 1 else 0)
     if ks is None:
         raise InvalidModulusError(f"label {label}: {j} not coprime to {q}")

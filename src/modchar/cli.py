@@ -33,7 +33,7 @@ from .csvrows import csv_text
 from .diophantine import (continued_fraction, min_riesz_order,
                           pole_series_diagnostic)
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
-                     FitError, ModCharError)
+                     FitError, InvalidModulusError, ModCharError)
 from .lfunctions import (LContext, L_value_with_bound,
                          functional_equation_check, leading_coefficient)
 from .presets import PRESET_NAMES, run_preset
@@ -232,7 +232,10 @@ def cmd_coeff(args) -> int:
 
 def cmd_lfun(args) -> int:
     if args.label:
-        chi = character_from_label(args.label)
+        try:
+            chi = character_from_label(args.label)
+        except InvalidModulusError as e:    # names no character: bad input
+            raise ConfigError(str(e)) from None
         if args.modulus and chi.modulus != args.modulus:
             raise ConfigError(f"--modulus {args.modulus} disagrees with"
                               f" label {args.label}")

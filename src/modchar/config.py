@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -110,102 +111,47 @@ class RunConfig:
         return cfg
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i] in " \t\n\r":
-        i += 1
-    return i
+_WS = re.compile(r"[ \t\n\r]*")
+_DECODE = json.JSONDecoder().raw_decode
 
 
-def _scan_string(text: str, i: int) -> tuple[str, int]:
-    # i sits on the opening quote; returns (value, index past closing quote)
-    j = i + 1
-    out = []
-    while j < len(text):
-        c = text[j]
-        if c == "\\":
-            out.append(text[j:j + 2])
-            j += 2
-        elif c == '"':
-            return json.loads(text[i:j + 1]), j + 1
-        else:
-            out.append(c)
-            j += 1
-    raise ConfigError("unterminated string in config")
-
-
-def _skip_value(text: str, i: int) -> int:
-    if i >= len(text):
-        return i
-    c = text[i]
-    if c == '"':
-        return _scan_string(text, i)[1]
-    if c in "{[":
-        close = "}" if c == "{" else "]"
-        depth = 1
-        j = i + 1
-        while j < len(text) and depth:
-            cj = text[j]
-            if cj == '"':
-                j = _scan_string(text, j)[1]
-                continue
-            if cj in "{[":
-                depth += 1
-            elif cj in "]}":
-                depth -= 1
-            j += 1
-        return j
-    j = i
-    while j < len(text) and text[j] not in ",]} \t\n\r":
-        j += 1
-    return j
+def _past(text: str, i: int, char: str) -> int:
+    """Index after char and the whitespace around it; ValueError if the
+    next token is not char."""
+    i = _WS.match(text, i).end()
+    return _WS.match(text, text.index(char, i, i + 1) + 1).end()
 
 
 def _locate(text: str, path: tuple) -> tuple[int | None, int | None]:
     """Line and column of the value at a key/index path, best effort.
 
-    Walks the raw text with a minimal tokenizer so that schema errors can
-    point at the offending token. Any structural surprise returns (None,
-    None) rather than raising; the path in the message still identifies
-    the field.
+    text is a document json.loads has accepted (or ""). The walk reads it
+    with json's own raw_decode, one key or skipped value at a time, so
+    that schema errors can point at the offending token. The first of two
+    equal keys wins. A missing key or index, or a container of the wrong
+    kind, returns (None, None), except that index 0 of an empty list
+    points at its "]"; the path in the message still identifies the
+    field. Line and column follow json's rule for its decode errors.
     """
+    i = _WS.match(text).end()
     try:
-        i = _skip_ws(text, 0)
         for step in path:
             if isinstance(step, str):
-                if i >= len(text) or text[i] != "{":
-                    return None, None
-                i += 1
+                i = _past(text, i, "{")
                 while True:
-                    i = _skip_ws(text, i)
-                    if i >= len(text) or text[i] == "}":
-                        return None, None
-                    key, i = _scan_string(text, i)
-                    i = _skip_ws(text, i)
-                    if i >= len(text) or text[i] != ":":
-                        return None, None
-                    i = _skip_ws(text, i + 1)
+                    key, i = _DECODE(text, i)       # ValueError at "}"
+                    i = _past(text, i, ":")
                     if key == step:
                         break
-                    i = _skip_ws(text, _skip_value(text, i))
-                    if i < len(text) and text[i] == ",":
-                        i += 1
-                    else:
-                        return None, None
+                    i = _past(text, _DECODE(text, i)[1], ",")
             else:
-                if i >= len(text) or text[i] != "[":
-                    return None, None
-                i = _skip_ws(text, i + 1)
+                i = _past(text, i, "[")
                 for _ in range(step):
-                    i = _skip_ws(text, _skip_value(text, i))
-                    if i < len(text) and text[i] == ",":
-                        i = _skip_ws(text, i + 1)
-                    else:
-                        return None, None
-        line = text.count("\n", 0, i) + 1
-        col = i - (text.rfind("\n", 0, i) + 1) + 1
-        return line, col
-    except (ConfigError, IndexError, ValueError):
+                    i = _past(text, _DECODE(text, i)[1], ",")
+    except ValueError:
         return None, None
+    e = json.JSONDecodeError("", text, i)
+    return e.lineno, e.colno
 
 
 def _fail(text: str, path: tuple, message: str):

@@ -40,6 +40,9 @@ from .summation import NeumaierSum
 
 MAX_DEPTH = 200
 MIN_BITS = 128
+# 1024 bits already trust depth MAX_DEPTH + 1; the 2 bits-bit logs take
+# a second or two at 2^16 bits and minutes at 2^20
+MAX_BITS = 1 << 16
 MAX_SERIES_N = 10**7
 _FRAC_BITS = 63
 _SERIES_BLOCK = 1 << 20
@@ -140,8 +143,9 @@ def continued_fraction(p: int, q: int, depth: int = 40,
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise InvalidPrimeError(
             f"need two distinct primes, got p={p}, q={q}")
-    if bits < MIN_BITS:
-        raise DomainError(f"bits must be at least {MIN_BITS}, got {bits}")
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise DomainError(f"bits must be in [{MIN_BITS}, {MAX_BITS}],"
+                          f" got {bits}")
     if not 1 <= depth <= MAX_DEPTH:
         raise DomainError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
 

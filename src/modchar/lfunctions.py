@@ -659,7 +659,9 @@ def leading_coefficient(mc: ModifiedCharacter, k: int) -> LeadingCoefficient:
     chi = mc.base
     n_pole = compute_pole_order(mc)
     c_val, c_exact = l_special_factor(chi)
-    ratio = Fraction(math.factorial(k), math.factorial(n_pole + k))
+    # k!/(N+k)! is 1 over N factors: O(N) work at any k, where two
+    # factorials and their gcd take seconds at k = 10^6
+    ratio = Fraction(1, math.prod(range(k + 1, k + n_pole + 1)))
     factors = []
     value = c_val * float(ratio)
     for p, fv in mc.modifications:

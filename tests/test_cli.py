@@ -217,7 +217,8 @@ def test_lfun_text(capsys):
     assert "skipped (needs a primitive" in capsys.readouterr().out
     assert main(["lfun", "--s", "2"]) == 2        # label is required
     assert "config error" in capsys.readouterr().err
-    for label in ("abc", "5", "5.x"):             # not q.j with integers
+    # not q.j with integers, or naming no character mod q
+    for label in ("abc", "5", "5.x", "6.2", "0.1", "-3.2", "1000003.2"):
         assert main(["lfun", "--label", label, "--s", "0.5"]) == 2, label
         err = capsys.readouterr().err
         assert err.startswith("config error: label") and "Traceback" not in err

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modchar.characters import character_from_label
-from modchar.config import (MAX_X, RunConfig, parse_config, parse_config_text)
+from modchar.config import (MAX_X, RunConfig, _locate, parse_config,
+                            parse_config_text)
 from modchar.errors import ConfigError, DomainError
 from modchar.modified import build_modified
 from modchar.presets import (EXPECTED_N, NOTES, PRESET_NAMES, preset_config,
@@ -124,6 +127,52 @@ def test_malformed_json_is_located():
         parse_config_text(text)
     assert ei.value.line == 1
     assert ei.value.column == text.index("label") + 1
+
+
+_WS = st.text(" \t\n\r", max_size=2)
+# keys and strings that need escapes or hold the characters a tokenizer
+# stops at
+_KEYS = st.text(["k", " ", '"', "\\", ",", "}", "é"], max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(["a", "\\", '"', ",", "]", "}", ":", "\n", "\x00", "é", "😀"],
+              max_size=4),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=12)
+
+
+def _paths(v, path=()):
+    """(path, value) for every value in v, outermost first."""
+    yield path, v
+    items = v.items() if isinstance(v, dict) else (
+        enumerate(v) if isinstance(v, list) else ())
+    for k, x in items:
+        yield from _paths(x, path + (k,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_JSON, indent=st.sampled_from([None, 0, 2, "\t", " \r"]),
+       ws=st.lists(_WS, min_size=6, max_size=6), ensure_ascii=st.booleans())
+def test_locate_points_at_every_value(doc, indent, ws, ensure_ascii):
+    text = ws[0] + json.dumps(
+        doc, indent=indent, ensure_ascii=ensure_ascii,
+        separators=(ws[1] + "," + ws[2], ws[3] + ":" + ws[4])) + ws[5]
+    starts = np.cumsum([0] + [len(ln) + 1 for ln in text.split("\n")])
+    decode = json.JSONDecoder().raw_decode
+    for path, value in _paths(doc):
+        line, col = _locate(text, path)
+        assert decode(text, starts[line - 1] + col - 1)[0] == value, path
+        if isinstance(value, dict):           # a missing key, a list step
+            assert _locate(text, path + ("k" * 4,)) == (None, None)
+            assert _locate(text, path + (0,)) == (None, None)
+        elif isinstance(value, list):         # a missing index, a key step
+            if value:                         # [] at 0 points at its "]"
+                assert _locate(text, path + (len(value),)) == (None, None)
+            assert _locate(text, path + ("0",)) == (None, None)
+        else:                                 # no container at all
+            assert _locate(text, path + (0,)) == (None, None)
 
 
 def test_top_level_shape():

@@ -172,6 +172,8 @@ def test_cf_guards():
         continued_fraction(2, 3, depth=0)
     with pytest.raises(DomainError):
         continued_fraction(2, 3, depth=201)
+    with pytest.raises(DomainError):
+        continued_fraction(2, 3, bits=diophantine.MAX_BITS + 1)
 
 
 def test_bugeaud_mu():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -456,8 +457,10 @@ def test_functional_equation_guards():
 
 def test_leading_coefficient_bcc_closed_form():
     # a_{1+k} = 1/(3 (k+1) log 3): c_chi = 1/3 exactly, one group-1 factor
-    for k in (0, 1, 5, 13):
+    for k in (0, 1, 5, 13, 10**6):
+        t0 = time.perf_counter()
         lc = leading_coefficient(bcc(), k)
+        assert k < 10**6 or time.perf_counter() - t0 < 1.0   # O(N), not O(k)
         assert lc.N == 1 and lc.k == k
         expected = 1 / (3 * (k + 1) * math.log(3))
         assert abs(lc.value - expected) <= 1e-14 * expected
