@@ -11,7 +11,8 @@ C's %g rules; near-ties of that product and special values (0, inf, nan,
 subnormals, |v| outside [1e-300, 1e300]) go through Python's formatter.
 The bytes equal '%.17g' % v for every double. Where longdouble is only a
 double, every value takes the Python route.
-Exit codes: 0 success, 1 computational failure, 2 config or usage error.
+Exit codes: 0 success, 1 computational failure or a closed stdout, 2
+config or usage error.
 """
 
 from __future__ import annotations
@@ -571,6 +572,18 @@ def main(argv=None) -> int:
         return 2
     except ModCharError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout is gone (`modchar ... | head`): exit 1
+        # quietly, and point stdout at the null device so that the
+        # interpreter's last flush at exit does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):    # no descriptor, e.g. a StringIO
+            return 1
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
         return 1
 
 

@@ -1,7 +1,10 @@
 """Command line: exit codes, CSV formats, reports, reproducibility."""
 
+import errno
+import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +324,35 @@ def test_poleseries_output_routing(tmp_path, capsys):
     assert main(["poleseries", cfg, "--anchor", "5", "--k", "5",
                  "--nmax", "100"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+class _GoneReader(io.StringIO):
+    """A stdout without a descriptor whose reader has exited."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}", "--out", "-"],
+    ["poleseries", "{cfg}", "--anchor", "3", "--k", "5", "--out", "-"]])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    argv = [a.format(cfg=write_config(tmp_path)) for a in argv]
+    monkeypatch.setattr(sys, "stdout", _GoneReader())
+    assert main(argv) == 1
+    # a pipe whose read end is closed: the first row's write fails, and
+    # stdout's descriptor is left on the null device for the last flush
+    r, w = os.pipe()
+    os.close(r)
+    pipe = open(w, "w", encoding="utf-8", buffering=1)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main(argv) == 1
+        assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+    finally:
+        pipe.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_preset_report_and_csv(tmp_path, capsys):

@@ -237,8 +237,14 @@ def test_pole_series_unresolved_angle_raises(monkeypatch):
     # a fixed-point angle of 0 would divide by sin(0): a typed error instead
     monkeypatch.setattr(diophantine, "_fixed_point_angles",
                         lambda others, anchor: [0] * len(others))
-    with pytest.raises(PrecisionError, match="at n = 1"):
+    with pytest.raises(PrecisionError, match="at n = 1$"):
         pole_series_diagnostic(two_three(), 3, 13, 100)
+    # n a = 0 mod 2^63 first at n = 2^63 / gcd(a, 2^63), 2^18 for this a
+    monkeypatch.setattr(diophantine, "_fixed_point_angles",
+                        lambda others, anchor: [5 << 45] * len(others))
+    with pytest.raises(PrecisionError, match="at n = 262144$"):
+        pole_series_diagnostic(two_three(), 3, 13, 300000)
+    assert np.all(pole_series_diagnostic(two_three(), 3, 13, 262143).terms > 0)
 
 
 def test_pole_series_spikes_at_convergent_denominators():
@@ -266,7 +272,12 @@ def test_pole_series_stabilizes():
 
 def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
     """The per-n reference: rows appended one by one, records from a loop
-    over the block's running-maximum candidates, % for the reductions."""
+    over the block's running-maximum candidates, % for the reductions.
+
+    Its terms use the kernel's formula, 1/|2 sin(pi f)| = (t + 1/t)/4 with
+    t = tan(pi min(f, 1 - f) / 2), so it pins the blocking, gathering,
+    records and partial sums bit for bit; accuracy is checked against
+    mpmath in test_pole_series_terms_within_the_stated_ulp_bound."""
     others = [p for p in mc.primes if p != anchor]
     angles = diophantine._fixed_point_angles(others, anchor)
     cps, c = [], 1
@@ -287,8 +298,10 @@ def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
             m = (((n * np.uint64(a_hi)) % np.uint64(1 << 31))
                  * np.uint64(1 << 32) + n * np.uint64(a_lo)) \
                 % np.uint64(1 << 63)
-            g /= 2.0 * np.sin(np.pi * (m.astype(np.float64) * 2.0 ** -63))
-        term = g * np.exp(-k * np.log(n.astype(np.float64)))
+            m = np.minimum(m, np.uint64(1 << 63) - m)
+            t = np.tan(m.astype(np.float64) * (np.pi * 2.0 ** -64))
+            g *= (t + 1 / t) / 4
+        term = g * np.power(n.astype(np.float64), -k)
         j = int(np.argmax(term))
         if term[j] > max_term:
             max_term, max_term_n = float(term[j]), lo + j
@@ -310,10 +323,10 @@ def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
             acc.value)
 
 
-@pytest.mark.parametrize("block", [1 << 20, 1000])
+@pytest.mark.parametrize("block", [1 << 20, 1 << 14, 1000])
 def test_pole_series_matches_the_per_n_loop_bit_for_bit(monkeypatch, block):
-    # block 1000 puts block edges inside the dense rows, between
-    # checkpoints and between records
+    # 2^20 is one block for all n, 2^14 the default; block 1000 puts block
+    # edges inside the dense rows, between checkpoints and between records
     monkeypatch.setattr(diophantine, "_SERIES_BLOCK", block)
     five = build_modified(character_from_label("3.2"),
                           {p: UnitValue.from_fraction(Fraction(1, 4))
@@ -330,6 +343,43 @@ def test_pole_series_matches_the_per_n_loop_bit_for_bit(monkeypatch, block):
         assert trace.total_estimate == total + trace.tail_estimate
     if block == 1000:       # the records lie in several blocks
         assert len({(n - 1) // block for n, _ in trace.records}) > 2
+
+
+def _fixed_point_product(angles, n):
+    """prod 1/|2 sin(pi f)| over f = (n a mod 2^63) / 2^63, at the working
+    precision, and the f."""
+    fracs = [mp.mpf(n * a % 2**63) / 2**63 for a in angles]
+    g = mp.mpf(1)
+    for f in fracs:
+        g /= abs(2 * mp.sin(mp.pi * f))
+    return g, fracs
+
+
+def test_pole_series_terms_within_the_stated_ulp_bound():
+    # 50-digit values on the program's own 63-bit angles, so only the
+    # kernel's rounding is measured: every dense row and every record up
+    # to 10^6, rows with an angle within 1e-6 of 0 and of 1 among them
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    k, fracs = 4, []
+    for anchor in (11, 2):
+        others = [p for p in fig1.primes if p != anchor]
+        angles = diophantine._fixed_point_angles(others, anchor)
+        bound = (9 * len(angles) + 2) * U
+        trace = pole_series_diagnostic(fig1, anchor, k, 10**6)
+        assert trace.records[-1][0] > 10**5
+        with mp.workdps(50):
+            for n, term in zip(trace.ns[:4096].tolist(),
+                               trace.terms[:4096].tolist()):
+                g, f = _fixed_point_product(angles, n)
+                ref = g / mp.mpf(n) ** k
+                assert abs(term - ref) <= bound * ref, (anchor, n)
+                fracs += f
+            for n, value in trace.records:
+                g, f = _fixed_point_product(angles, n)
+                assert abs(value - g) <= bound * g, (anchor, n)
+                fracs += f
+    assert min(fracs) < 1e-6 and max(fracs) > 1 - 1e-6
 
 
 def test_pole_series_guards():

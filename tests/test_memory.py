@@ -1,5 +1,5 @@
 """Peak memory of the O(q) table builds, the block walk, the compensated
-fold and the CSV writer.
+fold, the CSV writer and the pole series.
 
 NumPy reports its array buffers to tracemalloc, so a traced peak counts
 every array a call holds at once. A table build at q = 999983 may hold at
@@ -16,7 +16,8 @@ import pytest
 
 from modchar import cli, csvrows, sieve
 from modchar.characters import (SPAN_BUDGET, Character, CharacterGroup,
-                                character_group)
+                                character_from_label, character_group)
+from modchar.diophantine import pole_series_diagnostic
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
 from modchar.sieve import (RieszRecord, SieveContext, _chi_prefix,
@@ -131,3 +132,17 @@ def test_riesz_csv_transient_within_span_budget():
             vals[0, :rows].imag]
     span, peak, kept = _traced(lambda: csvrows._rows(cols))
     assert peak - kept <= SPAN_BUDGET, (peak - kept) / 2**20
+
+
+@pytest.mark.parametrize("n_max", [10**5, 10**6])
+def test_pole_series_transient_is_one_block(n_max):
+    # three primes in the product: nine 2^14-entry buffers (1.125 MiB) and
+    # the first block's record candidates, whatever n_max; the rows kept
+    # grow only with the number of checkpoints
+    fig1 = _modified(character_from_label("3.2"),
+                     {p: UnitValue.one() for p in (2, 3, 5, 11)})
+    pole_series_diagnostic(fig1, 11, 4, 100)     # mpmath imported, kept
+    trace, peak, kept = _traced(
+        lambda: pole_series_diagnostic(fig1, 11, 4, n_max))
+    assert kept >= trace.terms.nbytes
+    assert peak < 2 * 2**20, peak / 2**20
