@@ -28,7 +28,7 @@ from .lfunctions import (LContext, LeadingCoefficient, L0_exact, Lprime0,
 from .modified import (ModifiedCharacter, build_modified, compute_N,
                        compute_T, eval_f_exact, eval_f_oracle)
 from .presets import PRESET_NAMES, PresetBundle, preset_config, run_preset
-from .roots import CyclotomicSum, UnitValue
+from .roots import UnitValue
 from .sieve import (PartialSumSeries, RieszRecord, checkpoints_from_rule,
                     mellin_transform, partial_sums, riesz_means)
 
@@ -52,7 +52,7 @@ __all__ = [
     "ModifiedCharacter", "build_modified", "compute_N", "compute_T",
     "eval_f_exact", "eval_f_oracle",
     "PRESET_NAMES", "PresetBundle", "preset_config", "run_preset",
-    "CyclotomicSum", "UnitValue",
+    "UnitValue",
     "PartialSumSeries", "RieszRecord", "checkpoints_from_rule",
     "mellin_transform", "partial_sums", "riesz_means",
     "__version__",

@@ -174,8 +174,8 @@ def cmd_describe(args) -> int:
           f" conductor {chi.conductor()},"
           f" {'even' if parity(chi) == 1 else 'odd'})")
     if mc.modifications:
-        for p, v in mc.modifications:
-            print(f"override    f({p}) = {v}  (chi({p}) = {chi(p)})")
+        for (p, v), chi_p in zip(mc.modifications, mc.chi_values):
+            print(f"override    f({p}) = {v}  (chi({p}) = {chi_p})")
     else:
         print("override    none")
     print(f"T           {mc.sign_shift}")
@@ -376,7 +376,8 @@ def cmd_verify(args) -> int:
         print(f"omega: tail inf of running max |M(x)|/(log x)^{n}"
               f" = {_fmt(omega.tail_inf)}, {omega.verdict}")
     else:
-        print("omega: skipped, N = 0 promises no growth")
+        print("omega: skipped, no pole at s = 0 (N = 0), so there is no"
+              " (log x)^N bound to test")
 
     record = riesz_means(mc, sorted({0, k}), cfg.x_max,
                          checkpoints=cfg.checkpoints)

@@ -8,11 +8,11 @@ too, so the value is rounded to complex128 once. Its error bound is one
 sum over the vector: the truncation remainders, an a-posteriori rounding
 term priced from the terms actually added, and that final rounding. The
 same formula runs on mpmath only when the longdouble rounding term alone
-exceeds the budget. Special values
-at s = 0 avoid floats entirely: L(0, chi) is a finite exact sum for odd chi,
-and L'(0, chi) for even chi is computed twice, by the log-gamma sum and
-through the functional equation, with a mandatory cross-check since every
-leading-coefficient number downstream multiplies it.
+exceeds the budget. Special values at s = 0 avoid floats until the end:
+L(0, chi) for odd chi is exact, as int64 numerators over q, one per angle
+of chi, and L'(0, chi) for even chi is computed twice, by the log-gamma
+sum and through the functional equation, with a mandatory cross-check
+since every leading-coefficient number downstream multiplies it.
 
 The series attached to a modified character is
 F(s) = (prod over S of (1 - chi(p) p^-s)/(1 - f(p) p^-s)) * L(s, chi);
@@ -32,11 +32,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .characters import Character, eval_char, is_primitive, parity
+from .characters import Character, is_primitive, parity
 from .errors import (DomainError, NearPoleWarning, ParityError, PoleError,
                      PrecisionError, PrimitivityError, UntrustedTheoryWarning)
 from .modified import ModifiedCharacter, compute_pole_order
-from .roots import CyclotomicSum, turns_cos_sin
+from .roots import turns_cos_sin
 
 MAX_ABS_S = 100.0
 # The Euler-Maclaurin cut hurwitz_zeta_with_bound starts from: M power
@@ -467,24 +467,25 @@ def L_value(ctx: LContext, s) -> complex:
     return L_value_with_bound(ctx, s)[0]
 
 
-def L0_exact(chi: Character):
+def L0_exact(chi: Character) -> Fraction | np.ndarray:
     """L(0, chi) = -(1/q) sum_{a<q} chi(a) a, exactly.
 
-    Returns a Fraction when the character is real (angles 0 and 1/2 fold
-    into rationals), otherwise an exact CyclotomicSum. Odd chi only: for
-    even chi the value is 0 by the sine factor, which is the wrong-parity
-    case here. The a of each angle of chi(a) add up exactly in int64.
+    c_j is minus the sum of the a < q with chi(a) = e(j/order), added up
+    exactly in int64, with angle 1/2 folded into 0 (e(1/2) = -1), so
+    L(0, chi) = (1/q) sum_j c_j e(j/order). Returns Fraction(c_0, q) when
+    chi is real, otherwise the int64 vector c. Odd chi only: for even chi
+    the value is 0 by the sine factor, which is the wrong-parity case here.
     """
     if parity(chi) != -1:
         raise ParityError("L(0, chi) vanishes for even chi; odd chi required")
     q = chi.modulus
     r, k, order = _char_vector(chi)     # odd chi has q >= 3, so r < q
-    per_angle = np.zeros(order, dtype=np.int64)
-    np.add.at(per_angle, k, r)
-    cs = CyclotomicSum.from_numerators(-per_angle, order, q)
-    if cs.is_rational:
-        return cs.rational
-    return cs
+    c = np.zeros(order, dtype=np.int64)
+    np.subtract.at(c, k, r)
+    if order % 2 == 0:
+        c[0] -= c[order // 2]
+        c[order // 2] = 0
+    return Fraction(int(c[0]), q) if order == 2 else c
 
 
 def lprime0_direct(chi: Character) -> complex:
@@ -541,9 +542,8 @@ def euler_factor_ratio(mc: ModifiedCharacter, s) -> complex:
     location.
     """
     s = complex(s)
-    chi = mc.base
     out = 1 + 0j
-    for p, fv in mc.modifications:
+    for (p, fv), chi_p in zip(mc.modifications, mc.chi_values):
         lp = math.log(p)
         n_near = round(s.imag * lp / (2 * math.pi) - float(fv.angle))
         s_pole = 2j * math.pi * (float(fv.angle) + n_near) / lp
@@ -557,7 +557,7 @@ def euler_factor_ratio(mc: ModifiedCharacter, s) -> complex:
             warnings.warn(
                 f"s within {dist:.2e} of the pole at p={p}, n={n_near},"
                 f" location {s_pole}", NearPoleWarning, stacklevel=2)
-        num = 1 - eval_char(chi, p).to_complex() * cmath.exp(-s * lp)
+        num = 1 - chi_p.to_complex() * cmath.exp(-s * lp)
         out *= num / den
     return out
 
@@ -612,7 +612,7 @@ class LeadingCoefficient:
     k: int
     value: complex
     c_chi: complex
-    c_chi_exact: object | None
+    c_chi_exact: Fraction | None
     factorial_ratio: Fraction
     factors: tuple[tuple[int, int, complex], ...]
 
@@ -638,14 +638,20 @@ class LeadingCoefficient:
 def l_special_factor(chi: Character):
     """c_chi: L(0, chi) exact for odd chi, checked L'(0, chi) for even.
 
-    Returns (complex value, exact form or None).
+    Returns (complex value, the Fraction for real odd chi, else None). For
+    complex odd chi the value sums the nonzero terms of `L0_exact` in angle
+    order, in one sequential pass, each e(j/order) of `_unit_roots` rounded
+    to complex128 times c_j/q.
     """
-    if parity(chi) == -1:
-        exact = L0_exact(chi)
-        val = complex(Fraction(exact)) if isinstance(exact, Fraction) \
-            else exact.to_complex()
-        return val, exact
-    return Lprime0(chi), None
+    if parity(chi) != -1:
+        return Lprime0(chi), None
+    c = L0_exact(chi)
+    if isinstance(c, Fraction):
+        return complex(c), c
+    js = np.flatnonzero(c)
+    roots = _unit_roots(js, len(c)).astype(np.complex128).tolist()
+    q = chi.modulus
+    return sum((z * (n / q) for z, n in zip(roots, c[js].tolist())), 0j), None
 
 
 def leading_coefficient(mc: ModifiedCharacter, k: int) -> LeadingCoefficient:
@@ -656,16 +662,14 @@ def leading_coefficient(mc: ModifiedCharacter, k: int) -> LeadingCoefficient:
         warnings.warn(
             "base character is imprimitive; leading coefficient is untrusted",
             UntrustedTheoryWarning, stacklevel=2)
-    chi = mc.base
     n_pole = compute_pole_order(mc)
-    c_val, c_exact = l_special_factor(chi)
+    c_val, c_exact = l_special_factor(mc.base)
     # k!/(N+k)! is 1 over N factors: O(N) work at any k, where two
     # factorials and their gcd take seconds at k = 10^6
     ratio = Fraction(1, math.prod(range(k + 1, k + n_pole + 1)))
     factors = []
     value = c_val * float(ratio)
-    for p, fv in mc.modifications:
-        chi_p = eval_char(chi, p)
+    for (p, fv), chi_p in zip(mc.modifications, mc.chi_values):
         lp = math.log(p)
         if fv.is_one:
             g, fac = 1, (1 - chi_p.to_complex()) / lp

@@ -30,6 +30,9 @@ class ModifiedCharacter:
 
     base: Character
     modifications: tuple[tuple[int, UnitValue], ...]
+    chi_values: tuple[UnitValue, ...]
+    """chi(p) for each (p, f(p)) of `modifications`, in the same order,
+    evaluated once by `build_modified`; chi(p) = 0 exactly when p | q."""
     theory_trusted: bool = True
 
     def __hash__(self):
@@ -97,6 +100,7 @@ def build_modified(base: Character,
     if isinstance(mods, dict):
         mods = list(mods.items())
     seen: dict[int, UnitValue] = {}
+    chi_at: dict[int, UnitValue] = {}
     for p, v in mods:
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidPrimeError(f"modification key {p!r} is not prime")
@@ -108,21 +112,23 @@ def build_modified(base: Character,
                 raise InvalidModificationError(
                     f"conflicting modifications at p={p}: {seen[p]} vs {v}")
             continue
-        if eval_char(base, p) == v:
+        chi_at[p] = eval_char(base, p)
+        if chi_at[p] == v:
             warnings.warn(
                 f"f({p}) equals chi({p}); entry dropped, not a modification",
                 NonModificationWarning, stacklevel=2)
             continue
         seen[p] = v
     entries = tuple(sorted(seen.items()))
-    return ModifiedCharacter(base, entries, theory_trusted=trusted)
+    return ModifiedCharacter(base, entries,
+                             tuple(chi_at[p] for p, _ in entries),
+                             theory_trusted=trusted)
 
 
 def compute_sign_shift(mc: ModifiedCharacter) -> int:
     """T: count of f(p) = 1 on S minus count of chi(p) = 1 on S."""
     new_ones = sum(1 for _, v in mc.modifications if v.is_one)
-    old_ones = sum(1 for p, _ in mc.modifications
-                   if eval_char(mc.base, p).is_one)
+    old_ones = sum(1 for c in mc.chi_values if c.is_one)
     return new_ones - old_ones
 
 

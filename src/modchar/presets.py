@@ -58,18 +58,18 @@ NOTES = {
 
 def preset_config(name: str, x_max: int = 10**6) -> RunConfig:
     """The RunConfig behind a preset name, on the grid geometric:1.01, with
-    an overridable range."""
+    an overridable range; x_max gets the rule of the --xmax flag."""
     if name not in PRESET_NAMES:
         raise DomainError(f"unknown preset {name!r}; choose from"
                           f" {', '.join(PRESET_NAMES)}")
     doc = {
         "character": {"label": "3.2"},
         "modifications": [{"p": p, "angle": a} for p, a in _MODS[name]],
-        "x_max": int(x_max),
         "checkpoints": "geometric:1.01",
         "orders": "auto",
     }
-    return parse_config_text(json.dumps(doc), source=f"<preset {name}>")
+    return parse_config_text(json.dumps(doc), source=f"<preset {name}>"
+                             ).with_flags(x_max=x_max)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ def run_preset(name: str, x_max: int = 10**6) -> PresetBundle:
 
     The ratio sup is |M(x)| / (log x)^e over checkpoints x >= 2, with
     e = N when N >= 1 (the proven growth order) and e = |S| otherwise
-    (the unconditional upper-bound exponent; N = 0 promises no growth).
+    (the unconditional upper-bound exponent: with no pole at s = 0 there
+    is no (log x)^N lower bound to measure against).
     """
     cfg = preset_config(name, x_max=x_max)
     mc = cfg.modified()

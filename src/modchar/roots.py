@@ -1,4 +1,4 @@
-"""Exact arithmetic with roots of unity and small cyclotomic sums.
+"""Exact arithmetic with roots of unity.
 
 Character values are either 0 or e(a/m) = exp(2*pi*i*a/m) with a/m a reduced
 fraction in [0, 1). Storing the angle instead of a complex float keeps
@@ -148,68 +148,3 @@ class UnitValue:
         if self.denominator == 2:
             return "-1"
         return f"e({self.numerator}/{self.denominator})"
-
-
-@dataclass(frozen=True)
-class CyclotomicSum:
-    """Finite sum of rational multiples of roots of unity, kept exact.
-
-    Terms are (angle, coefficient) pairs with distinct angles in [0, 1).
-    Angles 0 and 1/2 are folded into the rational part at construction, so a
-    sum whose value is rational (every real character case) reports it
-    exactly via `rational`.
-    """
-
-    terms: tuple[tuple[Fraction, Fraction], ...]
-
-    @staticmethod
-    def from_pairs(pairs) -> "CyclotomicSum":
-        acc: dict[Fraction, Fraction] = {}
-        for angle, coeff in pairs:
-            if coeff == 0:
-                continue
-            a = angle - math.floor(angle)
-            if a == Fraction(1, 2):
-                a, coeff = Fraction(0), -coeff
-            acc[a] = acc.get(a, Fraction(0)) + coeff
-        terms = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
-        return CyclotomicSum(terms)
-
-    @staticmethod
-    def from_numerators(numerators, order: int,
-                        denominator: int) -> "CyclotomicSum":
-        """sum_j (numerators[j]/denominator) e(j/order) over j < order.
-
-        The integer numerators fold the angle 1/2 into 0 and drop zeros
-        before any Fraction is made; the survivors come out in angle order,
-        so this equals `from_pairs` on the same terms.
-        """
-        c = np.array(numerators, dtype=np.int64)
-        if order % 2 == 0:
-            c[0] -= c[order // 2]
-            c[order // 2] = 0
-        js = np.flatnonzero(c)
-        return CyclotomicSum(tuple(
-            (Fraction(j, order), Fraction(n, denominator))
-            for j, n in zip(js.tolist(), c[js].tolist())))
-
-    def scale(self, factor: Fraction) -> "CyclotomicSum":
-        return CyclotomicSum.from_pairs((a, c * factor) for a, c in self.terms)
-
-    @property
-    def is_rational(self) -> bool:
-        return all(a == 0 for a, _ in self.terms)
-
-    @property
-    def rational(self) -> Fraction:
-        """Exact rational value; raises if irrational terms remain."""
-        if not self.is_rational:
-            raise ValueError("sum has non-real root-of-unity terms")
-        return sum((c for _, c in self.terms), Fraction(0))
-
-    def to_complex(self) -> complex:
-        return sum((UnitValue.from_fraction(a).to_complex() * float(c)
-                    for a, c in self.terms), 0j)
-
-    def __complex__(self) -> complex:
-        return self.to_complex()

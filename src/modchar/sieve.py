@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import SPAN, eval_char, periodic_slice
+from .characters import SPAN, periodic_slice
 from .errors import DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
@@ -209,11 +209,10 @@ class SieveContext:
         self.q = q
         scale = angle_scale(chi, [v for _, v in mc.modifications])
         self.scale = scale
-        q_primes = {p for p, _ in chi.group.factorization}
+        over_s = list(zip(mc.modifications, mc.chi_values))
         # p in S off q: the exact shift angle(f(p)) - angle(chi(p))
-        self.shifts = [(p, int((v.angle - eval_char(chi, p).angle) * scale)
-                        % scale)
-                       for p, v in mc.modifications if p not in q_primes]
+        self.shifts = [(p, int((v.angle - c.angle) * scale) % scale)
+                       for (p, v), c in over_s if not c.is_zero]
         top = 2 * scale     # bounds each angle a block holds before reduction
         for p, shift in self.shifts:
             pe = p
@@ -228,8 +227,8 @@ class SieveContext:
         # p in S dividing q: every product 1 < d <= x_max of them with the
         # angle of f(d), ascending in d
         parts = {1: 0}
-        for p, v in mc.modifications:
-            if p not in q_primes:
+        for (p, v), c in over_s:
+            if not c.is_zero:
                 continue
             for d, a in list(parts.items()):
                 while d * p <= self.x_max:
@@ -494,9 +493,9 @@ def _smooth_terms(ctx: SieveContext, x_top: int, limit=math.inf):
     d = np.ones(1, np.int64)
     angle = np.zeros(1, np.int64)
     g = np.ones(1, np.int64 if real else np.complex128)
-    for p, v in mc.modifications:
+    for (p, v), c in zip(mc.modifications, mc.chi_values):
         a_f = int(v.angle * scale)
-        g_p = value(v) - value(eval_char(mc.base, p))
+        g_p = value(v) - value(c)
         parts = [(d, angle, g)]
         cur_d, cur_a, cur_g = d, angle, g * g_p
         while True:                   # d p^e from d p^(e-1), e = 1, 2, ...

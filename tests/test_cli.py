@@ -203,6 +203,26 @@ def test_coeff_json_matches_library(tmp_path, capsys):
     assert main(["coeff", cfg, "--k", "13"]) == 0
     text = capsys.readouterr().out
     assert "a_(N+k)" in text and "group 1" in text
+    assert "(= 1/3)" in text
+
+
+def test_coeff_on_a_complex_odd_character_prints_no_exact_form(tmp_path,
+                                                                 capsys):
+    # chi mod 61 of order 60 and odd, the shape of the benchmark's coeff op:
+    # c_chi has no exact form to print, so the text line ends at the value
+    # and the JSON field is null
+    cfg = write_config(tmp_path, character={"modulus": 61, "exponents": [1]},
+                       modifications=[{"p": 2, "angle": [0, 1]},
+                                      {"p": 3, "angle": [1, 3]}])
+    assert main(["coeff", cfg, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["c_chi_exact"] is None
+    assert main(["coeff", cfg]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("c_chi"))
+    re_part, im_part = line.split()[1], line.split()[3]
+    assert line == f"c_chi        {re_part} + {im_part}", line
+    assert [float(re_part), float(im_part[:-1])] == doc["c_chi"]
 
 
 def test_lfun_text(capsys):
@@ -373,6 +393,16 @@ def test_preset_report_and_csv(tmp_path, capsys):
         main(["preset", "fig9", "--outdir", outdir])
 
 
+@pytest.mark.parametrize("xmax", ["0", "2e9"])
+def test_preset_xmax_gets_the_flag_rule(tmp_path, capsys, xmax):
+    # the message names the flag, not a position in the preset's own JSON
+    assert main(["preset", "fig1", "--xmax", xmax,
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --xmax: must be"), err
+    assert "line" not in err and "column" not in err
+
+
 def test_verify_pipeline(tmp_path, capsys):
     cfg = write_config(tmp_path, name="bccrun.json", x_max=50000,
                        checkpoints="dyadic")
@@ -402,6 +432,19 @@ def test_verify_pipeline(tmp_path, capsys):
         assert fh.readline().strip() == "x,re_sum,im_sum"
     with open(stem + "_riesz.csv", encoding="utf-8") as fh:
         assert fh.readline().strip() == "x,k,re_value,im_value"
+
+
+def test_verify_without_a_pole_says_why_omega_is_skipped(tmp_path, capsys):
+    # fig3's shape, N = 0: there is no (log x)^N bound to test, but the
+    # sums still grow, so the output must not say that N = 0 promises none
+    cfg = write_config(tmp_path, name="fig3.json", x_max=5000,
+                       checkpoints="dyadic", orders=[0],
+                       modifications=[{"p": p, "angle": [1, 2]}
+                                      for p in (3, 7, 13, 19)])
+    assert main(["verify", cfg, "--outdir", str(tmp_path / "v")]) == 0
+    out = capsys.readouterr().out
+    assert "N = 0" in out and "omega: skipped, no pole at s = 0" in out
+    assert "promises" not in out
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -23,10 +23,11 @@ from modchar.lfunctions import (L0_exact, LContext, L_value,
                                 complex_gamma, digamma, evaluate_F,
                                 euler_factor_ratio, functional_equation_check,
                                 gauss_sum, hurwitz_zeta,
-                                hurwitz_zeta_with_bound, leading_coefficient,
-                                lprime0_direct, lprime0_functional)
+                                hurwitz_zeta_with_bound, l_special_factor,
+                                leading_coefficient, lprime0_direct,
+                                lprime0_functional)
 from modchar.modified import build_modified
-from modchar.roots import CyclotomicSum, UnitValue
+from modchar.roots import UnitValue
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
@@ -301,24 +302,33 @@ def test_l_value_bound_uncertified_at_one():
 def test_l0_exact_values():
     assert L0_exact(chi3()) == Fraction(1, 3)
     assert L0_exact(character_from_label("4.3")) == Fraction(1, 2)
-    # complex odd character keeps its cyclotomic form: mod 5, chi(2) = i
-    val = L0_exact(character_from_label("5.2"))
-    assert isinstance(val, CyclotomicSum)
-    assert abs(complex(val) - (0.6 + 0.2j)) < 1e-15
+    # a complex odd character gives its numerators over q, one per angle:
+    # mod 5, chi(2) = i, so L(0) = (3 - 2i + 0 (-1) - 3(-i))/5 = 0.6 + 0.2i
+    chi5 = character_from_label("5.2")
+    val = L0_exact(chi5)
+    assert val.dtype == np.int64 and val.tolist() == [3, -2, 0, -3]
+    c_chi, exact = l_special_factor(chi5)
+    assert exact is None and abs(c_chi - (0.6 + 0.2j)) < 1e-15
     with pytest.raises(ParityError):
         L0_exact(character_from_label("5.4"))
 
 
 def _l0_by_residue(chi):
-    """L(0, chi) from eval_char one residue at a time, the reference."""
-    q = chi.modulus
-    pairs = []
+    """L(0, chi) from eval_char one residue at a time, the reference: the
+    numerators c_j = -(sum of the a with chi(a) = e(j/order)) over q, with
+    e(1/2) = -1 folded into c_0; Fraction(c_0, q) when no other c_j is
+    left, else the int64 vector c."""
+    q, order = chi.modulus, chi.order
+    c = [0] * order
     for a in range(1, q):
         v = eval_char(chi, a)
         if not v.is_zero:
-            pairs.append((v.angle, Fraction(-a, q)))
-    cs = CyclotomicSum.from_pairs(pairs)
-    return cs.rational if cs.is_rational else cs
+            j = v.numerator * (order // v.denominator)
+            if 2 * j == order:
+                c[0] += a
+            else:
+                c[j] -= a
+    return Fraction(c[0], q) if not any(c[1:]) else np.array(c, np.int64)
 
 
 def test_l0_exact_matches_the_per_residue_sum():
@@ -331,13 +341,14 @@ def test_l0_exact_matches_the_per_residue_sum():
                   if parity(chi) == -1][:3]
     for chi in chars:
         got, want = L0_exact(chi), _l0_by_residue(chi)
-        assert type(got) is type(want) and got == want, chi.label
+        assert type(got) is type(want) and np.array_equal(got, want), \
+            chi.label
 
 
 @pytest.mark.parametrize("q", [101, 1009, 9973])
 def test_l0_exact_on_random_odd_characters(q):
-    # the integer fold of CyclotomicSum.from_numerators against the
-    # per-residue Fractions of from_pairs, on seeded random odd chi
+    # the int64 fold of L0_exact against the per-residue numerators of
+    # eval_char, on seeded random odd chi
     rng = random.Random(q)
     grp = character_group(q)
     chars = []
@@ -347,7 +358,65 @@ def test_l0_exact_on_random_odd_characters(q):
             chars.append(chi)
     for chi in chars:
         got, want = L0_exact(chi), _l0_by_residue(chi)
-        assert type(got) is type(want) and got == want, chi.label
+        assert type(got) is type(want) and np.array_equal(got, want), \
+            chi.label
+
+
+def test_c_chi_is_the_sequential_sum_of_the_exact_terms():
+    # c_chi of every odd chi mod q <= 60, bit for bit, against the sum the
+    # exact form has always been rounded by: a Python sum from 0j over the
+    # nonzero numerators of the reference, in angle order, of
+    # e(j/order) * (c_j/q)
+    for q in range(3, 61):
+        for chi in enumerate_characters(q):
+            if parity(chi) != -1:
+                continue
+            ref = _l0_by_residue(chi)
+            if isinstance(ref, Fraction):
+                want = complex(ref)
+            else:
+                want = sum((UnitValue.root(j, len(ref)).to_complex()
+                            * (int(n) / q)
+                            for j, n in enumerate(ref.tolist()) if n), 0j)
+            got, exact = l_special_factor(chi)
+            assert (got.real.hex(), got.imag.hex()) \
+                == (want.real.hex(), want.imag.hex()), chi.label
+            assert exact == (ref if isinstance(ref, Fraction) else None)
+
+
+@pytest.mark.parametrize("q", [5, 61, 1009])
+def test_c_chi_matches_mpmath_within_its_rounding_bound(q):
+    # each root e(j/order) is within u + (2 pi + 1) eps (`turns_cos_sin`),
+    # and c_j/q, the products and the n additions add at most n 2u of the
+    # mass = sum|c_j|/q: against 50 digits, |c_chi - L(0)| is at most
+    # mass (u + (2 pi + 1) eps + n 2u)
+    u, eps = 2.0 ** -53, float(np.finfo(np.longdouble).eps)
+    rng = random.Random(q)
+    chars = [chi for chi in enumerate_characters(q)
+             if parity(chi) == -1 and chi.order > 2]
+    for chi in rng.sample(chars, min(3, len(chars))):
+        c = L0_exact(chi)
+        n = np.count_nonzero(c)
+        mass = float(np.abs(c).sum()) / q
+        vals = [(a, eval_char(chi, a)) for a in range(1, q)]
+        got, _ = l_special_factor(chi)
+        with mp.workdps(50):
+            ref = -mp.fsum(a * mp.expjpi(2 * mp.mpf(v.numerator)
+                                         / v.denominator)
+                           for a, v in vals if not v.is_zero) / q
+            err = float(abs(mp.mpc(got.real, got.imag) - ref))
+        assert err <= mass * (u + (2 * math.pi + 1) * eps + n * 2 * u), \
+            (chi.label, err)
+
+
+def test_c_chi_at_q_99991_is_one_array_pass():
+    # chi of order phi(q) puts one residue on each of 99,990 angles; an
+    # exact Fraction per term took over 1 s on a 2-core x86 machine
+    chi = character_group(99991).character((1,))
+    assert chi.order == 99990 and parity(chi) == -1
+    t0 = time.perf_counter()
+    l_special_factor(chi)
+    assert time.perf_counter() - t0 <= 0.5
 
 
 def test_lprime0_known_values():

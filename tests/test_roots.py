@@ -1,15 +1,14 @@
-"""Exact unit-circle arithmetic and cyclotomic sums."""
+"""Exact unit-circle arithmetic."""
 
 import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modchar.roots import CyclotomicSum, UnitValue
+from modchar.roots import UnitValue
 
 
 def test_canonical_form():
@@ -82,34 +81,6 @@ def test_order_and_realness():
     assert not UnitValue.root(1, 3).is_real
 
 
-def test_cyclotomic_sum_rational_detection():
-    # angles 0 and 1/2 fold into the rational part, so sums of real
-    # character values always report an exact Fraction: 2 - e(1/2) = 3
-    t = CyclotomicSum.from_pairs([(Fraction(0), Fraction(2)),
-                                  (Fraction(1, 2), Fraction(-1))])
-    assert t.is_rational and t.rational == 3
-    # 1 + i keeps a genuinely complex term
-    u = CyclotomicSum.from_pairs([(Fraction(0), Fraction(1)),
-                                  (Fraction(1, 4), Fraction(1))])
-    assert not u.is_rational
-    assert abs(complex(u) - (1 + 1j)) < 1e-15
-    with pytest.raises(ValueError):
-        u.rational
-    # cube roots stay symbolic but evaluate to 0 numerically
-    s = CyclotomicSum.from_pairs(
-        (Fraction(k, 3), Fraction(1)) for k in range(3))
-    assert abs(complex(s)) < 1e-15
-
-
-def test_cyclotomic_cancellation_and_scale():
-    # coefficients on a shared angle merge; zero coefficients vanish
-    s = CyclotomicSum.from_pairs([(Fraction(1, 3), Fraction(2)),
-                                  (Fraction(4, 3), Fraction(-2)),
-                                  (Fraction(0), Fraction(3))])
-    assert s.is_rational and s.rational == 3
-    assert s.scale(Fraction(1, 3)).rational == 1
-
-
 def test_to_complex_is_rounded_once_from_the_exact_angle():
     # 20,000 seeded angles a/b, b < 2^20, against mpmath at 113 bits: each
     # value within the one-table bound of `unit_tables`, u + (2 pi + 1) eps,
@@ -130,29 +101,4 @@ def test_to_complex_is_rounded_once_from_the_exact_angle():
             z = w.to_complex()
             ref = mpmath.expjpi(mpmath.mpf(2 * w.numerator) / w.denominator)
             worst = max(worst, float(abs(mpmath.mpc(z.real, z.imag) - ref)))
-        # a cyclotomic sum adds its terms' values, each within the bound
-        terms = [(Fraction(rng.randrange(b), b), Fraction(rng.randrange(1, 9)))
-                 for b in (7, 9, 1009, 65537, 999983)]
-        s = CyclotomicSum.from_pairs(terms)
-        ref = mpmath.fsum(c * mpmath.expjpi(2 * mpmath.mpf(a.numerator)
-                                            / a.denominator)
-                          for a, c in s.terms)
-        z = s.to_complex()
-        mass = float(sum(abs(c) for _, c in s.terms))
-        assert abs(mpmath.mpc(z.real, z.imag) - ref) <= mass * (
-            bound + len(s.terms) * 2 * u)
     assert worst <= bound, worst / u
-
-
-def test_from_numerators_equals_from_pairs():
-    # angle 1/2 folds into 0, zero terms drop out, angles come out sorted
-    rng = np.random.default_rng(7)
-    for order in (1, 2, 3, 4, 12, 97, 256):
-        for _ in range(20):
-            c = rng.integers(-5, 6, size=order) * (rng.random(order) < 0.6)
-            den = int(rng.integers(1, 50))
-            got = CyclotomicSum.from_numerators(c, order, den)
-            want = CyclotomicSum.from_pairs(
-                (Fraction(j, order), Fraction(int(n), den))
-                for j, n in enumerate(c.tolist()))
-            assert got == want, (order, c.tolist())
