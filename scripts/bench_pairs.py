@@ -14,7 +14,11 @@ pair. Then each side makes one `--trace 1` run per workload at seed 1.
 
 After each untraced run the SHA-256 of every file the run left under
 <tree>/.perfbench_out/<workload>/ (but probe/ and trace.jsonl) goes into
-the pair as that side's "outputs".
+the pair as that side's "outputs". So does the SHA-256 of each op's
+stdout, keyed "stdout/<index> <command>": a fresh process started in the
+tree replays one round of its workload at that seed, with the relative
+work directory .perfbench_out/replay/<workload>, so paths an op prints
+read the same on both sides.
 
 The output JSON has the layout of the committed BENCH_<n>.json files:
 what, parent, machine, how, summary, pairs and trace_seed_1. In the
@@ -108,6 +112,32 @@ def output_hashes(tree: str, workload: str) -> dict:
     return out
 
 
+def stdout_hashes(tree: str, workload: str, seed: int) -> dict:
+    """SHA-256 of each op's stdout in one round replayed from the tree."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--replay", workload,
+           str(seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {tree} exited"
+                         f" {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def replay(workload: str, seed: int) -> dict:
+    """Run from a tree's root: its perfbench builds the workload at seed and
+    runs each op once on that tree's src/, as a timed round does."""
+    sys.path.insert(0, os.getcwd())
+    from perfbench import run, workloads
+    cli = run._import_modchar()
+    wl = workloads.build(workload, seed,
+                         os.path.join(".perfbench_out", "replay", workload))
+    return {f"stdout/{i:02d} {op.argv[0]}": hashlib.sha256(
+                run._run_op(cli, op)["stdout"].encode()).hexdigest()
+            for i, op in enumerate(wl.ops)}
+
+
 def _stats(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
@@ -163,8 +193,15 @@ def main(argv=None) -> int:
                     help="one seed per pair, LO-HI inclusive")
     ap.add_argument("--what", default="",
                     help="one line saying what the change does")
-    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--out", help="JSON file to write (required)")
+    ap.add_argument("--replay", nargs=2, metavar=("WORKLOAD", "SEED"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.replay:
+        print(json.dumps(replay(args.replay[0], int(args.replay[1]))))
+        return 0
+    if args.out is None:
+        ap.error("the following arguments are required: --out")
     lo, hi = map(int, args.seeds.split("-"))
     seeds = range(lo, hi + 1)
     parent = _git("rev-parse", args.parent).decode().strip()
@@ -189,7 +226,9 @@ def main(argv=None) -> int:
                     print(f"bench_pairs: {wl} seed {seed} {side}",
                           file=sys.stderr, flush=True)
                     pair[side] = run_once(trees[side], wl, seed, seconds, 0)
-                    pair[side]["outputs"] = output_hashes(trees[side], wl)
+                    pair[side]["outputs"] = {
+                        **output_hashes(trees[side], wl),
+                        **stdout_hashes(trees[side], wl, seed)}
                 pairs[wl].append(pair)
             summary[wl] = summarise(pairs[wl], bench["end_to_end"])
             traces[wl] = {}

@@ -93,6 +93,8 @@ def _neg_power(x: np.ndarray, s: complex) -> tuple[np.ndarray, np.ndarray]:
     """x^(-s) for real x > 0 in clongdouble, with its modulus x^(-sigma)."""
     lx = np.log(x)
     mod = np.exp(-s.real * lx)
+    if s.imag == 0:                # the phase is exactly 0: no cos, no sin
+        return mod.astype(np.clongdouble), mod
     ph = s.imag * lx
     return _clongdouble(mod * np.cos(ph), -mod * np.sin(ph)), mod
 
@@ -398,7 +400,12 @@ def gauss_sum(chi: Character) -> complex:
 
 @dataclass
 class LContext:
-    """Read-after-build evaluation context for one character."""
+    """Read-after-build evaluation context for one character.
+
+    `residues` caches chi's `_char_vector` (r, k, order): the residues r
+    coprime to q with chi(r) = e(k/order). Every Hurwitz pass on this
+    context reads it, the functional-equation partner's included.
+    """
 
     chi: Character
     eps: float = 1e-12
@@ -413,6 +420,10 @@ class LContext:
     @property
     def kappa(self) -> int:
         return 0 if parity(self.chi) == 1 else 1
+
+    @cached_property
+    def residues(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return _char_vector(self.chi)
 
     @cached_property
     def tau(self) -> complex:
@@ -457,7 +468,7 @@ def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         return _l_at_one(chi), None
-    r, k, order = _char_vector(chi)
+    r, k, order = ctx.residues
     return hurwitz_zeta_with_bound(s, r, ctx.eps, q=chi.modulus, angles=k,
                                    order=order)
 
@@ -575,6 +586,14 @@ def functional_equation_check(ctx: LContext, s,
 
     value is L(s, chi) if the caller has it already (as `L_value` returns
     it), which saves one Hurwitz pass; by default it is computed here.
+
+    The partner L(1-s, conj chi) is conj L(1 - conj s, chi), one pass on
+    ctx's own residues; no context is built for conj chi. On the longdouble
+    route this has the bits of the pass on conj chi, whose roots of unity
+    and powers are the exact conjugates. On Re s = 1/2, 1 - conj s is s:
+    the partner is conj L(s, chi) and no Hurwitz pass runs. There the
+    residual tests epsilon(chi) and the Gamma, sin, 2^s pi^(s-1)
+    q^(1/2-s) chain, not L itself, as it always did.
     """
     chi = ctx.chi
     if not is_primitive(chi):
@@ -590,8 +609,9 @@ def functional_equation_check(ctx: LContext, s,
     q = chi.modulus
     kappa = ctx.kappa
     lhs = L_value(ctx, s) if value is None else complex(value)
-    ctx_bar = LContext(chi.conjugate(), ctx.eps)
-    rhs = (ctx.root_number * L_value(ctx_bar, 1 - s)
+    mirror = 1 - s.conjugate()
+    partner = (lhs if mirror == s else L_value(ctx, mirror)).conjugate()
+    rhs = (ctx.root_number * partner
            * 2 ** s * math.pi ** (s - 1) * q ** (0.5 - s)
            * complex_gamma(1 - s) * cmath.sin(math.pi * (s + kappa) / 2))
     return abs(lhs - rhs)

@@ -271,8 +271,9 @@ def test_lfun_prints_error_bound(capsys):
 
 
 def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
-    # L(s) once, L(1 - s, conj) once: two Hurwitz passes, not three, and
-    # the residual is the one the check computes on its own
+    # L(s) once, then the partner L(1 - s, conj chi) as conj L(1 - conj s,
+    # chi) on the same context: two Hurwitz passes, not three, and the
+    # residual is the one the check computes on its own
     calls = []
     inner = lfunctions.hurwitz_zeta_with_bound
 
@@ -281,8 +282,12 @@ def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
         return inner(s, *args, **kw)
 
     monkeypatch.setattr(lfunctions, "hurwitz_zeta_with_bound", counted)
+    assert main(["lfun", "--label", "7.3", "--s", "0.5", "--im", "3"]) == 0
+    assert calls == [0.5 + 3j]       # on Re s = 1/2 the partner is conj L(s)
+    capsys.readouterr()
+    calls.clear()
     assert main(["lfun", "--label", "7.3", "--s", "0.25", "--im", "2"]) == 0
-    assert calls == [0.25 + 2j, 0.75 - 2j]
+    assert calls == [0.25 + 2j, 0.75 + 2j]
     resid = capsys.readouterr().out.split("residual: ")[1].splitlines()[0]
     ctx = LContext(character_from_label("7.3"))
     assert resid == _fmt(functional_equation_check(ctx, 0.25 + 2j))

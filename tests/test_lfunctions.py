@@ -524,6 +524,69 @@ def test_functional_equation_guards():
         functional_equation_check(LContext(chi3()), 1.0)   # Gamma(1-s) pole
 
 
+def _fe_rhs(ctx, s, partner):
+    """eps(chi) partner 2^s pi^(s-1) q^(1/2-s) Gamma(1-s) sin(pi(s+kappa)/2),
+    multiplied in the order functional_equation_check uses."""
+    return (ctx.root_number * partner * 2 ** s * math.pi ** (s - 1)
+            * ctx.chi.modulus ** (0.5 - s) * complex_gamma(1 - s)
+            * cmath.sin(math.pi * (s + ctx.kappa) / 2))
+
+
+def _primitive_characters(q_max):
+    return [chi for q in range(3, q_max + 1) for chi in enumerate_characters(q)
+            if chi.is_primitive and not chi.is_principal]
+
+
+def test_functional_equation_on_the_critical_line_matches_the_second_route():
+    # on Re s = 1/2 the partner is conj L(s, chi) and no Hurwitz pass runs;
+    # L(1 - s, conj chi) on conj chi's own context has the same bits, so
+    # the residual does too
+    for chi in _primitive_characters(60):
+        ctx = LContext(chi)
+        for s in (0.5, 0.5 + 3j, 0.5 - 3j, 0.5 + 11.5j):
+            lhs = L_value(ctx, s)
+            partner = L_value(LContext(chi.conjugate()), 1 - s)
+            assert partner == lhs.conjugate(), (chi.label, s)
+            assert functional_equation_check(ctx, s, lhs) \
+                == abs(lhs - _fe_rhs(ctx, complex(s), partner)), (chi.label, s)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.3 - 2j])
+def test_functional_equation_off_the_line_matches_the_second_route(s):
+    # off the line the partner is conj L(1 - conj s, chi), one more pass on
+    # chi's context: within both partners' certified bounds of the second
+    # route, L(1 - s, conj chi) on conj chi's own context
+    s = complex(s)
+    for chi in _primitive_characters(60):
+        ctx = LContext(chi)
+        lhs = L_value(ctx, s)
+        own, bound = L_value_with_bound(ctx, 1 - s.conjugate())
+        partner, bound_bar = L_value_with_bound(LContext(chi.conjugate()),
+                                                1 - s)
+        assert abs(own.conjugate() - partner) <= bound + bound_bar
+        gap = abs(functional_equation_check(ctx, s, lhs)
+                  - abs(lhs - _fe_rhs(ctx, s, partner)))
+        assert gap <= (bound + bound_bar) * abs(_fe_rhs(ctx, s, 1)), \
+            (chi.label, s, gap)
+
+
+def test_neg_power_at_real_s_equals_the_cos_sin_form():
+    def cos_sin_form(x, s):
+        lx = np.log(x)
+        mod = np.exp(-s * lx)
+        return lfunctions._clongdouble(mod * np.cos(0 * lx),
+                                       -mod * np.sin(0 * lx)), mod
+
+    x = np.concatenate([np.arange(1, 40, dtype=np.longdouble),
+                        np.linspace(0.01, 1, 37, dtype=np.longdouble)])
+    for s in (-3.5, -0.5, 0.0, 0.5, 1.5, 2.0, 7.25):
+        for xs in (x, np.longdouble(61)):        # the residues, and q
+            z, mod = lfunctions._neg_power(xs, complex(s))
+            ref, ref_mod = cos_sin_form(xs, s)
+            assert z.dtype == np.clongdouble
+            assert np.array_equal(mod, ref_mod) and np.array_equal(z, ref), s
+
+
 def test_leading_coefficient_bcc_closed_form():
     # a_{1+k} = 1/(3 (k+1) log 3): c_chi = 1/3 exactly, one group-1 factor
     for k in (0, 1, 5, 13, 10**6):
