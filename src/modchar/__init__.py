@@ -14,17 +14,15 @@ from .characters import (Character, CharacterGroup, character_from_label,
                          eval_char, is_primitive, parity)
 from .config import RunConfig, parse_config, parse_config_text
 from .diophantine import (ConvergentTable, PoleSeriesTrace, bugeaud_mu,
-                          continued_fraction, fitted_lower_constant,
-                          min_riesz_order, pole_series_diagnostic,
-                          reconstruct_alpha)
+                          continued_fraction, min_riesz_order,
+                          pole_series_diagnostic, reconstruct_alpha)
 from .analysis import (GrowthReport, PolyFit, fit_riesz_polynomial,
                        growth_check, mellin_lemma_check)
 from .lfunctions import (LContext, LeadingCoefficient, L0_exact, Lprime0,
                          L_value, L_value_with_bound, euler_factor_ratio,
                          evaluate_F,
                          functional_equation_check, gauss_sum,
-                         hurwitz_zeta, hurwitz_zeta_with_bound,
-                         leading_coefficient)
+                         hurwitz_zeta_with_bound, leading_coefficient)
 from .modified import (ModifiedCharacter, build_modified, compute_N,
                        compute_T, eval_f_exact, eval_f_oracle)
 from .presets import PRESET_NAMES, PresetBundle, preset_config, run_preset
@@ -40,14 +38,13 @@ __all__ = [
     "parity",
     "RunConfig", "parse_config", "parse_config_text",
     "ConvergentTable", "PoleSeriesTrace", "bugeaud_mu", "continued_fraction",
-    "fitted_lower_constant", "min_riesz_order", "pole_series_diagnostic",
-    "reconstruct_alpha",
+    "min_riesz_order", "pole_series_diagnostic", "reconstruct_alpha",
     "GrowthReport", "PolyFit", "fit_riesz_polynomial", "growth_check",
     "mellin_lemma_check",
     "LContext", "LeadingCoefficient", "L0_exact", "Lprime0", "L_value",
     "L_value_with_bound",
     "euler_factor_ratio", "evaluate_F", "functional_equation_check",
-    "gauss_sum", "hurwitz_zeta", "hurwitz_zeta_with_bound",
+    "gauss_sum", "hurwitz_zeta_with_bound",
     "leading_coefficient",
     "ModifiedCharacter", "build_modified", "compute_N", "compute_T",
     "eval_f_exact", "eval_f_oracle",

@@ -18,6 +18,13 @@ Every O(q) build here (the dlog tables, `Character.angle_numerators`)
 works SPAN entries at a time, so its peak memory is its result plus at
 most SPAN_BUDGET bytes, whatever q is. `sieve` builds its O(q) prefix
 table the same way.
+
+chi's angle table has one cache, `chi_angle_table`, read by the sieve and
+by every L-function helper, with one dtype rule, `angle_dtype`. It keeps
+the last table built, read-only: the sieve's (q bytes for real f, at most
+8q) or the L-functions' at scale = order (at most 4q), so a command that
+sieves chi and then takes L(0, chi) or L'(0, chi), as `verify` does for
+real chi and real f, builds it once.
 """
 
 from __future__ import annotations
@@ -301,7 +308,7 @@ class Character:
         dtype, each basis element's term added to a reduced sum and reduced
         again. Entries for gcd(n, q) > 1 are -1. Vectorized, SPAN residues
         at a time, so the peak is the table plus at most SPAN_BUDGET bytes;
-        this is the sieve's lookup table.
+        `chi_angle_table` keeps it for the sieve and the L-functions.
         """
         q = self.modulus
         if 2 * scale - 2 > np.iinfo(dtype).max:
@@ -351,6 +358,22 @@ class Character:
 
     def __repr__(self):
         return f"Character({self.label})"
+
+
+def angle_dtype(top: int):
+    """The narrowest of int8/int16/int32 whose maximum is at least top,
+    else int64."""
+    return next((dt for dt in (np.int8, np.int16, np.int32)
+                 if top <= np.iinfo(dt).max), np.int64)
+
+
+@lru_cache(maxsize=1)
+def chi_angle_table(chi: Character, scale: int, dtype) -> np.ndarray:
+    """chi's angle table over `scale` (`Character.angle_numerators`) in
+    dtype, read-only. The last one built is kept, with its character."""
+    table = chi.angle_numerators(scale, dtype)
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_characters(q: int) -> list[Character]:

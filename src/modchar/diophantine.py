@@ -59,8 +59,6 @@ _HALF_ANGLE = math.pi * 2.0 ** -64
 # pole_series_diagnostic keeps every row for n <= _FULL_ROWS, then only
 # the checkpoints
 _FULL_ROWS = 4096
-# fitted_lower_constant skips convergents with a denominator above this
-_MAX_B = 10**6
 
 
 def _scaled_log(n: int, bits: int) -> int:
@@ -188,7 +186,11 @@ def continued_fraction(p: int, q: int, depth: int = 40,
 
 
 def reconstruct_alpha(table: ConvergentTable) -> Fraction:
-    """Fold the partial quotients back into a single rational."""
+    """Fold the partial quotients back into a single rational.
+
+    No command calls it: it is the test oracle for `continued_fraction`'s
+    `bits`, folding the trusted quotients back to compare with log p/log q.
+    """
     if not table.partial_quotients:
         raise DomainError("empty quotient list")
     x = Fraction(table.partial_quotients[-1])
@@ -210,23 +212,6 @@ def bugeaud_mu(p: int, q: int, gamma: float) -> float:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
     # grouped so that exchanging p and q is exact, not just near
     return gamma * (math.log(p) * math.log(q))
-
-
-def fitted_lower_constant(table: ConvergentTable, gamma: float = 1.0) -> float:
-    """Empirical inf of |alpha - h/b| * b^(mu+1) over the table's convergents
-    with 2 <= b <= _MAX_B.
-
-    A recorded lower bound for the constant C(p, q); nothing is proved by
-    it, the convergents are merely the worst rationals available.
-    """
-    mu = bugeaud_mu(table.p, table.q, gamma)
-    best = math.inf
-    for (h, b), quality in zip(table.convergents, table.quality):
-        if b < 2 or b > _MAX_B or not math.isfinite(quality):
-            continue
-        # |alpha - h/b| = b^(-quality)
-        best = min(best, b ** (mu + 1 - quality))
-    return best
 
 
 def min_riesz_order(mc: ModifiedCharacter, gamma: float) -> int:

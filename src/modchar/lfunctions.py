@@ -32,7 +32,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .characters import Character, is_primitive, parity
+from .characters import (Character, angle_dtype, chi_angle_table,
+                         is_primitive, parity)
 from .errors import (DomainError, NearPoleWarning, ParityError, PoleError,
                      PrecisionError, PrimitivityError, UntrustedTheoryWarning)
 from .modified import ModifiedCharacter, compute_pole_order
@@ -278,7 +279,7 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
     if not (num.size and np.all((num > 0) & (num <= q))):
         raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
     if not abs(s) <= MAX_ABS_S:                 # NaN fails here too
-        raise DomainError(f"|s| = {abs(s):.3g}; only |s| <= {MAX_ABS_S:g}"
+        raise DomainError(f"|s| = {abs(s)!r}; only |s| <= {MAX_ABS_S:g}"
                           f" is supported")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
@@ -315,18 +316,6 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
                 f" even on mpmath", suggested={"M": M, "B": B})
     val = complex(val) + 0j            # + 0j turns a -0.0 part into 0.0
     return val, trunc + rounding + abs(val) * 2.0 ** -52
-
-
-def hurwitz_zeta(s, a: float, eps: float = 1e-12) -> complex:
-    """zeta(s, a), absolute error at most eps plus one ulp of the value.
-
-    eps no smaller than 1e-12; the ulp rider only matters when the value
-    itself exceeds about eps / 2e-16.
-    """
-    if eps < 1e-12:
-        raise DomainError("precision targets tighter than 1e-12 unsupported")
-    val, _ = hurwitz_zeta_with_bound(s, a, eps)
-    return val
 
 
 _DIGAMMA_TAIL = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -380,15 +369,20 @@ def complex_gamma(z: complex) -> complex:
 
 
 def _char_vector(chi: Character) -> tuple[np.ndarray, np.ndarray, int]:
-    """Residues r in [1, q] coprime to q, chi(r) = e(k_r/order) as (r, k, order)."""
+    """Residues r in [1, q] coprime to q, chi(r) = e(k_r/order) as (r, k, order).
+
+    k is int64, read off the shared `chi_angle_table` at scale = order in
+    the narrowest dtype that holds it; for real chi that is usually the
+    sieve's own entry for real f (scale 2, int8).
+    """
     order = chi.order
-    t = chi.angle_numerators(order)
+    t = chi_angle_table(chi, order, angle_dtype(2 * order - 2))
     keep = t >= 0
     # residue 0 stands for r = q: a unit only when q = 1, as the one residue
     r = np.flatnonzero(keep)
     if chi.modulus == 1:
         r[0] = 1
-    return r, t[keep], order
+    return r, t[keep].astype(np.int64), order
 
 
 def gauss_sum(chi: Character) -> complex:
@@ -400,12 +394,9 @@ def gauss_sum(chi: Character) -> complex:
 
 @dataclass
 class LContext:
-    """Read-after-build evaluation context for one character.
-
-    `residues` caches chi's `_char_vector` (r, k, order): the residues r
-    coprime to q with chi(r) = e(k/order). Every Hurwitz pass on this
-    context reads it, the functional-equation partner's included.
-    """
+    """Read-after-build evaluation context for one character: eps, and
+    tau(chi) and epsilon(chi) once computed. chi's residues and angles
+    come from `_char_vector` on each pass, off the shared angle table."""
 
     chi: Character
     eps: float = 1e-12
@@ -420,10 +411,6 @@ class LContext:
     @property
     def kappa(self) -> int:
         return 0 if parity(self.chi) == 1 else 1
-
-    @cached_property
-    def residues(self) -> tuple[np.ndarray, np.ndarray, int]:
-        return _char_vector(self.chi)
 
     @cached_property
     def tau(self) -> complex:
@@ -450,7 +437,8 @@ def _l_at_one(chi: Character) -> complex:
     """
     r, k, order = _char_vector(chi)
     q = chi.modulus
-    return complex(-(_unit_roots(k, order) * digamma(r / q)).sum() / q)
+    val = complex(-(_unit_roots(k, order) * digamma(r / q)).sum() / q)
+    return val + 0j                    # + 0j turns a -0.0 part into 0.0
 
 
 def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
@@ -468,7 +456,7 @@ def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         return _l_at_one(chi), None
-    r, k, order = ctx.residues
+    r, k, order = _char_vector(chi)
     return hurwitz_zeta_with_bound(s, r, ctx.eps, q=chi.modulus, angles=k,
                                    order=order)
 
@@ -519,14 +507,21 @@ def lprime0_direct(chi: Character) -> complex:
 
 
 def lprime0_functional(chi: Character) -> complex:
-    """L'(0, chi) = epsilon(chi) sqrt(q) L(1, conj chi) / 2, the second route."""
+    """L'(0, chi) = epsilon(chi) sqrt(q) L(1, conj chi) / 2, the second route.
+
+    L(1, conj chi) is conj L(1, chi): e(-k/order) of `_unit_roots` is the
+    exact conjugate of e(k/order) and psi(a/q) is real, so this has the
+    bits of the pass on conj chi up to the sign of a zero part, and reads
+    chi's own table. It stays independent of `lprime0_direct`: digamma and
+    tau(chi), not log-gamma.
+    """
     if parity(chi) != 1:
         raise ParityError("L'(0, chi) formula requires even chi")
     if chi.is_principal:
         raise PrimitivityError("principal characters excluded (L is not entire)")
     if not is_primitive(chi):
         raise PrimitivityError("functional-equation route requires primitive chi")
-    lbar = _l_at_one(chi.conjugate())
+    lbar = _l_at_one(chi).conjugate()
     return LContext(chi).root_number * math.sqrt(chi.modulus) * lbar / 2
 
 
@@ -588,7 +583,7 @@ def functional_equation_check(ctx: LContext, s,
     it), which saves one Hurwitz pass; by default it is computed here.
 
     The partner L(1-s, conj chi) is conj L(1 - conj s, chi), one pass on
-    ctx's own residues; no context is built for conj chi. On the longdouble
+    chi's own residues; no context is built for conj chi. On the longdouble
     route this has the bits of the pass on conj chi, whose roots of unity
     and powers are the exact conjugates. On Re s = 1/2, 1 - conj s is s:
     the partner is conj L(s, chi) and no Hurwitz pass runs. There the

@@ -29,10 +29,12 @@ the Riesz power sums and for the Mellin transform.
 Each public call (`partial_sums`, `riesz_means`, `mellin_transform`)
 builds one `SieveContext` and hands it to whichever routes it runs, so D
 and the digit tables are made once per call. The chi angle table outlives
-the call: `chi_angle_table` keeps the last one built, read-only, so calls
-that follow on the same chi, D and dtype (`verify`'s partial sums, then
-its Riesz means) build it once. The one entry holds q bytes for real f and
-at most 8q bytes (int64), 8 MB at q = 1e6.
+the call: it comes from `characters.chi_angle_table`, the one cache of chi
+tables, shared with the L-functions. It keeps the last table built,
+read-only, so calls that follow on the same chi, D and dtype build it
+once: `verify`'s partial sums, its Riesz means and, for real chi and real
+f, L(0, chi). Its one entry holds q bytes for real f and at most 8q bytes
+(int64), 8 MB at q = 1e6; an L-function table holds at most 4q.
 
 Memory: a call's peak is the tables it keeps, plus one block's working
 set, plus one span. The kept tables are the chi angle table and, on the
@@ -63,7 +65,6 @@ summed directly (see `riesz_means`).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import SPAN, periodic_slice
+from .characters import SPAN, angle_dtype, chi_angle_table, periodic_slice
 from .errors import DomainError, OrderTooLargeError
 from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
@@ -179,16 +180,6 @@ def unit_values(tables, t: np.ndarray) -> np.ndarray:
     return vals
 
 
-@functools.lru_cache(maxsize=1)
-def chi_angle_table(chi, scale: int, dtype) -> np.ndarray:
-    """chi's angle table over `scale` (`Character.angle_numerators`) in
-    the sieve dtype, read-only. The last one built is kept, with its
-    character: q bytes for int8, 8q bytes at most."""
-    table = chi.angle_numerators(scale, dtype)
-    table.flags.writeable = False
-    return table
-
-
 class SieveContext:
     """One modified character's tables up to x_max, shared by every route
     of a call; tables (of `unit_tables`) is None for real f (D <= 2). Its
@@ -221,8 +212,7 @@ class SieveContext:
                 pe *= p
         # int64 always suffices: one n <= x_max takes fewer than 30 shifts,
         # each below D <= 2^53
-        self.dtype = next((dt for dt in (np.int8, np.int16, np.int32)
-                           if top <= np.iinfo(dt).max), np.int64)
+        self.dtype = angle_dtype(top)
         self.chi_table = chi_angle_table(chi, scale, self.dtype)
         # p in S dividing q: every product 1 < d <= x_max of them with the
         # angle of f(d), ascending in d

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modchar import csvrows, sieve
-from modchar.characters import character_from_label
+from modchar.characters import (Character, character_from_label,
+                                chi_angle_table)
 from modchar.cli import _fmt, _sums_csv, main
 from modchar import lfunctions
 from modchar.lfunctions import (LContext, functional_equation_check,
@@ -291,6 +292,41 @@ def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
     resid = capsys.readouterr().out.split("residual: ")[1].splitlines()[0]
     ctx = LContext(character_from_label("7.3"))
     assert resid == _fmt(functional_equation_check(ctx, 0.25 + 2j))
+
+
+@pytest.mark.parametrize("command", ["lfun", "coeff-even", "verify-fig1"])
+def test_each_command_builds_the_chi_table_once(command, monkeypatch,
+                                                tmp_path, capsys):
+    # lfun reads chi's table for L(s), tau(chi) and the partner; coeff on
+    # an even chi for both L'(0) routes and tau(chi); verify for the
+    # sieve and then L(0, chi) (real chi, real f: one cache key). At
+    # x = 1e5 verify's fit gets as far as L(0, chi).
+    built = []
+    table = Character.angle_numerators
+
+    def counting(chi, scale, dtype=np.int64):
+        built.append(chi.label)
+        return table(chi, scale, dtype)
+
+    monkeypatch.setattr(Character, "angle_numerators", counting)
+    if command == "lfun":
+        args, label = ["lfun", "--label", "61.10", "--s", "-0.5"], "61.10"
+    elif command == "coeff-even":
+        cfg = write_config(tmp_path, character={"label": "5.4"},
+                           modifications=[{"p": 2, "angle": [0, 1]}])
+        args, label = ["coeff", cfg], "5.4"
+    else:
+        fig1 = [{"p": p, "angle": [0, 1]} for p in (2, 3, 5, 11)]
+        cfg = write_config(tmp_path, name="fig1.json", x_max=100_000,
+                           checkpoints="dyadic", modifications=fig1)
+        args = ["verify", cfg, "--outdir", str(tmp_path / "v")]
+        label = "3.2"
+    chi_angle_table.cache_clear()
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert built == [label], out
+    if command == "verify-fig1":
+        assert "fit:" in out
 
 
 def test_dioph_json_and_text(capsys):

@@ -12,8 +12,8 @@ from modchar.characters import character_from_label
 from modchar import diophantine
 from modchar.diophantine import (ConvergentTable, _quality, _scaled_log,
                                  bugeaud_mu, continued_fraction,
-                                 fitted_lower_constant, min_riesz_order,
-                                 pole_series_diagnostic, reconstruct_alpha)
+                                 min_riesz_order, pole_series_diagnostic,
+                                 reconstruct_alpha)
 from modchar.errors import (DomainError, InvalidPrimeError, PrecisionError,
                             TruncatedTableWarning)
 from modchar.modified import build_modified
@@ -191,19 +191,6 @@ def test_bugeaud_mu():
             bugeaud_mu(2, 3, bad)
     with pytest.raises(InvalidPrimeError):
         bugeaud_mu(4, 3, 1.0)
-
-
-def test_fitted_lower_constant():
-    table = continued_fraction(2, 3, depth=40)
-    c = fitted_lower_constant(table, gamma=1.0)
-    assert 0 < c < math.inf
-    # independent recomputation straight from the definition
-    mu = math.log(2) * math.log(3)
-    with mp.workprec(600):
-        alpha = mp.log(2) / mp.log(3)
-        ref = min(float(abs(alpha - mp.mpf(h) / b) * mp.mpf(b) ** (mu + 1))
-                  for h, b in table.convergents if 2 <= b <= 10**6)
-    assert abs(c - ref) <= 1e-9 * ref
 
 
 def test_min_riesz_order_thresholds():

@@ -22,10 +22,9 @@ from modchar.lfunctions import (L0_exact, LContext, L_value,
                                 L_value_with_bound, Lprime0,
                                 complex_gamma, digamma, evaluate_F,
                                 euler_factor_ratio, functional_equation_check,
-                                gauss_sum, hurwitz_zeta,
-                                hurwitz_zeta_with_bound, l_special_factor,
-                                leading_coefficient, lprime0_direct,
-                                lprime0_functional)
+                                gauss_sum, hurwitz_zeta_with_bound,
+                                l_special_factor, leading_coefficient,
+                                lprime0_direct, lprime0_functional)
 from modchar.modified import build_modified
 from modchar.roots import UnitValue
 
@@ -44,11 +43,11 @@ def bcc():
 def test_hurwitz_closed_forms():
     # zeta(0, a) = 1/2 - a
     for a in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        v = hurwitz_zeta(0.0, float(a))
+        v = hurwitz_zeta_with_bound(0.0, float(a))[0]
         assert abs(v - (0.5 - float(a))) < 1e-12
-    assert abs(hurwitz_zeta(2.0, 1.0) - math.pi**2 / 6) < 1e-12
+    assert abs(hurwitz_zeta_with_bound(2.0, 1.0)[0] - math.pi**2 / 6) < 1e-12
     # sum over half-integers: zeta(2, 1/2) = pi^2/2
-    assert abs(hurwitz_zeta(2.0, 0.5) - math.pi**2 / 2) < 1e-12
+    assert abs(hurwitz_zeta_with_bound(2.0, 0.5)[0] - math.pi**2 / 2) < 1e-12
 
 
 def test_hurwitz_against_direct_series():
@@ -96,15 +95,13 @@ def test_hurwitz_reported_bound_meets_target():
 
 def test_hurwitz_guards():
     with pytest.raises(PoleError):
-        hurwitz_zeta(1.0, 0.5)
+        hurwitz_zeta_with_bound(1.0, 0.5)
     with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, 0.0)
+        hurwitz_zeta_with_bound(2.0, 0.0)
     with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, 1.5)
+        hurwitz_zeta_with_bound(2.0, 1.5)
     with pytest.raises(DomainError):
-        hurwitz_zeta(150.0, 0.5)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, 0.5, eps=1e-15)
+        hurwitz_zeta_with_bound(150.0, 0.5)
 
 
 def test_hurwitz_rejects_zero_eps():
@@ -123,6 +120,14 @@ def test_hurwitz_rejects_nan_s():
     for s in (math.nan, complex(0.5, math.nan)):
         with pytest.raises(DomainError, match="only"):
             hurwitz_zeta_with_bound(s, 0.5, 1e-12)
+
+
+def test_hurwitz_prints_the_modulus_of_s_in_full():
+    # |100 + i| is above the cap; three significant digits read "100"
+    with pytest.raises(DomainError) as err:
+        hurwitz_zeta_with_bound(100 + 1j, 0.5)
+    assert str(err.value) == ("|s| = 100.00499987500625; only |s| <= 100"
+                              " is supported")
 
 
 def test_digamma_against_mpmath():
@@ -443,6 +448,35 @@ def test_lprime0_dual_routes_agree():
                  and not c.is_principal and c.order > 2)
     assert abs(Lprime0(chi13.conjugate())
                - Lprime0(chi13).conjugate()) < 1e-10
+
+
+def test_l_at_one_has_no_negative_zero_part():
+    # like the Hurwitz route, the digamma route adds + 0j, which turns a
+    # -0.0 part into 0.0: `lfun --label 4.3 --s 1` prints "+ 0i", not "+ -0i"
+    for q in range(3, 61):
+        for chi in enumerate_characters(q):
+            if chi.is_principal:
+                continue
+            v, _ = L_value_with_bound(LContext(chi), 1)
+            for part in (v.real, v.imag):
+                assert math.copysign(1.0, part) > 0 or part != 0, chi.label
+
+
+def test_lprime0_functional_is_the_route_on_the_conjugate():
+    # L(1, conj chi) is taken as conj L(1, chi) on chi's own table; it
+    # equals the pass on conj chi's own context part for part (== treats
+    # the sign of a zero part as equal), complex chi included
+    seen_complex = False
+    for q in range(3, 61):
+        for chi in enumerate_characters(q):
+            if chi.is_principal or parity(chi) != 1 or not chi.is_primitive:
+                continue
+            seen_complex |= chi.order > 2
+            lbar = L_value(LContext(chi.conjugate()), 1)
+            want = LContext(chi).root_number * math.sqrt(q) * lbar / 2
+            got = lprime0_functional(chi)
+            assert got == want, chi.label
+    assert seen_complex
 
 
 def test_lprime0_guards():
