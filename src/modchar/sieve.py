@@ -825,17 +825,6 @@ class MellinResult:
     config_digest: str
 
 
-def _upper_gamma_int(a: int, z: float) -> float:
-    """Unnormalized upper incomplete gamma for integer a >= 0."""
-    s = 0.0
-    term = 1.0
-    for i in range(a + 1):
-        if i > 0:
-            term = term * z / i
-        s += term
-    return math.factorial(a) * math.exp(-z) * s
-
-
 def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut) -> MellinResult:
     """sigma * integral_1^x_cut M(x) x^(-1-sigma) dx, summed exactly.
 
@@ -844,7 +833,9 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut) -> MellinResult
     sum_{n <= X} f(n) n^-sigma - M(X) X^-sigma: no difference of nearly
     equal weights. Its piece sums go through the compensated fold on the
     fixed chunk grid and M comes from the walk, so the result does not
-    depend on BLOCK, like every other sum here.
+    depend on BLOCK, like every other sum here. The tail bound's
+    Gamma(|S|+1, sigma log X) is mpmath's gammainc at 53 bits, whatever
+    precision the caller left mpmath at.
     """
     if not 0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
@@ -873,5 +864,8 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut) -> MellinResult
         del vals, n, m, absm
     value = total.value - complex(m_before) * float(X) ** -sigma
     z = sigma * math.log(X)
-    tail = sup_ratio * _upper_gamma_int(a, z) / sigma ** a
+    import mpmath as mp
+
+    with mp.workprec(53):
+        tail = sup_ratio * float(mp.gammainc(a + 1, z)) / sigma ** a
     return MellinResult(value, tail, sup_ratio, float(sigma), X, mc.digest())

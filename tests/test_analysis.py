@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -234,6 +235,13 @@ def test_smoothing_integral_grid():
     numeric, analytic, gap = mellin_lemma_check(2.0, 0.5)
     assert abs(analytic - math.gamma(1.5) / 2.0 ** 1.5) < 1e-12
     assert gap <= 1e-6
+
+
+def test_smoothing_integral_ignores_the_callers_mpmath_precision():
+    want = mellin_lemma_check(0.25, 2.5)
+    for dps in (5, 50):
+        with mp.workdps(dps):
+            assert mellin_lemma_check(0.25, 2.5) == want, dps
 
 
 def test_smoothing_integral_guards():

@@ -271,6 +271,23 @@ def test_lfun_prints_error_bound(capsys):
     assert lines[2] == "error bound: uncertified (digamma route)"
 
 
+def test_lfun_names_the_partner_past_the_modulus_cap(capsys):
+    # |s| = 99.5; the cap is hit by the partner at 1 - conj s
+    assert main(["lfun", "--label", "3.2", "--s", "-99", "--im", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("functional equation residual: skipped"
+                        " (|1 - conj s| = 100.4987562112089; the partner"
+                        " needs |1 - conj s| <= 100)")
+
+
+def test_lfun_residual_within_the_bound_at_1009_5(capsys):
+    # Gamma 5 ulp off at 1.5 puts the residual at 7.1e-14, over the bound
+    assert main(["lfun", "--label", "1009.5", "--s", "-0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    resid, bound = (float(ln.split(": ")[1]) for ln in lines[1:])
+    assert resid <= bound, (resid, bound)
+
+
 def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
     # L(s) once, then the partner L(1 - s, conj chi) as conj L(1 - conj s,
     # chi) on the same context: two Hurwitz passes, not three, and the

@@ -563,6 +563,28 @@ def test_mellin_unmodified_chi3_hits_l_value():
     assert res.tail_bound < 1e-3
 
 
+def _upper_gamma_closed_form(a, z):
+    """Gamma(a+1, z) = a! e^-z sum_{i <= a} z^i / i! for integer a >= 0."""
+    return math.factorial(a) * math.exp(-z) * sum(
+        z ** i / math.factorial(i) for i in range(a + 1))
+
+
+def test_mellin_tail_bound_is_the_closed_form():
+    # |S| = 0, 1, 2, 4; the tail is sup |M(n)|/(log n)^|S| times
+    # Gamma(|S|+1, sigma log X) / sigma^|S|, whatever mpmath's precision
+    plain = build_modified(character_from_label("3.2"), {})
+    for mc in (plain, bcc(), complex_mc(), fig1()):
+        a = len(mc.modifications)
+        for sigma, X in ((0.1, 1000), (0.5, 5000), (2.0, 1000)):
+            res = mellin_transform(mc, sigma, X)
+            want = (res.sup_ratio / sigma ** a
+                    * _upper_gamma_closed_form(a, sigma * math.log(X)))
+            assert abs(res.tail_bound - want) <= 1e-14 * want, (a, sigma, X)
+            with mpmath.workdps(5):
+                low = mellin_transform(mc, sigma, X)
+            assert low.tail_bound == res.tail_bound, (a, sigma, X)
+
+
 def test_mellin_block_independence(monkeypatch):
     ref = mellin_transform(complex_mc(), 0.5, 3 * 10**4)
     for bs in (12288, 1003520):
