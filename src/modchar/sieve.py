@@ -41,13 +41,15 @@ set, plus one span. The kept tables are the chi angle table and, on the
 smooth route, the chi prefix of `_chi_prefix` (4 bytes per residue for
 real chi, 16 for complex). A block's working set is its angles, zero mask
 and values: about 30 bytes per integer for complex f and 9 for real f
-under `partial_sums`, and 65-75 under `riesz_means` and
-`mellin_transform`, whose longdouble logs and powers are per block too
-(7.5 and 18 MiB at BLOCK = 2^18). `_walk` and its consumers drop a
-block's arrays before the next block is built, so two blocks are never
-alive at once. A span is the temporaries of the one O(q) or O(block)
-builder running, which works SPAN entries at a time: at most
-`characters.SPAN_BUDGET` bytes, whatever q or BLOCK.
+under `partial_sums`, 35 (real f) to 70 (complex f) under `riesz_means`
+whatever its orders, and 50 to 72 under `mellin_transform`: their
+longdouble logs and powers are per block too (9 to 18 MiB at BLOCK =
+2^18). The Riesz carry is max(orders) + 1 numbers, so nothing grows with
+the number of chunks. `_walk` and its consumers drop a block's arrays
+before the next block is built, so two blocks are never alive at once. A
+span is the temporaries of the one O(q) or O(block) builder running,
+which works SPAN entries at a time: at most `characters.SPAN_BUDGET`
+bytes, whatever q or BLOCK.
 
 One walker, `_walk`, drives every reduction: it cuts each block on the
 fixed 4096-chunk grid from `summation` and again after each checkpoint, and
@@ -55,12 +57,10 @@ folds the piece sums into M once (exact integers for real f, a compensated
 fold otherwise). Sieved partial sums, Riesz means and the Mellin transform
 all read M from it, so every reported sum is bit-identical whatever BLOCK
 is; the smooth route never sees blocks. Riesz means of all requested
-orders come out of the same pass: power sums
-P_j = sum f(n) (log n - c)^j per chunk, centered at each chunk's own
-log-midpoint c, recombined binomially at checkpoints in longdouble. Past
-the first chunk centering keeps |log n - c| at most log(2)/2; in the
-first chunk it reaches log(4096)/2 = 4.16, so checkpoints there are
-summed directly (see `riesz_means`).
+orders come out of the same pass: each piece gives power sums of
+log(e/n) >= 0, e its last n, and one longdouble carry takes them from
+piece to piece by shifts whose weights are all nonnegative, so nothing
+cancels but the sum itself (see `riesz_means`).
 """
 
 from __future__ import annotations
@@ -666,47 +666,39 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
                             mc, float_sums=sums)
 
 
-def _inv_factorial(k: int) -> float:
-    if k < 150:
-        return 1.0 / float(math.factorial(k))
-    return math.exp(-math.lgamma(k + 1))
-
-
-def _signed_binomials(k: int) -> np.ndarray:
-    """(-1)^j C(k, j) for j = 0..k, by a running product in longdouble."""
-    j = np.arange(k, dtype=np.longdouble)
-    w = np.concatenate(([np.longdouble(1)], np.cumprod((k - j) / (j + 1))))
-    w[1::2] *= -1
-    return w
-
-
 def riesz_means(mc: ModifiedCharacter, orders, x,
                 checkpoints="dyadic",
                 normalized: bool = False) -> RieszRecord:
-    """Riesz means sum f(n) log(x/n)^k at checkpoints for several orders k.
+    """Riesz means R_k(x) = sum_{n <= x} f(n) log(x/n)^k at checkpoints, for
+    several orders k in one sieve pass.
 
-    One sieve pass serves every order. The k = 0 row is M(x) from the
-    route `partial_sums` takes for the same checkpoints: `_smooth_sums`, or
-    else the walk's fold, so the two agree bit for bit. For k > 0 the pass
-    accumulates power sums P_j = sum f(n) (log n - c)^j up to j = max(orders)
-    per 4096-chunk, centered at the chunk's log-midpoint c, and recombines
-    binomially at each checkpoint:
-    sum f(n) (log x - log n)^k = sum_chunks sum_j C(k,j) (log x - c)^(k-j)
-    (-1)^j P_j. Logs, power sums and recombination run in 80-bit longdouble
-    (float64's 2e-16 per log already costs order-one absolute error at
-    k = 13, x = 1e6), so what is left is essentially the final rounding to
-    complex128.
+    The k = 0 row is M(x) from the route `partial_sums` takes for the same
+    checkpoints: `_smooth_sums`, or else the walk's fold, so the two agree
+    bit for bit. For k > 0, with K = max(orders) and e_p the last n of the
+    walk's piece p (the 4096-chunk grid, cut after each checkpoint), each
+    piece gives L_p[j] = sum_{n in p} f(n) log(e_p/n)^j / j!, j <= K, from
+    a power chain of log e_p - log n >= 0. One carry V of K + 1 entries
+    moves on by
+        V <- (V conv [d^m/m!]_{m <= K})[:K + 1] + L_p,  d = log(e_p/e_(p-1)),
+    since log(e'/n)^k/k! = sum_m (d^m/m!) log(e/n)^(k-m)/(k-m)!. After the
+    piece that x closes, V_k = R_k(x)/k!: the row is k! V_k, or V_k when
+    normalized=True. All of it runs in 80-bit longdouble (complex for
+    complex f), at x K products in the chain plus (K + 1)^2 per piece.
 
-    The first chunk is the exception: there |log n - c| reaches
-    log(4096)/2 = 4.16, and at small x the expansion cancels terms near
-    8.3^k down to a value near 0 (R_39(1) would come out near 2e15, not 0).
-    A checkpoint x <= 4096 is therefore summed directly,
-    sum_{n<=x} f(n) (log x - log n)^k in longdouble with the powers built by
-    a running product, from the values of the walk's first block.
-
-    Recombination costs O(chunks * k) per checkpoint and the direct route
-    O(x * k), hence the density guard on their sum. normalized=True divides
-    order k by k!.
+    Error. Every weight that meets f(n) (log(e_p/n)^j, 1/j!, d^m/m!) is
+    nonnegative, so nothing cancels but the sum itself. With eps the
+    longdouble unit roundoff, A_j(x) = sum_{n <= x} |f(n)| log(x/n)^j / j!,
+    P the pieces up to x and logl within one ulp, V_k is to first order
+    and per component within
+        ((3k + 2) P + k + CHUNK + 1) eps A_k(x) + 5 eps log(x) A_(k-1)(x):
+    (k + CHUNK + 1) eps of each piece's mass for its chain, sum and 1/j!;
+    (3k + 2) eps of the carried mass per shift (2k for the weights, k + 1
+    for the convolution, 1 for the add); and 5 eps log x on log x - log n
+    through the composed shifts. k! V_k adds 2 eps A_k(x), and each row
+    the final rounding to complex128. For (3k + 2) P <= 2^12 that is at
+    most 4.2u A_k(x), u = 2^-53, plus the log term; measured values are
+    within one final rounding of 50-digit mpmath. Where longdouble is only
+    a double, expect 2^11 times more.
     """
     ks = sorted({_whole("order", k) for k in
                  (orders if hasattr(orders, "__iter__") else [orders])})
@@ -714,8 +706,8 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
         raise DomainError("orders must be nonnegative integers")
     if ks[-1] > MAX_ORDER:
         raise OrderTooLargeError(
-            f"order {ks[-1]} exceeds {MAX_ORDER}; (log x)^k binomial"
-            f" recombination would overflow float64")
+            f"order {ks[-1]} exceeds {MAX_ORDER}; R_k(x) grows like"
+            f" (log x)^k, which would overflow float64")
     x_max = _whole("x", x)
     if x_max < 1:
         raise DomainError("x must be at least 1")
@@ -723,85 +715,51 @@ def riesz_means(mc: ModifiedCharacter, orders, x,
     ctx = SieveContext(mc, x_max)
     kmax = ks[-1]
     terms = _smooth_plan(ctx, cps) if ks[0] == 0 else None
-    ncp = len(cps)
-    n_chunks = (x_max + CHUNK - 1) // CHUNK
-    n_direct = int(np.searchsorted(cps, CHUNK, side="right"))
-    work = (kmax + 1) * (ncp * max(n_chunks // 2, 1)
-                         + int(cps[:n_direct].sum()))
-    if work > 10**8:
-        raise DomainError(
-            f"{ncp} checkpoints with order {kmax} over {n_chunks} chunks"
-            f" is {work:.2g} recombination terms; thin the checkpoints")
-
+    pos = [k for k in ks if k > 0]     # the rows the carry gives
     dtype = np.longdouble if ctx.is_real else np.clongdouble
-    chunk_lo = np.arange(n_chunks, dtype=np.longdouble) * CHUNK + 1
-    centers = 0.5 * (np.log(chunk_lo) + np.log(chunk_lo + (CHUNK - 1)))
-    log_cp = np.log(cps.astype(np.longdouble))
-    rows = [row for row, k in enumerate(ks) if k > 0]
-    pows = np.array([ks[row] for row in rows]) - 1
-    table = np.zeros((kmax + 1, n_chunks), dtype)   # power sums per chunk
-    partial = np.zeros((kmax + 1, ncp), dtype)      # x's own chunk, up to x
-    values = np.zeros((len(ks), ncp), dtype=np.complex128)
-    m_rows, done = [], 0
+    # j! for j <= kmax, each rounded once from the exact integer
+    fact = np.array([math.factorial(j) for j in range(kmax + 1)],
+                    dtype=np.longdouble)
+    steps = np.arange(1, kmax + 1, dtype=np.longdouble)
+    carry = np.zeros(kmax + 1, dtype)
+    last = np.longdouble(0)             # log e_(p-1); no piece yet, log 1
+    v_rows, m_rows = [], []
     # k = 0 alone on the smooth route walks nothing
-    walk = _walk(ctx, cps) if rows or terms is None else ()
+    walk = _walk(ctx, cps) if pos or terms is None else ()
     for lo, hi, vals, starts, closed, run in walk:
         m_rows.append(run[closed])
-        if lo == 1 and rows and n_direct:
-            f = vals[:cps[n_direct - 1]].astype(dtype)
-            logn = np.log(np.arange(1, len(f) + 1, dtype=np.longdouble))
-            for i in range(n_direct):
-                x_i = int(cps[i])
-                pw = np.cumprod(np.broadcast_to(log_cp[i] - logn[:x_i],
-                                                (kmax, x_i)), axis=0)
-                values[rows, i] = pw[pows] @ f[:x_i]
-            del f, logn, pw
-        if not rows:
+        if not pos:
             del vals
             continue
-        first, span = (lo - 1) // CHUNK, -(-(hi - lo) // CHUNK)
+        lens = np.diff(starts, append=hi - lo)
         logs = np.log(np.arange(lo, hi, dtype=np.longdouble))
-        logs -= np.repeat(centers[first:first + span], CHUNK)[:hi - lo]
-        # power sums per piece; the spare zero column closes the last pair
-        sums = np.zeros((kmax + 1, len(starts) + 1), dtype)
+        ends = logs[starts + lens - 1]              # log e_p
+        np.subtract(np.repeat(ends, lens), logs, out=logs)
+        local = np.empty((kmax + 1, len(starts)), dtype)
         pw = vals.astype(dtype)
-        sums[0, :-1] = np.add.reduceat(pw, starts)
+        local[0] = np.add.reduceat(pw, starts)
         for j in range(1, kmax + 1):
             pw *= logs
-            sums[j, :-1] = np.add.reduceat(pw, starts)
-        chunk = (lo - 1 + starts) // CHUNK
-        heads = np.flatnonzero(np.diff(chunk, prepend=-1))
-        table[:, chunk[heads]] = np.add.reduceat(sums[:, :-1], heads, axis=1)
-        if len(closed):     # each checkpoint's chunk, up to its closing piece
-            head = heads[np.searchsorted(heads, closed, side="right") - 1]
-            pairs = np.stack((head, closed + 1), axis=1).ravel()
-            partial[:, done:done + len(closed)] = \
-                np.add.reduceat(sums, pairs, axis=1)[:, ::2]
-            done += len(closed)
-        del vals, logs, pw, sums
+            local[j] = np.add.reduceat(pw, starts)
+        local /= fact[:, None]
+        # shift weights d^m/m! per piece, row p
+        shift = np.ones((len(starts), kmax + 1), np.longdouble)
+        np.cumprod(np.diff(ends, prepend=last)[:, None] / steps, axis=1,
+                   out=shift[:, 1:])
+        last = ends[-1]
+        for p in range(len(starts)):    # local[:, p] becomes V after p
+            carry = np.convolve(carry, shift[p])[:kmax + 1] + local[:, p]
+            local[:, p] = carry
+        v_rows.append(local[np.ix_(pos, closed)])
+        del vals, logs, pw, local
 
-    # at x, chunks before own[x] are complete; own[x] is summed up to x
-    own = (cps - 1) // CHUNK
-    signed = {ks[row]: _signed_binomials(ks[row]) for row in rows}
-    for i in range(n_direct if rows else ncp, ncp):
-        m = int(own[i])
-        d = np.broadcast_to(log_cp[i] - centers[:m + 1], (kmax, m + 1))
-        pw = np.ones((kmax + 1, m + 1), dtype=np.longdouble)
-        np.cumprod(d, axis=0, out=pw[1:])
-        for row in rows:
-            k = ks[row]
-            rev = pw[k::-1]                   # row j: (log x - c)^(k - j)
-            w = signed[k]
-            values[row, i] = (np.einsum("j,jc,jc->", w, rev[:, :m],
-                                        table[:k + 1, :m])
-                              + w @ (rev[:, m] * partial[:k + 1, i]))
-
-    for row, k in enumerate(ks):
-        if k == 0:
-            values[row] = (np.concatenate(m_rows) if terms is None
-                           else _smooth_sums(ctx, cps, terms))
-        if normalized:
-            values[row] *= _inv_factorial(k)
+    values = np.zeros((len(ks), len(cps)), dtype=np.complex128)
+    if pos:
+        v = np.concatenate(v_rows, axis=1)
+        values[-len(pos):] = v if normalized else v * fact[pos, None]
+    if ks[0] == 0:
+        values[0] = (np.concatenate(m_rows) if terms is None
+                     else _smooth_sums(ctx, cps, terms))
     return RieszRecord(tuple(ks), cps, values, normalized, x_max,
                        mc.digest(), mc)
 

@@ -81,11 +81,13 @@ BLOCK = 1 << 16
 
 
 @pytest.mark.parametrize("route", ["sieve_sums", "riesz_means",
-                                   "mellin_transform"])
+                                   "riesz_means_k39", "mellin_transform"])
 def test_one_block_alive_during_the_walk(route, monkeypatch):
     # complex f: a block's values are 16 bytes per integer, so a block
     # left alive while the next one is built adds 1 MiB to the peak; the
-    # per-chunk arrays (Riesz centres and power sums) add a few KiB
+    # Riesz carry is kmax + 1 entries whatever x, so at k = 39 over 16
+    # blocks nothing per chunk may grow either (a (k + 1) x chunks table
+    # of clongdouble would add 320 KiB)
     mc = _modified(Character(character_group(10007), (1,)),
                    {2: UnitValue.root(1, 3), 3: UnitValue.root(2, 5)})
     monkeypatch.setattr(sieve, "BLOCK", BLOCK)
@@ -96,11 +98,14 @@ def test_one_block_alive_during_the_walk(route, monkeypatch):
                                checkpoints_from_rule("dyadic", x))
         if route == "riesz_means":
             return riesz_means(mc, [1, 3], x, "dyadic")
+        if route == "riesz_means_k39":
+            return riesz_means(mc, [1, 39], x, "dyadic")
         return mellin_transform(mc, 0.5, x)
 
+    blocks = 16 if route == "riesz_means_k39" else 4
     run(BLOCK)                          # the chi angle table, kept
     _, peak1, kept1 = _traced(lambda: run(BLOCK))
-    _, peak4, kept4 = _traced(lambda: run(4 * BLOCK))
+    _, peak4, kept4 = _traced(lambda: run(blocks * BLOCK))
     assert peak4 <= peak1 + (kept4 - kept1) + BLOCK, \
         (peak1 / 2**20, peak4 / 2**20)
 

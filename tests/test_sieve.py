@@ -481,9 +481,84 @@ def test_riesz_guards():
         riesz_means(mc, [-1], 100)
     with pytest.raises(DomainError):
         riesz_means(mc, [2], 0)
-    # checkpoint density guard: 5e4 checkpoints, k=20, 2442 chunks
-    with pytest.raises(DomainError):
-        riesz_means(mc, [20], 10**7, "every:200")
+
+
+def _carry_bound(k, x, pieces, mass_k, mass_km1):
+    """The first-order rounding bound of `riesz_means`' docstring for
+    R_k(x) = k! V_k, eps the longdouble unit roundoff, sqrt 2 times the
+    per-component bound for a complex modulus; the final rounding to
+    complex128 is left to the caller."""
+    eps = float(np.finfo(np.longdouble).eps) / 2
+    return math.sqrt(2) * math.factorial(k) * eps * (
+        ((3 * k + 2) * pieces + k + CHUNK + 3) * mass_k
+        + 5 * math.log(x) * mass_km1)
+
+
+def test_riesz_dense_grid_matches_sparse_grid():
+    # 40,000 checkpoints at k = 13: the carry costs (k + 1)^2 per piece,
+    # and every:50 cuts about 40,500 pieces against every:5000's 900.
+    # |f| <= 1, so the mass sum_{n <= x} |f(n)| log(x/n)^j / j! is at
+    # most x for every j
+    mc, k, x = bcc(), 13, 2_000_000
+    dense = riesz_means(mc, [k], x, "every:50")
+    sparse = riesz_means(mc, [k], x, "every:5000")
+    assert len(dense.checkpoints) == 40_000
+    at = np.searchsorted(dense.checkpoints, sparse.checkpoints)
+    assert np.array_equal(dense.checkpoints[at], sparse.checkpoints)
+    u = 2.0**-53
+    for cp, a, b in zip(sparse.checkpoints.tolist(), dense.values[0, at],
+                        sparse.values[0]):
+        tol = (_carry_bound(k, cp, cp // CHUNK + cp // 50 + 1, cp, cp)
+               + _carry_bound(k, cp, cp // CHUNK + cp // 5000 + 1, cp, cp)
+               + 2 * u * max(abs(a), abs(b)))
+        assert abs(a - b) <= tol, (cp, a, b, tol)
+    vals = stream(mc, 200_000)
+    for cp in (4100, 200_000):
+        ref, tol = _direct_riesz(vals, cp, k)
+        got = dense.values[0, np.searchsorted(dense.checkpoints, cp)]
+        assert abs(got - ref) <= tol, (cp, got, ref, tol)
+
+
+@pytest.mark.parametrize("make, k", [(fig1, 39), (complex_mc, 13)])
+def test_riesz_carry_across_many_pieces_matches_direct_sum(make, k,
+                                                           monkeypatch):
+    # one block per chunk, so the carry crosses 64 blocks, and each of the
+    # 226 checkpoints cuts its chunk in two; every sixth row and the last,
+    # within the direct sum's own rounding bound plus the carry's
+    monkeypatch.setattr(sieve, "BLOCK", CHUNK)
+    mc, x = make(), (1 << 18) + 77
+    rec = riesz_means(mc, [k], x, "geometric:1.05")
+    cps = rec.checkpoints.tolist()
+    assert len(cps) > 220
+    vals = stream(mc, x)
+    absf = np.abs(vals).astype(np.longdouble)
+    logn = np.log(np.arange(1, x + 1, dtype=np.longdouble))
+    for i in [*range(0, len(cps), 6), len(cps) - 1]:
+        cp = cps[i]
+        ref, tol = _direct_riesz(vals, cp, k)
+        base = np.log(np.longdouble(cp)) - logn[:cp]
+        pw = base ** (k - 1)
+        mass_km1 = float(np.dot(absf[:cp], pw)) / math.factorial(k - 1)
+        mass_k = float(np.dot(absf[:cp], pw * base)) / math.factorial(k)
+        pieces = (cp - 1) // CHUNK + i + 2
+        tol += _carry_bound(k, cp, pieces, mass_k, mass_km1)
+        got = rec.values[0, i]
+        assert abs(got - ref) <= tol, (cp, got, ref, tol)
+
+
+def test_riesz_normalized_high_orders_do_not_underflow():
+    # V_k = R_k(x)/k! comes straight from the carry; a float64 1/k! would
+    # underflow from k = 171 (1/180! reads 0)
+    u = 2.0**-53
+    mc = bcc()
+    for k in (150, 180, 200):
+        raw = riesz_means(mc, [k], 10**4).values[0]
+        norm = riesz_means(mc, [k], 10**4, normalized=True).values[0]
+        assert not raw.imag.any() and not norm.imag.any()
+        for r, v in zip(raw.real.tolist(), norm.real.tolist()):
+            ref = float(mpmath.mpf(r) / mpmath.factorial(k))
+            assert abs(v - ref) <= 2 * u * abs(ref) + 2.0**-1074, (k, r, v)
+        assert norm.real[-1] > 0
 
 
 def test_sieve_context_guards():
