@@ -20,8 +20,7 @@ from .analysis import (GrowthReport, PolyFit, fit_riesz_polynomial,
                        growth_check, mellin_lemma_check)
 from .lfunctions import (LContext, LeadingCoefficient, L0_exact, Lprime0,
                          L_value, L_value_with_bound, euler_factor_ratio,
-                         evaluate_F,
-                         functional_equation_check, gauss_sum,
+                         evaluate_F, functional_equation_check, gauss_sum,
                          hurwitz_zeta_with_bound, leading_coefficient)
 from .modified import (ModifiedCharacter, build_modified, compute_N,
                        compute_T, eval_f_exact, eval_f_oracle)
@@ -42,9 +41,8 @@ __all__ = [
     "GrowthReport", "PolyFit", "fit_riesz_polynomial", "growth_check",
     "mellin_lemma_check",
     "LContext", "LeadingCoefficient", "L0_exact", "Lprime0", "L_value",
-    "L_value_with_bound",
-    "euler_factor_ratio", "evaluate_F", "functional_equation_check",
-    "gauss_sum", "hurwitz_zeta_with_bound",
+    "L_value_with_bound", "euler_factor_ratio", "evaluate_F",
+    "functional_equation_check", "gauss_sum", "hurwitz_zeta_with_bound",
     "leading_coefficient",
     "ModifiedCharacter", "build_modified", "compute_N", "compute_T",
     "eval_f_exact", "eval_f_oracle",

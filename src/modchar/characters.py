@@ -19,12 +19,11 @@ works SPAN entries at a time, so its peak memory is its result plus at
 most SPAN_BUDGET bytes, whatever q is. `sieve` builds its O(q) prefix
 table the same way.
 
-chi's angle table has one cache, `chi_angle_table`, read by the sieve and
-by every L-function helper, with one dtype rule, `angle_dtype`. It keeps
-the last table built, read-only: the sieve's (q bytes for real f, at most
-8q) or the L-functions' at scale = order (at most 4q), so a command that
-sieves chi and then takes L(0, chi) or L'(0, chi), as `verify` does for
-real chi and real f, builds it once.
+chi's angle table has one cache, `chi_angle_table`: the last table built,
+read-only (q bytes for real f, at most 8q), in the dtype of `angle_dtype`.
+The sieve reads it, and `lfunctions.LContext` reads chi's angles off it
+whenever its scale is a multiple of chi's order, so a command that sieves
+chi and then takes L(0, chi) or L'(0, chi), as `verify` does, builds it once.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ MAX_MODULUS = 10**6
 # Entries per step of every O(q) table build, here and in `sieve`.
 SPAN = 1 << 16
 # Most bytes of temporaries one step of such a build holds on top of the
-# table it fills, whatever q: about 1 MiB for a dlog or angle table, 4-6
-# MiB for the complex chi prefix of `sieve`, set by its digit-table
-# lookups (3.25 MiB for SPAN values from two tables, 5 MiB from three;
-# the compensated fold beside them holds about 1 MiB). `csvrows` writes
-# CSV rows within the same budget.
+# table it fills, whatever q: about 1 MiB for a dlog or angle table, 4.25
+# (two digit tables) to 5 MiB (three) for the complex chi prefix of
+# `sieve`: its `unit_values` lookups hold up to 3.5 MiB for SPAN values,
+# the compensated fold beside them about 1 MiB. `csvrows` writes CSV rows
+# within the same budget.
 SPAN_BUDGET = 128 * SPAN
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -370,10 +369,15 @@ def angle_dtype(top: int):
 @lru_cache(maxsize=1)
 def chi_angle_table(chi: Character, scale: int, dtype) -> np.ndarray:
     """chi's angle table over `scale` (`Character.angle_numerators`) in
-    dtype, read-only. The last one built is kept, with its character."""
+    dtype, read-only. The last one built is kept, with its character; its
+    arguments are `chi_angle_table.key`."""
     table = chi.angle_numerators(scale, dtype)
     table.flags.writeable = False
+    chi_angle_table.key = (chi, scale, dtype)
     return table
+
+
+chi_angle_table.key = None
 
 
 def enumerate_characters(q: int) -> list[Character]:

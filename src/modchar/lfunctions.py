@@ -189,13 +189,11 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
                      hint: float) -> tuple[complex, float]:
     """The same combination as _em_sum on mpmath, at a precision sized to budget.
 
-    Used when the longdouble rounding term alone exceeds the budget: deep
-    negative sigma (terms of size (M+a)^|sigma| cancelling to a much smaller
-    value) or many residues with large terms. hint is that longdouble
-    rounding term; rounding scales with the unit roundoff, so the precision
-    is chosen to bring it under a quarter of the budget, raised again if
-    the term measured here says otherwise. The residues are combined in
-    mpmath, so the returned value carries one rounding to complex128.
+    hint is the longdouble rounding term that exceeded the budget; rounding
+    scales with the unit roundoff, so the precision is chosen to bring it
+    under a quarter of the budget, raised again if the term measured here
+    says otherwise. The residues are combined in mpmath, so the returned
+    value carries one rounding to complex128.
     """
     import mpmath as mp
 
@@ -242,9 +240,10 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
     """q^(-s) sum_i e(angles_i/order) zeta(s, a_i/q) with a rigorous error bound.
 
     With the defaults this is zeta(s, a) for one 0 < a <= 1 (or the sum over
-    an array of them). L(s, chi) passes its residues r coprime to q as a,
-    chi's angle numerators and order, and q. Every parameter a_i/q must lie
-    in (0, 1].
+    an array of them). L(s, chi) passes chi's `LContext` as a, and q, the
+    residues, angles and roots e(angles/order) are read from it, derived
+    once per context; given angles and order, the roots are derived here.
+    Every parameter a_i/q must lie in (0, 1].
 
     The returned bound is absolute and sums three parts:
     - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
@@ -268,15 +267,18 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
 
     The route switches only on rounding: when the longdouble rounding term
     alone exceeds eps minus the truncation term (deep negative sigma such
-    as s = -3.5, or q near 1000 at s = -0.5), the same formula runs in
-    _em_sum_bigfloat at a precision sized from that term. Where longdouble
-    is only a double, u is 2^-53 and more inputs take that route; the
-    bound stays honest either way. PrecisionError if no route meets eps.
+    as s = -3.5, whose terms of size (M+a)^|sigma| cancel to a much smaller
+    value, or q near 1000 at s = -0.5), the same formula runs in
+    _em_sum_bigfloat at a precision sized from that term. PrecisionError if
+    no route meets eps.
     DomainError for |s| above MAX_ABS_S or NaN, and for eps outside (0, inf).
     """
     s = complex(s)
     if s == 1:
         raise PoleError("zeta(s, a) has its only pole at s = 1")
+    ctx = a if isinstance(a, LContext) else None
+    if ctx is not None:
+        (a, angles), q, order = ctx.vector, ctx.chi.modulus, ctx.chi.order
     num = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if not (num.size and np.all((num > 0) & (num <= q))):
         raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
@@ -304,7 +306,8 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
             M *= 2
         else:
             B += 8
-    weights = (np.ones(num.size, dtype=np.clongdouble) if angles is None
+    weights = (ctx.roots if ctx is not None
+               else np.ones(num.size, dtype=np.clongdouble) if angles is None
                else _unit_roots(angles, order))
     val, rounding = _em_sum(s, num.astype(np.longdouble) / q, M, B,
                             weights, q)
@@ -363,42 +366,19 @@ def complex_gamma(z: complex) -> complex:
         return complex(mp.gamma(mp.mpc(z)))
 
 
-def _char_vector(chi: Character) -> tuple[np.ndarray, np.ndarray, int]:
-    """Residues r in [1, q] coprime to q, chi(r) = e(k_r/order) as (r, k, order).
-
-    k is int64, read off the shared `chi_angle_table` at scale = order in
-    the narrowest dtype that holds it; for real chi that is usually the
-    sieve's own entry for real f (scale 2, int8).
-    """
-    order = chi.order
-    t = chi_angle_table(chi, order, angle_dtype(2 * order - 2))
-    keep = t >= 0
-    # residue 0 stands for r = q: a unit only when q = 1, as the one residue
-    r = np.flatnonzero(keep)
-    if chi.modulus == 1:
-        r[0] = 1
-    return r, t[keep].astype(np.int64), order
-
-
-def gauss_sum(chi: Character) -> complex:
-    """tau(chi) = sum_a chi(a) e(a/q), angles kept exact until the end."""
-    q = chi.modulus
-    r, k, order = _char_vector(chi)
-    return complex(_unit_roots(k * q + r * order, order * q).sum())
-
-
 @dataclass
 class LContext:
-    """Read-after-build evaluation context for one character: eps, and
-    tau(chi) and epsilon(chi) once computed. chi's residues and angles
-    come from `_char_vector` on each pass, off the shared angle table."""
+    """The one holder of a character's L-function data, with the eps of
+    its L-values: `vector` (residues r coprime to q, angles k over chi's
+    order), `roots` e(k/order), `tau` and `root_number`, each derived at
+    most once and dropped with the context. Every helper here reads them
+    from the context it is given as chi, or builds one (`_context`)."""
 
     chi: Character
     eps: float = 1e-12
 
     def __post_init__(self):
-        # checked here, not only in hurwitz_zeta_with_bound, because the
-        # digamma route at s = 1 never reaches that check
+        # checked here too: the digamma route at s = 1 skips hurwitz's check
         if not 0 < self.eps < math.inf:
             raise DomainError(f"eps must be positive and finite, got"
                               f" {self.eps:g}")
@@ -408,8 +388,28 @@ class LContext:
         return 0 if parity(self.chi) == 1 else 1
 
     @cached_property
+    def vector(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, k), int64: the r in [1, q] coprime to q, chi(r) = e(k/order);
+        k off the `chi_angle_table` last built for chi if its scale is a
+        multiple of the order (the sieve's), else off one at scale = order."""
+        chi, order = self.chi, self.chi.order
+        key = chi_angle_table.key
+        if not (key and key[0] == chi and key[1] % order == 0):
+            key = (chi, order, angle_dtype(2 * order - 2))
+        t = chi_angle_table(*key)
+        keep = t >= 0
+        r = np.flatnonzero(keep)
+        r[r == 0] = chi.modulus     # residue 0 is r = q, a unit only if q = 1
+        return r, t[keep].astype(np.int64) // (key[1] // order)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """e(k/order) of `_unit_roots` for the k of `vector`."""
+        return _unit_roots(self.vector[1], self.chi.order)
+
+    @cached_property
     def tau(self) -> complex:
-        return gauss_sum(self.chi)
+        return gauss_sum(self)
 
     @cached_property
     def root_number(self) -> complex:
@@ -422,17 +422,28 @@ class LContext:
         return eps_chi
 
 
-def _l_at_one(chi: Character) -> complex:
+def _context(chi: Character | LContext) -> LContext:
+    """chi itself if it is an LContext, else a new context for it."""
+    return chi if isinstance(chi, LContext) else LContext(chi)
+
+
+def gauss_sum(chi: Character | LContext) -> complex:
+    """tau(chi) = sum_a chi(a) e(a/q), angles kept exact until the end."""
+    ctx = _context(chi)
+    (r, k), q, order = ctx.vector, ctx.chi.modulus, ctx.chi.order
+    return complex(_unit_roots(k * q + r * order, order * q).sum())
+
+
+def _l_at_one(chi: Character | LContext) -> complex:
     """L(1, chi) for non-principal chi: -(1/q) sum chi(a) psi(a/q).
 
     The Hurwitz route has a removable singularity at s = 1 (each term poles,
-    the chi-sum cancels); the digamma form is the finite part directly. One
-    array pass: chi(a) from `_char_vector` and `_unit_roots`, psi(a/q) from
-    the array form of `digamma`, summed in clongdouble.
+    the chi-sum cancels); the digamma form is the finite part directly: the
+    context's roots times the array `digamma`, summed in clongdouble.
     """
-    r, k, order = _char_vector(chi)
-    q = chi.modulus
-    val = complex(-(_unit_roots(k, order) * digamma(r / q)).sum() / q)
+    ctx = _context(chi)
+    q = ctx.chi.modulus
+    val = complex(-(ctx.roots * digamma(ctx.vector[0] / q)).sum() / q)
     return val + 0j                    # + 0j turns a -0.0 part into 0.0
 
 
@@ -445,15 +456,12 @@ def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
     The bound is at most ctx.eps plus |value| 2^-52 for that rounding. At
     s = 1 the digamma form is used, which carries no certified bound.
     """
-    chi = ctx.chi
     s = complex(s)
     if s == 1:
-        if chi.is_principal:
+        if ctx.chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
-        return _l_at_one(chi), None
-    r, k, order = _char_vector(chi)
-    return hurwitz_zeta_with_bound(s, r, ctx.eps, q=chi.modulus, angles=k,
-                                   order=order)
+        return _l_at_one(ctx), None
+    return hurwitz_zeta_with_bound(s, ctx, ctx.eps)
 
 
 def L_value(ctx: LContext, s) -> complex:
@@ -461,7 +469,7 @@ def L_value(ctx: LContext, s) -> complex:
     return L_value_with_bound(ctx, s)[0]
 
 
-def L0_exact(chi: Character) -> Fraction | np.ndarray:
+def L0_exact(chi: Character | LContext) -> Fraction | np.ndarray:
     """L(0, chi) = -(1/q) sum_{a<q} chi(a) a, exactly.
 
     c_j is minus the sum of the a < q with chi(a) = e(j/order), added up
@@ -470,10 +478,10 @@ def L0_exact(chi: Character) -> Fraction | np.ndarray:
     chi is real, otherwise the int64 vector c. Odd chi only: for even chi
     the value is 0 by the sine factor, which is the wrong-parity case here.
     """
-    if parity(chi) != -1:
+    ctx = _context(chi)
+    if parity(ctx.chi) != -1:
         raise ParityError("L(0, chi) vanishes for even chi; odd chi required")
-    q = chi.modulus
-    r, k, order = _char_vector(chi)     # odd chi has q >= 3, so r < q
+    (r, k), q, order = ctx.vector, ctx.chi.modulus, ctx.chi.order
     c = np.zeros(order, dtype=np.int64)
     np.subtract.at(c, k, r)
     if order % 2 == 0:
@@ -482,53 +490,56 @@ def L0_exact(chi: Character) -> Fraction | np.ndarray:
     return Fraction(int(c[0]), q) if order == 2 else c
 
 
-def lprime0_direct(chi: Character) -> complex:
+def _even_primitive(ctx: LContext, route: str) -> None:
+    """The guards of both L'(0) routes, route naming the one that ran."""
+    if parity(ctx.chi) != 1:
+        raise ParityError("L'(0, chi) formula requires even chi")
+    if ctx.chi.is_principal:
+        raise PrimitivityError("principal characters excluded (L is not entire)")
+    if not is_primitive(ctx.chi):
+        raise PrimitivityError(f"{route} requires primitive chi")
+
+
+def lprime0_direct(chi: Character | LContext) -> complex:
     """L'(0, chi) = sum_{a<q} chi(a) log Gamma(a/q) for even primitive chi.
 
     The log q and log 2pi companions of the textbook formula cancel against
-    sum chi(a) = 0 and L(0, chi) = 0. chi(a) comes from `_char_vector` and
-    `_unit_roots`, and the sum runs in clongdouble.
+    sum chi(a) = 0 and L(0, chi) = 0. chi(a) comes from the context's
+    roots, and the sum runs in clongdouble.
     """
-    if parity(chi) != 1:
-        raise ParityError("L'(0, chi) formula requires even chi")
-    if chi.is_principal:
-        raise PrimitivityError("principal characters excluded (L is not entire)")
-    if not is_primitive(chi):
-        raise PrimitivityError("L'(0) dual-route check requires primitive chi")
-    r, k, order = _char_vector(chi)
-    q = chi.modulus
-    lgammas = np.array([math.lgamma(a / q) for a in r.tolist()])
-    return complex((_unit_roots(k, order) * lgammas).sum())
+    ctx = _context(chi)
+    _even_primitive(ctx, "L'(0) dual-route check")
+    a = (ctx.vector[0] / ctx.chi.modulus).tolist()
+    return complex((ctx.roots * np.fromiter(map(math.lgamma, a), float)).sum())
 
 
-def lprime0_functional(chi: Character) -> complex:
+def lprime0_functional(chi: Character | LContext) -> complex:
     """L'(0, chi) = epsilon(chi) sqrt(q) L(1, conj chi) / 2, the second route.
 
     L(1, conj chi) is conj L(1, chi): e(-k/order) of `_unit_roots` is the
     exact conjugate of e(k/order) and psi(a/q) is real, so this has the
     bits of the pass on conj chi up to the sign of a zero part, and reads
-    chi's own table. It stays independent of `lprime0_direct`: digamma and
-    tau(chi), not log-gamma.
+    chi's own context. It stays independent of `lprime0_direct`: digamma
+    and tau(chi), not log-gamma.
     """
-    if parity(chi) != 1:
-        raise ParityError("L'(0, chi) formula requires even chi")
-    if chi.is_principal:
-        raise PrimitivityError("principal characters excluded (L is not entire)")
-    if not is_primitive(chi):
-        raise PrimitivityError("functional-equation route requires primitive chi")
-    lbar = _l_at_one(chi).conjugate()
-    return LContext(chi).root_number * math.sqrt(chi.modulus) * lbar / 2
+    ctx = _context(chi)
+    _even_primitive(ctx, "functional-equation route")
+    return (ctx.root_number * math.sqrt(ctx.chi.modulus)
+            * _l_at_one(ctx).conjugate() / 2)
 
 
-def Lprime0(chi: Character) -> complex:
-    """L'(0, chi) with the mandatory two-route check: PrecisionError if the
-    routes differ by more than _LPRIME0_GAP."""
-    direct = lprime0_direct(chi)
-    via_fe = lprime0_functional(chi)
+def Lprime0(chi: Character | LContext) -> complex:
+    """L'(0, chi) with the mandatory two-route check, both on one context,
+    the functional equation first (tau(chi) is formed before the roots are
+    held): PrecisionError if they differ by more than _LPRIME0_GAP."""
+    ctx = _context(chi)
+    _even_primitive(ctx, "L'(0) dual-route check")
+    via_fe = lprime0_functional(ctx)
+    direct = lprime0_direct(ctx)
     gap = abs(direct - via_fe)
     if gap > _LPRIME0_GAP:
         raise PrecisionError(
-            f"L'(0, chi) routes disagree by {gap:.3e} for {chi.label}",
+            f"L'(0, chi) routes disagree by {gap:.3e} for {ctx.chi.label}",
             suggested={"direct": direct, "functional": via_fe})
     return direct
 
@@ -565,9 +576,7 @@ def euler_factor_ratio(mc: ModifiedCharacter, s) -> complex:
 
 def evaluate_F(mc: ModifiedCharacter, s, eps: float = 1e-12) -> complex:
     """F(s) = euler_factor_ratio(mc, s) * L(s, chi)."""
-    ratio = euler_factor_ratio(mc, s)
-    ctx = LContext(mc.base, eps)
-    return ratio * L_value(ctx, s)
+    return euler_factor_ratio(mc, s) * L_value(LContext(mc.base, eps), s)
 
 
 def functional_equation_check(ctx: LContext, s,
@@ -578,13 +587,13 @@ def functional_equation_check(ctx: LContext, s,
     it), which saves one Hurwitz pass; by default it is computed here.
 
     The partner L(1-s, conj chi) is conj L(1 - conj s, chi), one pass on
-    chi's own residues; no context is built for conj chi. On the longdouble
-    route this has the bits of the pass on conj chi, whose roots of unity
-    and powers are the exact conjugates. On Re s = 1/2, 1 - conj s is s:
-    the partner is conj L(s, chi) and no Hurwitz pass runs. There the
-    residual tests epsilon(chi) and the Gamma, sin, 2^s pi^(s-1)
-    q^(1/2-s) chain, not L itself, as it always did. DomainError, naming
-    1 - conj s, when |1 - conj s| is above MAX_ABS_S though |s| is not.
+    ctx's residues and roots; no context is built for conj chi. On the
+    longdouble route this has the bits of the pass on conj chi, whose roots
+    of unity and powers are the exact conjugates. On Re s = 1/2, 1 - conj s
+    is s: the partner is conj L(s, chi) and no Hurwitz pass runs. There the
+    residual tests epsilon(chi) and the Gamma, sin, 2^s pi^(s-1) q^(1/2-s)
+    chain, not L itself. DomainError, naming 1 - conj s, when |1 - conj s|
+    is above MAX_ABS_S though |s| is not.
     """
     chi = ctx.chi
     if not is_primitive(chi):
@@ -597,8 +606,6 @@ def functional_equation_check(ctx: LContext, s,
         raise DomainError(f"Gamma(1-s) pole at s = {s}")
     if chi.modulus == 1 and (abs(s) < 1e-9 or abs(s - 1) < 1e-9):
         raise DomainError("zeta pole on one side of the equation")
-    q = chi.modulus
-    kappa = ctx.kappa
     lhs = L_value(ctx, s) if value is None else complex(value)
     mirror = 1 - s.conjugate()
     if not abs(mirror) <= MAX_ABS_S:
@@ -606,8 +613,8 @@ def functional_equation_check(ctx: LContext, s,
                           f" needs |1 - conj s| <= {MAX_ABS_S:g}")
     partner = (lhs if mirror == s else L_value(ctx, mirror)).conjugate()
     rhs = (ctx.root_number * partner
-           * 2 ** s * math.pi ** (s - 1) * q ** (0.5 - s)
-           * complex_gamma(1 - s) * cmath.sin(math.pi * (s + kappa) / 2))
+           * 2 ** s * math.pi ** (s - 1) * chi.modulus ** (0.5 - s)
+           * complex_gamma(1 - s) * cmath.sin(math.pi * (s + ctx.kappa) / 2))
     return abs(lhs - rhs)
 
 
@@ -649,7 +656,7 @@ class LeadingCoefficient:
         }
 
 
-def l_special_factor(chi: Character):
+def l_special_factor(chi: Character | LContext):
     """c_chi: L(0, chi) exact for odd chi, checked L'(0, chi) for even.
 
     Returns (complex value, the Fraction for real odd chi, else None). For
@@ -657,14 +664,15 @@ def l_special_factor(chi: Character):
     order, in one sequential pass, each e(j/order) of `_unit_roots` rounded
     to complex128 times c_j/q.
     """
-    if parity(chi) != -1:
-        return Lprime0(chi), None
-    c = L0_exact(chi)
+    ctx = _context(chi)
+    if parity(ctx.chi) != -1:
+        return Lprime0(ctx), None
+    c = L0_exact(ctx)
     if isinstance(c, Fraction):
         return complex(c), c
     js = np.flatnonzero(c)
     roots = _unit_roots(js, len(c)).astype(np.complex128).tolist()
-    q = chi.modulus
+    q = ctx.chi.modulus
     return sum((z * (n / q) for z, n in zip(roots, c[js].tolist())), 0j), None
 
 

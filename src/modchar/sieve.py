@@ -13,10 +13,9 @@ d of the S-primes dividing q, ascending, the multiples of d get the table
 slice of n/d (consecutive along the stride) plus angle(f(d)); the last
 write at n is for its full S-part.
 Sieved angles therefore equal the trial-factorization oracle exactly.
-Complex values are read off them through base-B digit tables of e(r/D),
-built once from exact numerators in longdouble (`unit_tables`): one to
-four lookups and products per value and no transcendental call per
-integer. With 80-bit longdouble a value is within 12.5u of e(t/D), u = 2^-53.
+Complex values come from the digit tables of `unit_tables` (`unit_values`):
+one to four lookups and products per value, no transcendental call per
+integer, within 12.5u of e(t/D) (u = 2^-53) with 80-bit longdouble.
 
 Partial sums have a second route that does not sieve. f = chi * h with h
 on the S-smooth d only, h(p^e) = f(p)^(e-1) (f(p) - chi(p)), so
@@ -29,12 +28,9 @@ the Riesz power sums and for the Mellin transform.
 Each public call (`partial_sums`, `riesz_means`, `mellin_transform`)
 builds one `SieveContext` and hands it to whichever routes it runs, so D
 and the digit tables are made once per call. The chi angle table outlives
-the call: it comes from `characters.chi_angle_table`, the one cache of chi
-tables, shared with the L-functions. It keeps the last table built,
-read-only, so calls that follow on the same chi, D and dtype build it
-once: `verify`'s partial sums, its Riesz means and, for real chi and real
-f, L(0, chi). Its one entry holds q bytes for real f and at most 8q bytes
-(int64), 8 MB at q = 1e6; an L-function table holds at most 4q.
+the call in `characters.chi_angle_table`, which the L-functions read too,
+so `verify` builds it once for its partial sums, its Riesz means and
+L(0, chi) or L'(0, chi): q bytes for real f, at most 8q, 8 MB at q = 1e6.
 
 Memory: a call's peak is the tables it keeps, plus one block's working
 set, plus one span. The kept tables are the chi angle table and, on the
@@ -156,38 +152,38 @@ def unit_tables(scale: int) -> tuple[np.ndarray, ...]:
 def unit_values(tables, t: np.ndarray) -> np.ndarray:
     """e(t/D) as complex128 for exact angles 0 <= t < D, from the digit
     tables of `unit_tables`: one lookup per table and L - 1 products, in
-    steps of SPAN entries, so the output is the one full-length array. The
-    error bound is that of `unit_tables`."""
+    steps of SPAN entries. The error bound is that of `unit_tables`. The
+    digits are divided in t's dtype into buffers made once per call, so
+    beside its output a call holds at most 32 m bytes at L = 2 and 40 m at
+    L = 3, 4, m = min(len(t), SPAN) (see tests/test_memory.py)."""
     vals = np.empty(len(t), dtype=np.complex128)
     base = t.dtype.type(len(tables[0]))    # B <= D fits t's dtype
     last = len(tables) - 1
-    # the gather buffer for tables[1:]; one table needs none
-    factor = np.empty(min(len(t), SPAN), np.complex128) if last else None
+    m = min(len(t), SPAN) if last else 0    # one table needs no buffer
+    factor, digit = np.empty(m, np.complex128), np.empty(m, t.dtype)
+    quots = [np.empty(m, t.dtype) for _ in range(min(last, 2))]
     for a in range(0, len(t), SPAN):
         rest = t[a:a + SPAN]
         n = len(rest)
         out = vals[a:a + n]
         for i, table in enumerate(tables):
+            index = rest
             if i < last:                  # digit = rest mod B, rest //= B
-                q = rest // base
-                digit, rest = rest - q * base, q
-            else:
-                digit = rest
+                q = np.floor_divide(rest, base, out=quots[i % 2][:n])
+                index = np.multiply(q, base, out=digit[:n])
+                np.subtract(rest, index, out=index)
+                rest = q
             if i == 0:
-                np.take(table, digit, out=out, mode="clip")
+                np.take(table, index, out=out, mode="clip")
             else:
-                out *= np.take(table, digit, out=factor[:n], mode="clip")
+                out *= np.take(table, index, out=factor[:n], mode="clip")
     return vals
 
 
 class SieveContext:
     """One modified character's tables up to x_max, shared by every route
     of a call; tables (of `unit_tables`) is None for real f (D <= 2). Its
-    blocks (`iter_blocks`) are BLOCK integers long.
-
-    Memory (see the module docstring): a call on this context peaks at the
-    tables it keeps, plus one block's working set, plus one span of at most
-    `characters.SPAN_BUDGET` bytes."""
+    blocks (`iter_blocks`) are BLOCK integers long; memory: see the module."""
 
     def __init__(self, mc: ModifiedCharacter, x_max: int):
         x_max = _whole("x_max", x_max)
@@ -646,13 +642,7 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     x e + (CHUNK + 1) u x + 2u|M|: it rounds x values and sums each chunk
     left to right. So complex M(x) from two checkpoint rules can differ in
     the last bits when they take different routes; both are inside their
-    bounds.
-
-    Memory: the peak is the retained tables (the chi angle table; the chi
-    prefix on the smooth route) plus one block's working set on the sieve
-    route (about 30 bytes per integer for complex f, 9 for real) plus one
-    span of at most `characters.SPAN_BUDGET` bytes; see the module
-    docstring.
+    bounds. Memory: see the module docstring.
     """
     x_max = _whole("x_max", x_max)
     cps = checkpoints_from_rule(checkpoint_rule, x_max)

@@ -1,6 +1,7 @@
 """Command line: exit codes, CSV formats, reports, reproducibility."""
 
 import errno
+import functools
 import io
 import json
 import os
@@ -311,13 +312,16 @@ def test_lfun_reuses_l_of_s_for_the_residual(monkeypatch, capsys):
     assert resid == _fmt(functional_equation_check(ctx, 0.25 + 2j))
 
 
-@pytest.mark.parametrize("command", ["lfun", "coeff-even", "verify-fig1"])
+@pytest.mark.parametrize("command", ["lfun", "coeff-even", "verify-fig1",
+                                     "verify-complex"])
 def test_each_command_builds_the_chi_table_once(command, monkeypatch,
                                                 tmp_path, capsys):
     # lfun reads chi's table for L(s), tau(chi) and the partner; coeff on
     # an even chi for both L'(0) routes and tau(chi); verify for the
-    # sieve and then L(0, chi) (real chi, real f: one cache key). At
-    # x = 1e5 verify's fit gets as far as L(0, chi).
+    # sieve and then L(0, chi): on fig1 one cache key (real chi, real f),
+    # on 61.2 with f(3) = e(1/3) the sieve's (60, int16), which L reads
+    # since 60 is a multiple of chi's order. At x = 1e5 verify's fit gets
+    # as far as L(0, chi).
     built = []
     table = Character.angle_numerators
 
@@ -332,18 +336,62 @@ def test_each_command_builds_the_chi_table_once(command, monkeypatch,
         cfg = write_config(tmp_path, character={"label": "5.4"},
                            modifications=[{"p": 2, "angle": [0, 1]}])
         args, label = ["coeff", cfg], "5.4"
-    else:
+    elif command == "verify-fig1":
         fig1 = [{"p": p, "angle": [0, 1]} for p in (2, 3, 5, 11)]
         cfg = write_config(tmp_path, name="fig1.json", x_max=100_000,
                            checkpoints="dyadic", modifications=fig1)
         args = ["verify", cfg, "--outdir", str(tmp_path / "v")]
         label = "3.2"
+    else:
+        mods = [{"p": 2, "angle": [0, 1]}, {"p": 3, "angle": [1, 3]}]
+        cfg = write_config(tmp_path, name="c61.json", x_max=100_000,
+                           character={"label": "61.2"}, modifications=mods)
+        args = ["verify", cfg, "--outdir", str(tmp_path / "v")]
+        label = "61.2"
     chi_angle_table.cache_clear()
     assert main(args) == 0
     out = capsys.readouterr().out
     assert built == [label], out
-    if command == "verify-fig1":
-        assert "fit:" in out
+    if command.startswith("verify"):
+        assert "vs theory" in out, out
+
+
+@pytest.mark.parametrize("command", ["lfun", "coeff-even-complex"])
+def test_each_command_derives_chi_residues_and_roots_once(command,
+                                                          monkeypatch,
+                                                          tmp_path, capsys):
+    # one LContext holds chi's residues, angles and roots e(k/order): lfun
+    # at s = -0.5 reads them for L(s), tau(chi) and the partner L(1.5),
+    # coeff on an even complex chi for both L'(0) routes and tau(chi).
+    # Each derivation of the residues reads chi_angle_table, and each of
+    # the roots is a _unit_roots call over chi's order.
+    label = "61.10" if command == "lfun" else "61.4"
+    order = character_from_label(label).order
+    tables, roots = [], []
+    table, unit_roots = lfunctions.chi_angle_table, lfunctions._unit_roots
+
+    @functools.wraps(table)         # with the cache's last key
+    def counted_table(chi, *args):
+        tables.append(chi.label)
+        return table(chi, *args)
+
+    def counted_roots(num, den):
+        if den == order:
+            roots.append(len(num))
+        return unit_roots(num, den)
+
+    monkeypatch.setattr(lfunctions, "chi_angle_table", counted_table)
+    monkeypatch.setattr(lfunctions, "_unit_roots", counted_roots)
+    if command == "lfun":
+        args = ["lfun", "--label", label, "--s", "-0.5"]
+    else:
+        cfg = write_config(tmp_path, character={"label": label},
+                           modifications=[{"p": 2, "angle": [0, 1]}])
+        args = ["coeff", cfg]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "residual" in out or "a_(N+k)" in out, out
+    assert tables == [label] and roots == [60], (tables, roots)
 
 
 def test_dioph_json_and_text(capsys):

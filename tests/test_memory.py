@@ -22,7 +22,8 @@ from modchar.modified import build_modified
 from modchar.roots import UnitValue
 from modchar.sieve import (RieszRecord, SieveContext, _chi_prefix,
                            _sieve_sums, checkpoints_from_rule,
-                           mellin_transform, riesz_means)
+                           mellin_transform, riesz_means, unit_tables,
+                           unit_values)
 from modchar.summation import ComplexNeumaierSum
 
 Q = 999983
@@ -75,6 +76,31 @@ def test_chi_prefix_transient_within_span_budget(mods):
     assert prefix.dtype == (np.int32 if real else np.complex128)
     assert kept >= prefix.nbytes
     assert peak - kept <= SPAN_BUDGET, (peak - kept) / 2**20
+
+
+@pytest.mark.parametrize("levels, scale, dtype", [
+    (2, 3 * 65521, np.int32), (2, 3 * 65521, np.int64),
+    (3, (1 << 40) + 15, np.int64), (4, (1 << 53) - 111, np.int64)])
+def test_unit_values_divides_digits_into_buffers(levels, scale, dtype):
+    """m = 2^16 angles in L = levels digits; the output is 16 m bytes.
+
+    Beside it `unit_values` may hold its buffers: the gathered factor
+    (16 m), the digit and min(L - 1, 2) quotients in t's dtype (w m each,
+    w = 4 or 8), and, when w < 8, np.take's intp copy of the index (8 m).
+    At L = 2 that is 16 + 2w (+ 8 if w = 4) <= 32 bytes per angle, at
+    L = 3 and 4 16 + 3w (+ 8) <= 40: 2 and 2.5 MiB. The arrays' headers
+    and the Python objects of the call add well under 4 KiB. Dividing
+    into fresh arrays held a quotient, its product with B and the digit
+    at once: 40 m at L = 2 and 56 m at L = 3 for int64 angles.
+    """
+    tables = unit_tables(scale)
+    assert len(tables) == levels
+    t = np.random.default_rng(levels).integers(0, scale, 1 << 16)
+    t = t.astype(dtype)
+    vals, peak, kept = _traced(lambda: unit_values(tables, t))
+    assert kept >= vals.nbytes == 16 << 16
+    budget = (32 if levels == 2 else 40) << 16
+    assert peak - kept <= budget + 4096, (peak - kept) / 2**20
 
 
 BLOCK = 1 << 16

@@ -459,9 +459,10 @@ def _direct_riesz(vals, x, k):
 
 
 def test_riesz_small_x_matches_direct_sum():
-    # x <= 4096 lies in the first chunk, where |log n - c| reaches 4.16 and
-    # the chunk-centred expansion cancelled catastrophically (R_39(1) came
-    # out as 2e15); 4097 is the first x on the chunk route
+    # x = 1..64 cut the first chunk into one-integer pieces, so the carry
+    # shifts after every n; CHUNK - 1 and CHUNK close the first chunk's
+    # last pieces, and CHUNK + 1 is the first x whose carry crosses the
+    # chunk grid
     cps = list(range(1, 65)) + [CHUNK - 1, CHUNK, CHUNK + 1]
     x = cps[-1]
     for mc, k in ((fig1(), 39), (complex_mc(), 13)):
