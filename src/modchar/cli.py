@@ -13,6 +13,14 @@ The bytes equal '%.17g' % v for every double. Where longdouble is only a
 double, every value takes the Python route.
 Exit codes: 0 success, 1 computational failure or a closed stdout, 2
 config or usage error.
+
+Each command runs only the layers it uses. `characters`, `describe`,
+`simulate`, `preset` and `riesz` run the character tables, the sieve and
+the CSV writer. `lfun` and `coeff` add `lfunctions`. `dioph`, `kmin`,
+`poleseries`, and `riesz` or `coeff` on "auto" orders add `diophantine`.
+`verify` runs all of these plus `analysis`. The package registers those
+three modules lazily (see its `__init__`), so each body runs on the first
+attribute this module reads from it (`lfunctions.LContext`, ...).
 """
 
 from __future__ import annotations
@@ -27,16 +35,12 @@ import warnings
 
 import numpy as np
 
-from .analysis import fit_riesz_polynomial, growth_check
+from . import analysis, diophantine, lfunctions
 from .characters import character_from_label, enumerate_characters, parity
 from .config import RunConfig, parse_config
 from .csvrows import csv_text
-from .diophantine import (continued_fraction, min_riesz_order,
-                          pole_series_diagnostic)
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
                      FitError, InvalidModulusError, ModCharError)
-from .lfunctions import (LContext, L_value_with_bound,
-                         functional_equation_check, leading_coefficient)
 from .presets import PRESET_NAMES, run_preset
 from .sieve import partial_sums, riesz_means
 
@@ -215,7 +219,7 @@ def cmd_coeff(args) -> int:
     mc = cfg.modified()
     ks = cfg.resolved_orders(mc)
     k = ks[-1]
-    lc = leading_coefficient(mc, k)
+    lc = lfunctions.leading_coefficient(mc, k)
     if args.json:
         print(json.dumps(_jsonable(lc.describe()), indent=2))
         return 0
@@ -245,14 +249,14 @@ def cmd_lfun(args) -> int:
     else:
         raise ConfigError("need --label q.j")
     s = complex(args.s, args.im)
-    ctx = LContext(chi, eps=args.eps)
-    val, bound = L_value_with_bound(ctx, s)
+    ctx = lfunctions.LContext(chi, eps=args.eps)
+    val, bound = lfunctions.L_value_with_bound(ctx, s)
     s_str = _fmt(s.real) + (f"+{_fmt(s.imag)}i" if s.imag else "")
     print(f"L({s_str}, chi_[{chi.label}])"
           f" = {_fmt(val.real)} + {_fmt(val.imag)}i")
     if chi.is_primitive and not chi.is_principal:
         try:
-            resid = functional_equation_check(ctx, s, val)
+            resid = lfunctions.functional_equation_check(ctx, s, val)
             print(f"functional equation residual: {_fmt(resid)}")
         except DomainError as e:
             # the asymmetric form carries Gamma(1-s): poles at s = 1, 2, ...
@@ -266,8 +270,8 @@ def cmd_lfun(args) -> int:
 
 
 def cmd_dioph(args) -> int:
-    table = continued_fraction(args.p, args.q, depth=args.depth,
-                               bits=args.bits)
+    table = diophantine.continued_fraction(args.p, args.q, depth=args.depth,
+                                           bits=args.bits)
     if args.json:
         doc = {"p": table.p, "q": table.q, "precision": table.precision,
                "trusted_depth": table.trusted_depth,
@@ -286,7 +290,7 @@ def cmd_dioph(args) -> int:
 def cmd_kmin(args) -> int:
     cfg = _load_config(args)
     mc = cfg.modified()
-    k = min_riesz_order(mc, cfg.gamma)
+    k = diophantine.min_riesz_order(mc, cfg.gamma)
     print(f"k_min = {k}  (gamma = {_fmt(cfg.gamma)},"
           f" S = {list(mc.primes) or '{}'})")
     if not mc.primes:
@@ -298,7 +302,8 @@ def cmd_kmin(args) -> int:
 def cmd_poleseries(args) -> int:
     cfg = _load_config(args)
     mc = cfg.modified()
-    trace = pole_series_diagnostic(mc, args.anchor, args.decay, args.nmax)
+    trace = diophantine.pole_series_diagnostic(mc, args.anchor, args.decay,
+                                                args.nmax)
     _write_text(cfg.out, _pole_csv(trace))
     summary = sys.stderr if cfg.out in (None, "-") else sys.stdout
     print(f"largest term {_fmt(trace.max_term)} at n = {trace.max_term_n};"
@@ -361,18 +366,19 @@ def cmd_verify(args) -> int:
         cfg = cfg.with_overrides(checkpoints="geometric:1.05")
     mc = cfg.modified()
     n = mc.pole_order
-    k_min = min_riesz_order(mc, cfg.gamma)
+    k_min = diophantine.min_riesz_order(mc, cfg.gamma)
     k = cfg.resolved_orders(mc)[-1]
     print(f"config {mc.digest()}: T = {mc.sign_shift}, N = {n},"
           f" k_min = {k_min} at gamma = {_fmt(cfg.gamma)}, running k = {k}")
 
     series = partial_sums(mc, cfg.x_max, checkpoint_rule=cfg.checkpoints)
-    upper = growth_check(series, exponent=len(mc.primes), mode="upper")
+    upper = analysis.growth_check(series, exponent=len(mc.primes),
+                                  mode="upper")
     print(f"upper: sup |M(x)|/(log x)^{len(mc.primes)}"
           f" = {_fmt(upper.sup)}, {upper.verdict}")
     omega = None
     if n >= 1:
-        omega = growth_check(series, exponent=n, mode="omega")
+        omega = analysis.growth_check(series, exponent=n, mode="omega")
         print(f"omega: tail inf of running max |M(x)|/(log x)^{n}"
               f" = {_fmt(omega.tail_inf)}, {omega.verdict}")
     else:
@@ -388,7 +394,8 @@ def cmd_verify(args) -> int:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                fit = fit_riesz_polynomial(record, k, n, gamma=cfg.gamma)
+                fit = analysis.fit_riesz_polynomial(record, k, n,
+                                                   gamma=cfg.gamma)
             below = any(issubclass(w.category, BelowOrderThresholdWarning)
                         for w in caught)
             fit_report = {

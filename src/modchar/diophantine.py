@@ -95,13 +95,6 @@ class ConvergentTable:
     quality: tuple[float, ...]
     trusted_depth: int
 
-    @property
-    def alpha(self) -> float:
-        return math.log(self.p) / math.log(self.q)
-
-    def denominators(self) -> list[int]:
-        return [b for _, b in self.convergents]
-
     def rows(self):
         """(a_i, h_i, b_i, quality_i) per convergent, for tabular output."""
         return list(zip(self.partial_quotients,

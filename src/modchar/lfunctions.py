@@ -404,8 +404,10 @@ class LContext:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """e(k/order) of `_unit_roots` for the k of `vector`."""
-        return _unit_roots(self.vector[1], self.chi.order)
+        """e(k/order) of `_unit_roots` for the k of `vector`, gathered from
+        its `order` distinct values (element-wise the same numbers)."""
+        order = self.chi.order
+        return _unit_roots(np.arange(order), order)[self.vector[1]]
 
     @cached_property
     def tau(self) -> complex:

@@ -364,7 +364,7 @@ def test_each_command_derives_chi_residues_and_roots_once(command,
     # at s = -0.5 reads them for L(s), tau(chi) and the partner L(1.5),
     # coeff on an even complex chi for both L'(0) routes and tau(chi).
     # Each derivation of the residues reads chi_angle_table, and each of
-    # the roots is a _unit_roots call over chi's order.
+    # the roots is one _unit_roots call on the order angles 0 .. order - 1.
     label = "61.10" if command == "lfun" else "61.4"
     order = character_from_label(label).order
     tables, roots = [], []
@@ -391,7 +391,7 @@ def test_each_command_derives_chi_residues_and_roots_once(command,
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "residual" in out or "a_(N+k)" in out, out
-    assert tables == [label] and roots == [60], (tables, roots)
+    assert tables == [label] and roots == [order], (tables, roots)
 
 
 def test_dioph_json_and_text(capsys):
@@ -656,6 +656,65 @@ def test_main_reuses_one_parser_without_leaking_defaults(tmp_path, capsys):
                                capture_output=True, text=True, env=env)
         assert fresh.returncode == 0, fresh.stderr
         assert got == fresh.stdout, argv
+
+
+_LAZY_CHECK = """
+import sys, types
+import modchar.cli
+
+lazy = ["modchar.analysis", "modchar.diophantine", "modchar.lfunctions"]
+assert modchar.cli.main(["simulate", sys.argv[1], "--out", sys.argv[2]]) == 0
+# type() reads no attribute, so it runs none of them
+for name in lazy:
+    assert type(sys.modules[name]) is not types.ModuleType, name
+
+# an attribute runs that module alone and returns the real function
+lfunctions = sys.modules["modchar.lfunctions"]
+L_value = lfunctions.L_value
+assert type(lfunctions) is types.ModuleType
+assert L_value is vars(lfunctions)["L_value"]
+assert L_value.__module__ == "modchar.lfunctions" and callable(L_value)
+for name in lazy[:2]:
+    assert type(sys.modules[name]) is not types.ModuleType, name
+
+import modchar
+for name in modchar.__all__:
+    getattr(modchar, name)
+star = {}
+exec("from modchar import *", star)
+missing = set(modchar.__all__) - set(star)
+assert not missing, missing
+assert set(modchar.__all__) <= set(dir(modchar))
+assert modchar.L_value is L_value
+assert modchar.min_riesz_order is sys.modules["modchar.diophantine"].min_riesz_order
+try:
+    modchar.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("modchar.no_such_name resolved")
+"""
+
+
+def test_simulate_runs_no_l_function_diophantine_or_analysis_module(
+        tmp_path):
+    # the L-function, Diophantine and analysis modules are registered in
+    # sys.modules but run only on their first attribute, so a fresh
+    # `simulate` process runs none of them; the package's public names
+    # still resolve, star import and dir() included
+    import subprocess
+    import sys
+
+    import modchar
+
+    cfg = write_config(tmp_path, x_max=1000)
+    src = os.path.dirname(os.path.dirname(modchar.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_CHECK, cfg,
+                           str(tmp_path / "sums.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote "), proc.stdout
 
 
 def test_riesz_and_pole_csv_match_the_per_row_formula():

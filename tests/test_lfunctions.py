@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modchar.characters import (character_from_label, character_group,
-                                enumerate_characters, eval_char, parity)
+from modchar.characters import (Character, character_from_label,
+                                character_group, enumerate_characters,
+                                eval_char, parity)
 from modchar import lfunctions
 from modchar.errors import (DomainError, NearPoleWarning, ParityError,
                             PoleError, PrimitivityError,
@@ -205,6 +206,19 @@ def test_root_numbers_unimodular():
         for chi in enumerate_characters(q):
             if chi.is_primitive and not chi.is_principal:
                 assert abs(abs(LContext(chi).root_number) - 1) < 1e-10
+
+
+@pytest.mark.parametrize("q, exponent", [(7, 1), (999961, 16666), (1009, 1)],
+                         ids=["7.3-order-6", "999961-order-60",
+                              "1009-order-phi-q"])
+def test_context_roots_equal_unit_roots_per_residue(q, exponent):
+    # the context gathers e(k/order) from its `order` distinct values;
+    # element for element they are _unit_roots on each residue's own k
+    chi = Character(character_group(q), (exponent,))
+    ctx = LContext(chi)
+    want = lfunctions._unit_roots(ctx.vector[1], chi.order)
+    assert ctx.roots.dtype == want.dtype and ctx.roots.shape == want.shape
+    assert (ctx.roots == want).all()
 
 
 def test_l_value_special_points():
