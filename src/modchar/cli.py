@@ -5,14 +5,14 @@ stdout; progress and summaries go to stdout only when they will not mix
 with data, otherwise stderr. All floats print at 17 significant digits,
 so identical configs reproduce byte-identical files.
 
-CSV rows are written by numpy (`csvrows`). A float's 17 digits come from
-one longdouble product with an exactly parsed power of ten, laid out by
-C's %g rules; near-ties of that product and special values (0, inf, nan,
-subnormals, |v| outside [1e-300, 1e300]) go through Python's formatter.
-The bytes equal '%.17g' % v for every double. Where longdouble is only a
-double, every value takes the Python route.
-Exit codes: 0 success, 1 computational failure or a closed stdout, 2
-config or usage error.
+CSV rows are written by numpy (`csvrows`) as ASCII bytes, held once and
+written as they are. A float's 17 digits come from a float64
+double-double product with an exactly built power of ten, laid out by
+C's %g rules; near-ties of that product and special values (inf, nan,
+subnormals, |v| outside [1e-280, 1e300]) go through Python's formatter.
+The bytes equal '%.17g' % v for every double, on every host.
+Exit codes: 0 success, 1 computational failure, an unwritable output or
+a closed stdout, 2 config or usage error.
 
 Each command runs only the layers it uses. `characters`, `describe`,
 `simulate`, `preset` and `riesz` run the character tables, the sieve and
@@ -40,8 +40,8 @@ from .characters import character_from_label, enumerate_characters, parity
 from .config import RunConfig, parse_config
 from .csvrows import csv_text
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
-                     FitError, InvalidModulusError, ModCharError)
-from .presets import PRESET_NAMES, run_preset
+                     FitError, InvalidModulusError, ModCharError, OutputError)
+from .presets import PRESET_NAMES, preset_config, run_preset
 from .sieve import partial_sums, riesz_means
 
 _GROUP_LABEL = {1: "(1 - chi(p))/log p",
@@ -89,12 +89,53 @@ def _json_or_text(s: str):
         return s
 
 
-def _write_text(path: str | None, text: str):
+def _write_text(path: str | None, text):
+    """Write text, a str or a CSV's ASCII bytes, to path, or to stdout for
+    None or '-': as bytes to stdout's buffer after what was printed, or
+    decoded where stdout has none (a StringIO). An OSError becomes an
+    OutputError naming the path; a closed pipe stays a BrokenPipeError."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            sys.stdout.flush()
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:
+                sys.stdout.write(data.decode("utf-8"))
+            else:
+                out.write(data)
+                out.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as e:
+            _drop_stdout()
+            raise OutputError(f"cannot write stdout: {e.strerror or e}"
+                              ) from None
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _make_outdir(path: str):
+    """Create the output directory, or fail before any computation."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _drop_stdout():
+    """Point stdout's descriptor at the null device, so that the
+    interpreter's last flush at exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):        # no descriptor, e.g. a StringIO
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _jsonable(obj):
@@ -125,7 +166,7 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _sums_csv(series) -> str:
+def _sums_csv(series) -> bytearray:
     xs = series.checkpoints
     if series.exact_sums is not None:   # |M| <= 1e9: %d prints the digits
         return csv_text("x,re_sum,im_sum\n", [(
@@ -134,14 +175,14 @@ def _sums_csv(series) -> str:
                     [(xs, series.sums.real, series.sums.imag)])
 
 
-def _riesz_csv(record) -> str:
+def _riesz_csv(record) -> bytearray:
     xs = record.checkpoints
     return csv_text("x,k,re_value,im_value\n", [
         (xs, np.broadcast_to(np.int64(k), xs.shape), row.real, row.imag)
         for k, row in zip(record.orders, record.values)])
 
 
-def _pole_csv(trace) -> str:
+def _pole_csv(trace) -> bytearray:
     return csv_text("n,term,partial_sum\n",
                     [(trace.ns, trace.terms, trace.partials)])
 
@@ -313,8 +354,9 @@ def cmd_poleseries(args) -> int:
 
 
 def cmd_preset(args) -> int:
+    preset_config(args.name, x_max=args.xmax)     # a bad --xmax exits 2 first
+    _make_outdir(args.outdir)
     bundle = run_preset(args.name, x_max=args.xmax)
-    os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, f"{args.name}_sums.csv")
     _write_text(csv_path, _sums_csv(bundle.series))
     report = bundle.report()
@@ -365,6 +407,7 @@ def cmd_verify(args) -> int:
     if args.checkpoints is None:
         cfg = cfg.with_overrides(checkpoints="geometric:1.05")
     mc = cfg.modified()
+    _make_outdir(args.outdir)
     n = mc.pole_order
     k_min = diophantine.min_riesz_order(mc, cfg.gamma)
     k = cfg.resolved_orders(mc)[-1]
@@ -424,7 +467,6 @@ def cmd_verify(args) -> int:
         fit_report = {"skipped": "degree N + k = 0 is not a polynomial fit"}
         print("fit: skipped, degree N + k = 0")
 
-    os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.config))[0]
     paths = {
         "sums": os.path.join(args.outdir, f"{stem}_sums.csv"),
@@ -583,15 +625,8 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         # the reader of stdout is gone (`modchar ... | head`): exit 1
-        # quietly, and point stdout at the null device so that the
-        # interpreter's last flush at exit does not fail again
-        try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):    # no descriptor, e.g. a StringIO
-            return 1
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, fd)
-        os.close(null)
+        # quietly
+        _drop_stdout()
         return 1
 
 

@@ -72,6 +72,10 @@ class FitError(ModCharError, RuntimeError):
     """Least-squares fit is rank deficient, ill conditioned, or degenerate."""
 
 
+class OutputError(ModCharError, OSError):
+    """An output file, directory or stdout cannot be written; names it."""
+
+
 class ConfigError(ModCharError, ValueError):
     """Config file violates the schema; carries best-effort line/column."""
 

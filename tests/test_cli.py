@@ -4,15 +4,17 @@ import errno
 import functools
 import io
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modchar import csvrows, sieve
+from modchar import cli, csvrows, presets, sieve
 from modchar.characters import (Character, character_from_label,
                                 chi_angle_table)
 from modchar.cli import _fmt, _sums_csv, main
@@ -152,7 +154,7 @@ def test_sums_csv_bytes_match_per_value_format(mc):
     lines = ["x,re_sum,im_sum"]
     for x, s in zip(series.checkpoints.tolist(), series.sums):
         lines.append(f"{x},{_fmt(s.real)},{_fmt(s.imag)}")
-    assert _sums_csv(series) == "\n".join(lines) + "\n"
+    assert _sums_csv(series) == ("\n".join(lines) + "\n").encode()
 
 
 def test_value_scale_overflow_is_a_config_error(tmp_path, capsys):
@@ -481,6 +483,83 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, monkeypatch,
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}", "--out", "{out}"],
+    ["poleseries", "{cfg}", "--anchor", "3", "--k", "5", "--out", "{out}"]])
+def test_an_unwritable_output_file_exits_1_naming_it(tmp_path, capsys,
+                                                     argv):
+    out = str(tmp_path / "missing" / "out.csv")
+    argv = [a.format(cfg=write_config(tmp_path), out=out) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{cfg}", "--outdir", "{outdir}"],
+    ["preset", "bcc", "--xmax", "1000", "--outdir", "{outdir}"]])
+def test_a_file_as_outdir_fails_before_the_sieve(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    outdir = tmp_path / "taken"
+    outdir.write_text("")
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+    monkeypatch.setattr(cli, "partial_sums", no_sieve)
+    monkeypatch.setattr(presets, "partial_sums", no_sieve)
+    argv = [a.format(cfg=write_config(tmp_path), outdir=outdir)
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {outdir}: ")
+    assert "Traceback" not in err
+
+
+class _FullDevice(io.RawIOBase):
+    """A device that refuses every write while full."""
+
+    full = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+
+def test_an_unwritable_stdout_exits_1_naming_it(tmp_path, monkeypatch,
+                                                capsys):
+    device = _FullDevice()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        io.BufferedWriter(device), encoding="utf-8"))
+    try:
+        assert main(["simulate", write_config(tmp_path)]) == 1
+    finally:
+        device.full = False
+    err = capsys.readouterr().err
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_csv_to_stdout_follows_what_was_printed(tmp_path, monkeypatch):
+    # the CSV's bytes go to stdout's buffer after the text before them;
+    # a stdout without a buffer gets the same text
+    cfg = write_config(tmp_path)
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    assert main(["simulate", cfg]) == 0
+    print("after")
+    stdout.flush()
+    text = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", text)
+    assert main(["simulate", cfg]) == 0
+    assert raw.getvalue() == b"before\n" + text.getvalue().encode() + b"after\n"
+    assert text.getvalue().startswith("x,re_sum,im_sum\n1,")
+
+
 def test_preset_report_and_csv(tmp_path, capsys):
     outdir = str(tmp_path / "out")
     assert main(["preset", "bcc", "--xmax", "20000", "--outdir", outdir,
@@ -731,26 +810,26 @@ def test_riesz_and_pole_csv_match_the_per_row_formula():
     for k in rec.orders:
         for x, v in zip(rec.checkpoints.tolist(), rec.row(k)):
             lines.append(f"{x},{k},{_fmt(v.real)},{_fmt(v.imag)}")
-    assert _riesz_csv(rec) == "\n".join(lines) + "\n"
+    assert _riesz_csv(rec) == ("\n".join(lines) + "\n").encode()
 
     trace = PoleSeriesTrace(3, 4, len(xs), xs, z.real, z.imag, 0.0, 1, (),
                             0.0, 0.0, 0.0, "v")
     lines = ["n,term,partial_sum"]
     for n, term, part in trace.rows():
         lines.append(f"{n},{_fmt(term)},{_fmt(part)}")
-    assert _pole_csv(trace) == "\n".join(lines) + "\n"
+    assert _pole_csv(trace) == ("\n".join(lines) + "\n").encode()
     # an empty table is its header
     empty = PartialSumSeries(xs[:0], z[:0], None, 1, "r", "d")
-    assert _sums_csv(empty) == "x,re_sum,im_sum\n"
+    assert _sums_csv(empty) == b"x,re_sum,im_sum\n"
 
 
 def _column_csv(values, dtype):
-    """The CSV writer's lines for one column, without a header."""
+    """The CSV writer's lines for one column, without a header: bytes."""
     return csvrows.csv_text("", [(np.array(values, dtype=dtype),)])
 
 
 def _per_value(values, spec):
-    return "".join(spec % v + "\n" for v in values)
+    return "".join(spec % v + "\n" for v in values).encode()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -797,20 +876,87 @@ def test_float_fields_fixed_cases():
     assert _column_csv(cases, np.float64) == _per_value(cases, "%.17g")
 
 
-def test_float_fields_without_a_wide_longdouble_take_pythons_route(
-        monkeypatch):
-    # a double's eps puts the margin above 1/2: every value falls back,
-    # as where longdouble is only a double, and the bytes stay the same
+def test_float_fields_with_a_half_margin_take_pythons_route(monkeypatch):
+    # a tie margin of 1/2 leaves no digits certain: every value but 0
+    # goes through Python's formatter, and the bytes stay the same
     rng = np.random.default_rng(11)
     vs = _float_cases() + list(rng.normal(size=3000)
                                * 10.0 ** rng.integers(-30, 30, 3000))
     want = _per_value(vs, "%.17g")
-    assert _column_csv(vs, np.float64) == want
-    eps = float(np.finfo(np.float64).eps)
-    monkeypatch.setattr(csvrows, "_TIE_MARGIN", 1e17 * eps * (1 + eps))
     calls = []
     real_format = csvrows._python_fields
     monkeypatch.setattr(csvrows, "_python_fields",
                         lambda v: calls.append(len(v)) or real_format(v))
     assert _column_csv(vs, np.float64) == want
-    assert sum(calls) == len(vs)
+    fast_route = len(vs) - sum(calls)
+    assert fast_route > 3000
+    calls.clear()
+    monkeypatch.setattr(csvrows, "_TIE_MARGIN", 0.5)
+    assert _column_csv(vs, np.float64) == want
+    assert sum(calls) == sum(v != 0 for v in vs)
+
+
+# Found by exact search over M 2^q (M < 2^53): P = |v| 10^(16 - E) within
+# 1e-17 to 5e-15 of a half-integer, where 10^(16 - E) is not a double
+# (|16 - E| > 22) and its pair has lo != 0; and P exactly a half-integer,
+# where 10^(16 - E) is exact (0 <= 16 - E <= 22). No tie exists for
+# E > 16. These values go through Python's formatter.
+_NEAR_TIES = [
+    1.1959468262253353e-12, 3.587840478676006e-12, 1.363259136446644e-11,
+    2.3233180180504022e-11, 1.150419947612765e-10, 1.2568395420297045e-10,
+    1.84323563923269e-09, 3.718397156790462e-09, 1.0076000255121024e-08,
+    2.9376644010027554e-08, 1.0501678632788782e-07, 2.2422607587866907e-07,
+    4.440909132899999e-12, 1.1473543192139844e+39, 1.833603199799087e+39,
+    1.014315038864168e+40, 1.8078725207183761e+40, 1.7152420760278166e+41,
+    2.982244052967107e+41, 1.0373790629225175e+42, 2.2632119533326704e+42,
+    1.0849340256646876e+43, 2.1783194297891822e+43]
+_EXACT_TIES = [
+    1.0728836059570312e-06, 1.5497207641601562e-05, 0.00012254714965820312,
+    0.0019540786743164062, 0.015626907348632812, 0.12500381469726562,
+    1.0000076293945312, 16.000015258789062, 128.00003051757812,
+    1024.0000610351562, 16384.000122070312, 131072.00024414062,
+    1048576.0004882812, 16777216.000976562, 134217728.00195312,
+    1073741824.0039062, 17179869184.007812, 137438953472.01562,
+    1099511627776.0312, 17592186044416.062, 140737488355328.12,
+    1125899906842624.2]
+
+
+def _half_unit_distance(v):
+    """|P - (n + 1/2)| exactly, P = |v| 10^(16 - E), E = floor(log10 |v|)."""
+    x = Fraction(abs(v))
+    e = math.floor(math.log10(abs(v)))
+    e += (Fraction(10) ** (e + 1) <= x) - (Fraction(10) ** e > x)
+    p = x * Fraction(10) ** (16 - e)
+    return abs(p - math.floor(p) - Fraction(1, 2)), e
+
+
+def test_float_fields_near_and_exact_ties():
+    for v in _NEAR_TIES:
+        dist, e = _half_unit_distance(v)
+        assert 0 < dist < 1e-12 and abs(16 - e) > 22
+    for v in _EXACT_TIES:
+        dist, e = _half_unit_distance(v)
+        assert dist == 0 and abs(16 - e) <= 22
+    cases = [s * v for v in _NEAR_TIES + _EXACT_TIES for s in (1, -1)]
+    assert _column_csv(cases, np.float64) == _per_value(cases, "%.17g")
+
+
+def test_float_core_error_within_the_tie_margin():
+    # err, formed in float64 from the pair hi + lo, against P - p by exact
+    # rational arithmetic: off by at most 48 u, under the tie margin, on
+    # magnitudes over the whole fast range and on the near-ties
+    rng = np.random.default_rng(12)
+    vs = np.abs(rng.normal(size=2000) * 10.0 ** rng.integers(-280, 300, 2000))
+    vs = np.concatenate([vs, _NEAR_TIES])
+    vs = vs[(vs >= csvrows._FAST[0]) & (vs <= csvrows._FAST[1])]
+    digits, idx, fast = csvrows._float_digits(vs.copy())
+    near, r = csvrows._digits(vs, idx)
+    worst = 0
+    for v, d, f, i, dn, ri in zip(vs.tolist(), digits.tolist(),
+                                  fast.tolist(), idx.tolist(), near.tolist(),
+                                  r.tolist()):
+        p = Fraction(v) * Fraction(10) ** (16 - (i + csvrows._E_LO))
+        assert not f or abs(p - d) < Fraction(1, 2)
+        worst = max(worst, abs(float(p - dn - Fraction(ri))))
+    assert 0 < worst <= 48 * 2.0 ** -53
+    assert worst < csvrows._TIE_MARGIN

@@ -155,9 +155,10 @@ def test_riesz_csv_transient_within_span_budget():
     rec = RieszRecord((0, 3, 13, 39), xs, vals, False, int(xs[-1]), "d")
     text, peak, kept = _traced(lambda: cli._riesz_csv(rec))
     assert kept >= len(text) > 4 * n * 40
-    # one span of rows holds at most SPAN_BUDGET beyond its text; joining
-    # the span texts into one str holds them beside the result once more
-    assert peak - 2 * kept <= SPAN_BUDGET, (peak - kept) / 2**20
+    # one span of rows holds at most SPAN_BUDGET beyond the text, which is
+    # held once: each span's bytes are appended to one bytearray. Its
+    # growth slack (up to 1/8 of the text as it grows) is part of kept
+    assert peak - kept <= SPAN_BUDGET, (peak - kept) / 2**20
     rows = csvrows._CSV_ROWS
     cols = [xs[:rows], np.full(rows, 39), vals[0, :rows].real,
             vals[0, :rows].imag]
