@@ -57,11 +57,7 @@ class PoleError(ModCharError, ArithmeticError):
 
 
 class PrecisionError(ModCharError, ArithmeticError):
-    """Requested accuracy unreachable; carries suggested parameters."""
-
-    def __init__(self, message: str, suggested: dict | None = None):
-        super().__init__(message)
-        self.suggested = dict(suggested or {})
+    """Requested accuracy unreachable; the message names what fell short."""
 
 
 class InvariantError(ModCharError, RuntimeError):

@@ -103,14 +103,8 @@ def _neg_power(x: np.ndarray, s: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_roots(num, den: int) -> np.ndarray:
-    """e(num/den) in clongdouble from `turns_cos_sin`; quarter turns are
-    exact."""
-    num = np.asarray(num, dtype=np.int64) % den
-    z = _clongdouble(*turns_cos_sin(num, den))
-    quarter = 4 * num % den == 0
-    z[quarter] = np.array([1, 1j, -1, -1j],
-                          dtype=np.clongdouble)[4 * num[quarter] // den]
-    return z
+    """e(num/den) in clongdouble by `turns_cos_sin`, exact at quarter turns."""
+    return _clongdouble(*turns_cos_sin(np.asarray(num, np.int64) % den, den))
 
 
 def _truncation_bound(s: complex, a: np.ndarray, M: int, B: int) -> float:
@@ -184,19 +178,23 @@ def _em_sum(s: complex, a: np.ndarray, M: int, B: int, weights: np.ndarray,
         float(jmag * scale_mod), _U)
 
 
-def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
-                     angles, order: int, budget: float,
+def _em_sum_bigfloat(s: complex, a: np.ndarray, ctx: LContext | None,
+                     M: int, B: int, budget: float,
                      hint: float) -> tuple[complex, float]:
     """The same combination as _em_sum on mpmath, at a precision sized to budget.
 
-    hint is the longdouble rounding term that exceeded the budget; rounding
-    scales with the unit roundoff, so the precision is chosen to bring it
-    under a quarter of the budget, raised again if the term measured here
-    says otherwise. The residues are combined in mpmath, so the returned
-    value carries one rounding to complex128.
+    a holds the numerators a_i. Given chi's context ctx, q is chi's modulus
+    and a_i has the weight e(k_i/order), k_i from ctx.vector; given None,
+    q = 1 and every weight is 1. hint is the longdouble rounding term that
+    exceeded the budget; rounding scales with the unit roundoff, so the
+    precision is chosen to bring it under a quarter of the budget, raised
+    again if the term measured here says otherwise. The residues are
+    combined in mpmath, so the returned value carries one rounding to
+    complex128.
     """
     import mpmath as mp
 
+    q = 1 if ctx is None else ctx.chi.modulus
     prec = 256
     if math.isfinite(hint) and hint > 0:
         prec = max(80, math.ceil(math.log2(4 * hint / (_U * budget))) + 16)
@@ -208,9 +206,11 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
                 c = bernoulli(2 * j) / math.factorial(2 * j)
                 kb.append(mp.mpf(c.numerator) / c.denominator * rising)
                 rising *= (ms + 2 * j - 1) * (ms + 2 * j)
-            ks = [0] * len(a) if angles is None else np.asarray(angles).tolist()
+            weights = ([1] * len(a) if ctx is None
+                       else [mp.expjpi(mp.mpf(2 * k) / ctx.chi.order)
+                             for k in ctx.vector[1].tolist()])
             total, mag, jmag = mp.mpc(0), mp.mpf(0), mp.mpf(0)
-            for num, k in zip(a.tolist(), ks):
+            for num, weight in zip(a.tolist(), weights):
                 x = mp.mpf(num) / q
                 w = x + M
                 ws = w ** -ms
@@ -221,7 +221,7 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
                     terms.append(c * g)
                     jmag += j * abs(terms[-1])
                     g *= y
-                total += mp.expjpi(mp.mpf(2 * k) / order) * mp.fsum(terms)
+                total += weight * mp.fsum(terms)
                 mag += mp.fsum(abs(t) for t in terms)
             scale = mp.mpf(q) ** -ms
             val = complex(total * scale)
@@ -235,15 +235,15 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, q: int, M: int, B: int,
     return val, rounding
 
 
-def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
-                            angles=None, order: int = 1) -> tuple[complex, float]:
-    """q^(-s) sum_i e(angles_i/order) zeta(s, a_i/q) with a rigorous error bound.
+def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
+    """q^(-s) sum_i w_i zeta(s, a_i/q) with a rigorous error bound.
 
-    With the defaults this is zeta(s, a) for one 0 < a <= 1 (or the sum over
-    an array of them). L(s, chi) passes chi's `LContext` as a, and q, the
-    residues, angles and roots e(angles/order) are read from it, derived
-    once per context; given angles and order, the roots are derived here.
-    Every parameter a_i/q must lie in (0, 1].
+    a takes one of two forms:
+    - chi's `LContext`: q is chi's modulus, the a_i are its residues
+      coprime to q and w_i = chi(a_i) its roots, all read from the context
+      (derived once per context), so this is L(s, chi);
+    - plain numbers, one 0 < a <= 1 or an array of them: q = 1 and every
+      w_i is 1, so this is zeta(s, a) or the sum over the array.
 
     The returned bound is absolute and sums three parts:
     - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
@@ -277,8 +277,7 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
     if s == 1:
         raise PoleError("zeta(s, a) has its only pole at s = 1")
     ctx = a if isinstance(a, LContext) else None
-    if ctx is not None:
-        (a, angles), q, order = ctx.vector, ctx.chi.modulus, ctx.chi.order
+    a, q = (a, 1) if ctx is None else (ctx.vector[0], ctx.chi.modulus)
     num = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if not (num.size and np.all((num > 0) & (num <= q))):
         raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
@@ -301,24 +300,21 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12, *, q: int = 1,
         if (abs(s) + 2 * B) >= 2 * math.pi * (M + a_min) or B >= 120:
             if M >= 1 << 18:
                 raise PrecisionError(
-                    f"Euler-Maclaurin bound stuck above eps={eps:g} for s={s}",
-                    suggested={"M": M, "B": B})
+                    f"Euler-Maclaurin bound stuck above eps={eps:g} for s={s}"
+                    f" at M = {M}, B = {B}")
             M *= 2
         else:
             B += 8
-    weights = (ctx.roots if ctx is not None
-               else np.ones(num.size, dtype=np.clongdouble) if angles is None
-               else _unit_roots(angles, order))
+    weights = np.ones(num.size, np.clongdouble) if ctx is None else ctx.roots
     val, rounding = _em_sum(s, num.astype(np.longdouble) / q, M, B,
                             weights, q)
     budget = eps - trunc
     if not (np.isfinite(val) and rounding <= budget):
-        val, rounding = _em_sum_bigfloat(s, num, q, M, B, angles, order,
-                                         budget, rounding)
+        val, rounding = _em_sum_bigfloat(s, num, ctx, M, B, budget, rounding)
         if not rounding <= budget:
             raise PrecisionError(
                 f"rounding bound {rounding:.3g} above eps={eps:g} for s={s}"
-                f" even on mpmath", suggested={"M": M, "B": B})
+                f" even on mpmath, at M = {M}, B = {B}")
     val = complex(val) + 0j            # + 0j turns a -0.0 part into 0.0
     return val, trunc + rounding + abs(val) * 2.0 ** -52
 
@@ -541,8 +537,8 @@ def Lprime0(chi: Character | LContext) -> complex:
     gap = abs(direct - via_fe)
     if gap > _LPRIME0_GAP:
         raise PrecisionError(
-            f"L'(0, chi) routes disagree by {gap:.3e} for {ctx.chi.label}",
-            suggested={"direct": direct, "functional": via_fe})
+            f"L'(0, chi) routes disagree by {gap:.3e} for {ctx.chi.label}:"
+            f" {direct!r} direct, {via_fe!r} by the functional equation")
     return direct
 
 

@@ -17,27 +17,40 @@ import numpy as np
 
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 _WIDE = 1 << 62
+# e(j/4), j = 0..3, with the zero signs of Python's 1, 1j, -1, -1j
+_QUARTER = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)
 
 
 def turns_cos_sin(r, b: int):
     """cos and sin of 2 pi r/b in longdouble, for 0 <= r < b.
 
-    r is an int or an int64 array. The numerator is first taken in
-    (-b/2, b/2], so the longdouble angle (8 atan(1)) (r/b) has modulus at
-    most pi and carries at most 2 pi eps error (eps the longdouble
-    epsilon); cos and sin add eps. Rounded once to float64, e(r/b) is thus
-    within u + (2 pi + 1) eps, about 1.01u with 80-bit longdouble, where
-    the float64 angle 2 pi r/b is up to 12u off. This is the one place the
-    package builds e(r/b); b <= 2^62 (larger b is first rounded to a
-    numerator over 2^62, adding at most 2 pi 2^-63).
+    r is an int or an int64 array. At a quarter turn, 4r = 0 (mod b), the
+    pair is exact, so e(1/2) is -1 with no 5e-20 imaginary part. Elsewhere
+    r is first taken in (-b/2, b/2], so the longdouble angle (8 atan(1))
+    (r/b) has modulus at most pi and carries at most 2 pi eps error (eps
+    the longdouble epsilon); cos and sin add eps. Rounded once to float64,
+    e(r/b) is thus within u + (2 pi + 1) eps, about 1.01u with 80-bit
+    longdouble, where the float64 angle 2 pi r/b is up to 12u off. This is
+    the one place the package builds e(r/b); b <= 2^62 (larger b is first
+    rounded to a numerator over 2^62, adding at most 2 pi 2^-63).
     """
     if b > _WIDE:
         r, b = (2 * r * _WIDE + b) // (2 * b), _WIDE
+    g = math.gcd(b, 4)
+    # 4r = 0 (mod b) exactly when step | r, and r is then r/step*turn quarters
+    step, turn = b // g, 4 // g
     if isinstance(r, np.ndarray):
-        r = np.where(2 * r > b, r - b, r).astype(np.longdouble)
-    else:
-        r = np.longdouble(r - b if 2 * r > b else r)
-    angle = _TWO_PI * (r / b)
+        r = np.where(2 * r > b, r - b, r)
+        at = np.flatnonzero(r % step == 0)
+        angle = _TWO_PI * (r.astype(np.longdouble) / b)
+        c, s = np.cos(angle), np.sin(angle)
+        j = r[at] // step * turn % 4
+        c[at], s[at] = _QUARTER.real[j], _QUARTER.imag[j]
+        return c, s
+    if r % step == 0:
+        j = r // step * turn % 4
+        return _QUARTER.real[j], _QUARTER.imag[j]
+    angle = _TWO_PI * (np.longdouble(r - b if 2 * r > b else r) / b)
     return np.cos(angle), np.sin(angle)
 
 
@@ -126,14 +139,9 @@ class UnitValue:
         return UnitValue(-self.numerator % self.denominator, self.denominator)
 
     def to_complex(self) -> complex:
+        """e(a/b) rounded once from `turns_cos_sin`, exact at quarter turns."""
         if self.is_zero:
             return 0j
-        if self.denominator == 1:
-            return 1 + 0j
-        if self.denominator == 2:
-            return -1 + 0j
-        if self.denominator == 4:
-            return 1j if self.numerator == 1 else -1j
         c, s = turns_cos_sin(self.numerator, self.denominator)
         return complex(float(c), float(s))
 

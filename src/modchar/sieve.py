@@ -114,9 +114,9 @@ def unit_tables(scale: int) -> tuple[np.ndarray, ...]:
     t is written in L = ceil(bitlen(D)/16) digits of base B, the smallest
     integer with B^L >= D, so B <= 2^16 and L <= 4 for D <= 2^53. Table i
     has B entries e(r/D), r = k B^i mod D for k < B, and e(t/D) is the
-    product over i of tables[i][digit_i(t)]. Each entry comes from its
-    exact numerator r, taken in (-D/2, D/2], as the longdouble angle
-    (8 atan(1)) (r/D), and is rounded once to complex128.
+    product over i of tables[i][digit_i(t)]. Each entry is `turns_cos_sin`
+    of its exact numerator r rounded once to complex128: exactly 1, 1j, -1
+    or -1j where 4r = 0 (mod D), else from a longdouble angle.
 
     Error, with eps the longdouble epsilon, u = 2^-53, and longdouble
     atan/cos/sin within one ulp: an entry is off by at most
@@ -388,7 +388,6 @@ class PartialSumSeries:
     x_max: int
     checkpoint_rule: str
     config_digest: str
-    source: ModifiedCharacter | None = field(default=None, repr=False)
     float_sums: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -653,7 +652,7 @@ def partial_sums(mc: ModifiedCharacter, x_max: int,
     exact = m if m.dtype.kind == "i" else None
     rule_name = checkpoint_rule if isinstance(checkpoint_rule, str) else "explicit"
     return PartialSumSeries(cps, sums, exact, x_max, rule_name, mc.digest(),
-                            mc, float_sums=sums)
+                            float_sums=sums)
 
 
 def riesz_means(mc: ModifiedCharacter, orders, x,

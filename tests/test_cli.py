@@ -94,6 +94,19 @@ def test_simulate_stdout_matches_library(tmp_path, capsys):
         assert float(sre) == s.real and float(sim) == s.imag
 
 
+def test_simulate_prints_an_exact_zero_where_the_sum_is_real(tmp_path,
+                                                             capsys):
+    # chi = 3.2 with f(7) = e(1/3): up to x = 6 every value is 0 or +-1 and
+    # the sieve reads chi(2) = e(1/2) off its tables, exactly -1, so each
+    # imaginary part is 0, not -5.0165576126683323e-20
+    cfg = write_config(tmp_path, modifications=[{"p": 7, "angle": [1, 3]}])
+    assert main(["simulate", cfg, "--xmax", "6", "--checkpoints",
+                 "every:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,re_sum,im_sum" and len(lines) == 7
+    assert [line.split(",")[2] for line in lines[1:]] == ["0"] * 6
+
+
 def test_simulate_byte_identity(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, x_max=100000, checkpoints="geometric:1.03")
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

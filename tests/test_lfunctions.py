@@ -311,6 +311,20 @@ def test_l_value_fallback_meets_eps(monkeypatch, q, s):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("s, a", [(-3.5, 0.3), (complex(-1.5, 4), 0.7)])
+def test_plain_hurwitz_fallback_meets_eps(monkeypatch, s, a):
+    # eps = 1e-17 is under the longdouble rounding term, so zeta(s, a) for
+    # a plain a runs on mpmath with every weight 1, and meets eps there
+    calls = _count_fallbacks(monkeypatch)
+    eps = 1e-17
+    val, bound = hurwitz_zeta_with_bound(s, a, eps)
+    assert len(calls) == 1
+    with mp.workdps(50):
+        gap = float(abs(mp.mpc(val) - mp.zeta(mp.mpc(s), mp.mpf(a))))
+    assert gap <= bound, (s, a, gap, bound)
+    assert bound <= eps + abs(val) * 2.0 ** -52, (s, a, bound)
+
+
 def test_l_value_large_modulus_fast_route(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     chi = next(c for c in enumerate_characters(1009) if c.order > 2)

@@ -213,6 +213,24 @@ def test_block_values_match_mpmath_at_every_table_depth():
                 assert err <= bound, (n, levels, float(err) / 2.0 ** -53)
 
 
+@pytest.mark.parametrize("scale", [4, 12, 8 * 65537, 1 << 20])
+def test_unit_tables_are_exact_at_quarter_turns(scale):
+    # an entry whose numerator r has 4r = 0 (mod D) is exactly 1, 1j, -1
+    # or -1j, never cos/sin of a rounded angle (sin pi ~ 5e-20); 8 * 65537
+    # and 2^20 need two digit tables, and 2^20's second table holds three
+    # quarter turns besides r = 0
+    tables = sieve.unit_tables(scale)
+    base = len(tables[0])
+    exact = {0: 1, 1: 1j, 2: -1, 3: -1j}
+    checked = 0
+    for i, table in enumerate(tables):
+        r = np.arange(base) * base ** i % scale
+        for k in np.flatnonzero(4 * r % scale == 0):
+            assert table[k] == exact[4 * int(r[k]) // scale], (scale, i, k)
+            checked += 1
+    assert checked == {4: 4, 12: 4, 8 * 65537: 2, 1 << 20: 5}[scale]
+
+
 def test_periodic_slice_wraps():
     table = np.arange(7, dtype=np.int64)
     for start in range(7):
