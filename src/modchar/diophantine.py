@@ -19,14 +19,20 @@ Each convergent's quality comes from the integer residual |Lp b - h Lq|,
 with no further log at high precision.
 
 The pole series runs in blocks of _SERIES_BLOCK = 2^14 integers over
-buffers made once per call, so its transient memory (1.4 MiB with three
-primes in the product) does not grow with n_max. Per prime, the 63-bit
-fixed-point angle m = n a mod 2^63 is one wrapping uint64 add and a mask,
-reflected exactly to min(m, 2^63 - m), and 1/|2 sin(pi f)| = (t + 1/t)/4
-with t = tan(pi f / 2) <= 1: numpy runs float64 tan in SIMD, sin not.
-A term is within (9P + 2) u of its value on the fixed-point angles (P
-primes in the product, u = 2^-53); the angles themselves add
+buffers made once per call, so its transient memory (1.3 MiB with three
+primes in the product) does not grow with n_max. Per prime, n 2a mod 2^64
+for the 63-bit fixed-point angle a is one wrapping int64 add; read signed,
+it is 2^64 times the signed distance of f = n a 2^-63 from the nearest
+integer, and a float abs reflects it exactly onto (0, 1/2]. Then
+1/|2 sin(pi f)| = (t + 1/t)/4 with t = tan(pi f / 2) <= 1: numpy runs
+float64 tan in SIMD, sin not. n^k comes from the exact n^2 by binary
+powering, and a term is one division g / n^k. A term is within
+(9P + ceil(k/2)) u of its value on the fixed-point angles (P primes in the
+product, u = 2^-53) while it is a normal float; the angles themselves add
 pi n 2^-64 / |sin(pi f)| per prime, which dominates from n ~ 10^4 on.
+Beyond the dense rows a partial sum is the carry of earlier blocks plus
+pairwise segment sums between the block's checkpoints, within 80u of the
+exact sum of the terms.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ MAX_BITS = 1 << 16
 MAX_SERIES_N = 10**7
 _FRAC_BITS = 63
 _SERIES_BLOCK = 1 << 14
-# pi 2^-64: a 63-bit fixed-point angle m times this is half of pi m 2^-63
-_HALF_ANGLE = math.pi * 2.0 ** -64
+# pi 2^-65: the signed 64-bit angle 2m of f = m 2^-63 times this is pi f / 2
+_QUARTER_ANGLE = math.pi * 2.0 ** -65
 # pole_series_diagnostic keeps every row for n <= _FULL_ROWS, then only
 # the checkpoints
 _FULL_ROWS = 4096
@@ -263,6 +269,37 @@ def _fixed_point_angles(others: list[int], anchor: int) -> list[int]:
                 for p in others]
 
 
+def _signed64(v: int) -> int:
+    """v mod 2^64 as a two's-complement int64 value."""
+    v &= (1 << 64) - 1
+    return v - (1 << 64) if v >> 63 else v
+
+
+def _power_from_square(n: np.ndarray, sq: np.ndarray, k: int) -> np.ndarray:
+    """n^k by binary powering of sq = n^2, k >= 2.
+
+    Both buffers are overwritten; the one that holds n^k is returned.
+    floor(log2(k // 2)) squarings and popcount(k // 2) - 1 products, and
+    one product by n for odd k: an exact n^2 comes out with a relative
+    error of at most (ceil(k/2) - 1) u to first order, u = 2^-53.
+    """
+    e = k >> 1
+    acc = n if k & 1 else None
+    while True:
+        if e & 1:
+            if acc is not None:
+                acc *= sq
+            elif e == 1:
+                return sq
+            else:
+                np.copyto(n, sq)
+                acc = n
+        e >>= 1
+        if not e:
+            return acc
+        sq *= sq
+
+
 def _new_records(g: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions and values of the entries of g above best and above every
     earlier entry. Only the entries above best can be one, so only they
@@ -284,30 +321,51 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
     trace keeps every running record of the product alongside geometrically
     spaced partial sums. Full per-n rows are kept while n <= _FULL_ROWS.
 
-    Each block of _SERIES_BLOCK integers is a few passes over buffers
-    made once per call. Per prime, n a_p mod 1 as a 63-bit fixed-point
-    m is the block's start lo a_p plus a step table j a_p, one wrapping
-    uint64 add and a mask; m <- min(m, 2^63 - m) reflects f = m 2^-63
-    exactly onto (0, 1/2]; then 1/|2 sin(pi f)| = (t + 1/t)/4 with
-    t = tan(m pi 2^-64) <= 1. n^-k is np.power. The partial sums are a
-    cumsum inside the block on the Neumaier carry of earlier block sums,
-    one index array gathers the kept rows, and the records are scanned
+    Each block of _SERIES_BLOCK integers is a few passes over P + 5
+    buffers of that length (1 MiB at P = 3), made once per call. Per
+    prime, n 2a mod 2^64 for the 63-bit fixed-point angle a of a_p is the
+    block's start lo 2a plus a step table j 2a, one wrapping int64 add.
+    Read signed, the sum is 2^64 times the signed distance of
+    f = n a 2^-63 from the nearest integer, so |sum| pi 2^-65 = pi f / 2
+    with f reflected exactly onto (0, 1/2]; the abs is taken on the float,
+    since the int64 -2^63 (f = 1/2) has none. Then 1/|2 sin(pi f)| =
+    (t + 1/t)/4 with t = tan(pi f / 2) <= 1. n^k is binary powering of
+    the exact n^2 (n <= MAX_SERIES_N < 2^26.5), and the term is g / n^k.
+    Rows with n <= _FULL_ROWS take their partial sums from a cumsum over
+    the block on the Neumaier carry of earlier block sums; a later
+    checkpoint's is the carry, or the previous checkpoint's of the block,
+    plus the np.add.reduceat sum of the terms since, chained in order.
+    One index array gathers the kept rows, and the records are scanned
     only among the n whose product beats the largest of earlier blocks.
     Values and summation order do not depend on how rows and records are
     gathered.
 
     Error of a term against its value on the fixed-point angles, with
-    u = 2^-53, P = len(S) - 1 and numpy's float64 tan and power within
-    1 ulp (0.51 and 0.58 ulp measured with numpy 2.4 on AVX-512): the
-    angle m pi 2^-64 carries 2.35u (m to float, pi, the product), which
+    u = 2^-53, P = len(S) - 1 and numpy's float64 tan within 1 ulp
+    (0.51 ulp measured with numpy 2.4 on AVX-512): the angle
+    |2m| pi 2^-65 carries 2.35u (2m to float, pi, the product), which
     tan's condition 2x / sin 2x <= pi/2 on (0, pi/4] makes 3.7u; tan adds
-    2u, 1/t and the sum 2u, so 7.7u a factor; the P - 1 products, n^-k
-    and the last product add (P - 1) + 2 + 1. The bound (9P + 2) u covers
-    the second-order terms; at most 6.5u is measured on S = {2, 3, 5, 11}.
+    2u, 1/t and the sum 2u, so 7.7u a factor; the P - 1 products add
+    P - 1. n^k is floor(log2(k/2)) squarings and popcount(k // 2) - 1
+    products of the exact n^2, and one product by n for odd k: at most
+    (ceil(k/2) - 1) u, one rounding at k = 4; the division adds u. The
+    bound (9P + ceil(k/2)) u, (9P + 2) u at k = 4, covers the
+    second-order terms; at most 6.5u is measured on S = {2, 3, 5, 11}.
+    It holds while the term is a normal float, which k log2 n < 1021 - P
+    ensures: where k log2 n >= 1024, n^k is inf and the term is 0.
     The 63-bit angles, within 2^-64 of frac(a_p), add a relative
     pi n 2^-64 / |sin(pi f)| per prime, which dominates from n ~ 10^4 on:
     at the n = 648,887 record of S = {2, 3, 5, 11}, anchor 11, it bounds
     the error by 7.3e-7 (4.2e-7 actual).
+
+    Error of a partial sum beyond the dense rows against the exact sum of
+    the computed terms up to its n, all positive: a term passes at most
+    34 roundings in numpy's sum of at most 2^14 terms or in a reduceat
+    segment (8 halvings, 8 lanes of 16 and a tail of 7 in a leaf of 128,
+    and the first term or the identity), 2 more in the Neumaier fold of
+    block sums and at most 34 chained additions (the geometric:1.05
+    checkpoints past n = 4096 in one block): 70 roundings, so 80u covers
+    it with the second-order terms.
     """
     if k < 2:
         raise DomainError(f"series needs k >= 2, got {k}")
@@ -330,15 +388,11 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
     checkpoints = checkpoints_from_rule("geometric:1.05", n_max)
 
     # buffers for one block, made once per call: the transient memory does
-    # not grow with n_max. uint64 scalars only: NumPy < 2 may promote
-    # uint64 with a Python int to float64
+    # not grow with n_max
     width = min(_SERIES_BLOCK, n_max)
-    steps = [np.arange(width, dtype=np.uint64) * np.uint64(a) for a in angles]
-    mask = (1 << _FRAC_BITS) - 1
-    low63 = np.uint64(mask)
-    half = np.uint64(1 << _FRAC_BITS)
-    m = np.empty(width, dtype=np.uint64)
-    mirror = np.empty(width, dtype=np.uint64)
+    doubled = [_signed64(2 * a) for a in angles]
+    steps = [np.arange(width, dtype=np.int64) * np.int64(d) for d in doubled]
+    s = np.empty(width, dtype=np.int64)
     t = np.empty(width)
     g = np.empty(width)
     term = np.empty(width)
@@ -359,28 +413,26 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
     for lo in range(1, n_max + 1, width):
         hi = min(lo + width, n_max + 1)
         w = hi - lo
-        gw, mw, tw, tm = g[:w], m[:w], t[:w], term[:w]
+        gw, sw, tw, tm = g[:w], s[:w], t[:w], term[:w]
         # the /4 of every factor at once: a power of two, exact
         gw.fill(0.25 ** len(angles))
-        for a, step in zip(angles, steps):
-            # n a mod 2^63 = (lo a + j a) mod 2^63: the uint64 sum wraps
-            # mod 2^64, a multiple of 2^63, so one mask finishes it
-            np.add(step[:w], np.uint64((lo * a) & mask), out=mw)
-            mw &= low63
-            # |sin(pi f)| = |sin(pi (1 - f))|: reflected exactly in fixed
-            # point, so f <= 1/2 and nothing is rounded near pi
-            np.subtract(half, mw, out=mirror[:w])
-            np.minimum(mw, mirror[:w], out=mw)
+        for d, step in zip(doubled, steps):
+            # n 2a mod 2^64 = lo 2a + j 2a: the int64 sum wraps mod 2^64.
+            # Read signed it is 2^64 times the signed distance of f from
+            # the nearest integer, so the float abs reflects f onto
+            # (0, 1/2] exactly; -2^63 (f = 1/2) has no int64 abs
+            np.add(step[:w], np.int64(_signed64(lo * d)), out=sw)
             # 1/|2 sin(pi f)| = (t + 1/t)/4 with t = tan(pi f / 2) <= 1;
             # term holds 1/t until the terms are made
-            np.multiply(mw, _HALF_ANGLE, out=tw)
+            np.multiply(sw, _QUARTER_ANGLE, out=tw)
+            np.abs(tw, out=tw)
             np.tan(tw, out=tw)
             np.divide(1.0, tw, out=tm)
             tm += tw
             gw *= tm
         np.add(offsets[:w], lo, out=tm)
-        np.power(tm, -k, out=tm)
-        tm *= gw
+        np.multiply(tm, tm, out=tw)         # n^2 < 2^53: exact
+        np.divide(gw, _power_from_square(tm, tw, k), out=tm)
 
         j = int(np.argmax(tm))
         if tm[j] > max_term:
@@ -397,17 +449,25 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
             sum_g_tail += float(np.sum(gw[cut - lo:]))
             cnt_tail += hi - cut
 
+        dense = max(min(hi, _FULL_ROWS + 1) - lo, 0)
         a, b = np.searchsorted(checkpoints, (max(lo, _FULL_ROWS + 1), hi))
-        keep = np.concatenate((np.arange(max(min(hi, _FULL_ROWS + 1) - lo, 0)),
-                               checkpoints[a:b] - lo))
-        if len(keep):
-            # the running sums up to the last kept row, in the buffer t
-            stop = keep[-1] + 1
-            running = np.cumsum(tm[:stop], out=tw[:stop])
-            running += acc.value
+        cps = checkpoints[a:b] - lo
+        if dense or len(cps):
+            keep = np.concatenate((np.arange(dense), cps))
             ns.append(lo + keep)
             terms.append(tm[keep])
-            partials.append(running[keep])
+            part = np.empty(len(keep))
+            if dense:
+                np.cumsum(tm[:dense], out=part[:dense])
+                part[:dense] += acc.value
+            if len(cps):
+                # each checkpoint's partial: the carry, then the segment
+                # sums from the block start or the previous checkpoint on
+                segs = np.add.reduceat(tm[:cps[-1] + 1],
+                                       np.concatenate(([0], cps[:-1] + 1)))
+                segs[0] += acc.value
+                np.cumsum(segs, out=part[dense:])
+            partials.append(part)
         acc.add(float(np.sum(tm)))
 
     # Spike envelope exponent: how fast product records grow with n.

@@ -362,10 +362,12 @@ def checkpoints_from_rule(rule, x_max: int) -> np.ndarray:
         step = min(arg, x_max + 1)
         pts = np.arange(step, x_max + 1, step, dtype=np.int64)
     else:                           # a geometric ratio; dyadic doubles
+        # the next point is max(c + 1, int(c * arg)), with no call per step
         pts, c = [], 1
         while c <= x_max:
             pts.append(c)
-            c = max(c + 1, int(c * arg))
+            d = int(c * arg)
+            c = d if d > c else c + 1
     # every rule's points increase strictly and stay <= x_max
     pts = np.asarray(pts, dtype=np.int64)
     if not len(pts) or pts[-1] != x_max:

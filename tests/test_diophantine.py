@@ -257,14 +257,44 @@ def test_pole_series_stabilizes():
     assert len(trace.rows()) == len(ns)
 
 
+def _loop_terms(angles, k, lo, hi):
+    """The product g and the terms g / n^k for lo <= n < hi, per n.
+
+    Its terms use the kernel's formula, 1/|2 sin(pi f)| = (t + 1/t)/4 with
+    t = tan(pi min(f, 1 - f) / 2), and n^k from n^2 by the same binary
+    powering, on fresh arrays; the angles are made another way, from
+    32-bit halves of a mod 2^63 and an unsigned mirror."""
+    n = np.arange(lo, hi, dtype=np.uint64)
+    g = np.ones(hi - lo, dtype=np.float64)
+    for a in angles:
+        a_hi, a_lo = a >> 32, a & 0xFFFFFFFF
+        m = (((n * np.uint64(a_hi)) % np.uint64(1 << 31))
+             * np.uint64(1 << 32) + n * np.uint64(a_lo)) \
+            % np.uint64(1 << 63)
+        m = np.minimum(m, np.uint64(1 << 63) - m)
+        t = np.tan(m.astype(np.float64) * (np.pi * 2.0 ** -64))
+        g *= (t + 1 / t) / 4
+    x = n.astype(np.float64)
+    sq, power, e = x * x, (x if k % 2 else None), k // 2
+    while e:
+        if e % 2:
+            power = sq if power is None else power * sq
+        e //= 2
+        if e:
+            sq = sq * sq
+    return g, g / power
+
+
 def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
     """The per-n reference: rows appended one by one, records from a loop
     over the block's running-maximum candidates, % for the reductions.
 
-    Its terms use the kernel's formula, 1/|2 sin(pi f)| = (t + 1/t)/4 with
-    t = tan(pi min(f, 1 - f) / 2), so it pins the blocking, gathering,
-    records and partial sums bit for bit; accuracy is checked against
-    mpmath in test_pole_series_terms_within_the_stated_ulp_bound."""
+    Its terms are _loop_terms, so it pins the blocking, gathering, records
+    and partial sums bit for bit; accuracy is checked against mpmath in
+    test_pole_series_terms_within_the_stated_ulp_bound. A dense row's
+    partial is the carry plus a running sum of the block's terms; a later
+    checkpoint's is the previous checkpoint's of the block (or the carry)
+    plus the sum of the terms since, each sum one np.add.reduceat."""
     others = [p for p in mc.primes if p != anchor]
     angles = diophantine._fixed_point_angles(others, anchor)
     cps, c = [], 1
@@ -278,17 +308,7 @@ def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
     best_g, max_term, max_term_n = 0.0, 0.0, 1
     for lo in range(1, n_max + 1, block):
         hi = min(lo + block, n_max + 1)
-        n = np.arange(lo, hi, dtype=np.uint64)
-        g = np.ones(hi - lo, dtype=np.float64)
-        for a in angles:
-            a_hi, a_lo = a >> 32, a & 0xFFFFFFFF
-            m = (((n * np.uint64(a_hi)) % np.uint64(1 << 31))
-                 * np.uint64(1 << 32) + n * np.uint64(a_lo)) \
-                % np.uint64(1 << 63)
-            m = np.minimum(m, np.uint64(1 << 63) - m)
-            t = np.tan(m.astype(np.float64) * (np.pi * 2.0 ** -64))
-            g *= (t + 1 / t) / 4
-        term = g * np.power(n.astype(np.float64), -k)
+        g, term = _loop_terms(angles, k, lo, hi)
         j = int(np.argmax(term))
         if term[j] > max_term:
             max_term, max_term_n = float(term[j]), lo + j
@@ -296,14 +316,20 @@ def _pole_series_loop(mc, anchor, k, n_max, block, record_cap=4096):
             if g[j] > best_g:
                 best_g = float(g[j])
                 records.append((lo + int(j), best_g))
-        keep = list(range(lo, min(hi, record_cap + 1)))
-        a, b = np.searchsorted(checkpoints, (max(lo, record_cap + 1), hi))
-        keep.extend(checkpoints[a:b].tolist())
         running = acc.value + np.cumsum(term)
-        for cur in keep:
+        for cur in range(lo, min(hi, record_cap + 1)):
             ns.append(cur)
             terms.append(float(term[cur - lo]))
             partials.append(float(running[cur - lo]))
+        a, b = np.searchsorted(checkpoints, (max(lo, record_cap + 1), hi))
+        chain, start = acc.value, lo
+        for cur in checkpoints[a:b].tolist():
+            chain += float(np.add.reduceat(term[start - lo:cur - lo + 1],
+                                           [0])[0])
+            start = cur + 1
+            ns.append(cur)
+            terms.append(float(term[cur - lo]))
+            partials.append(chain)
         acc.add(float(np.sum(term)))
     return (np.array(ns, dtype=np.int64), np.array(terms),
             np.array(partials), max_term, max_term_n, tuple(records),
@@ -367,6 +393,55 @@ def test_pole_series_terms_within_the_stated_ulp_bound():
                 assert abs(value - g) <= bound * g, (anchor, n)
                 fracs += f
     assert min(fracs) < 1e-6 and max(fracs) > 1 - 1e-6
+
+
+def test_pole_series_terms_at_k13_within_the_stated_ulp_bound():
+    # n^13 = n n^4 n^8 from the exact n^2: 6u to first order and u for
+    # the division, so (9P + ceil(k/2)) u; every row to 10^5, 50 digits
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    k, anchor = 13, 11
+    angles = diophantine._fixed_point_angles([2, 3, 5], anchor)
+    bound = (9 * len(angles) + math.ceil(k / 2)) * U
+    trace = pole_series_diagnostic(fig1, anchor, k, 10**5)
+    assert trace.ns[-1] == 10**5
+    with mp.workdps(50):
+        for n, term in zip(trace.ns.tolist(), trace.terms.tolist()):
+            g, _ = _fixed_point_product(angles, n)
+            ref = g / mp.mpf(n) ** k
+            assert abs(term - ref) <= bound * ref, n
+
+
+def test_pole_series_partials_within_the_stated_bound_of_fsum():
+    # beyond the dense rows a partial is the carry and a chain of segment
+    # sums: within 80u of the exactly rounded sum of every term up to n
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    for mc, anchor, k, n_max in ((fig1, 11, 4, 10**6),
+                                 (two_three(), 3, 13, 10**5)):
+        others = [p for p in mc.primes if p != anchor]
+        angles = diophantine._fixed_point_angles(others, anchor)
+        per_n = _loop_terms(angles, k, 1, n_max + 1)[1].tolist()
+        trace = pole_series_diagnostic(mc, anchor, k, n_max)
+        far = trace.ns > 4096
+        assert np.count_nonzero(far) > 50
+        for n, partial in zip(trace.ns[far].tolist(),
+                              trace.partials[far].tolist()):
+            exact = math.fsum(per_n[:n])
+            assert abs(partial - exact) <= 80 * U * exact, (anchor, n)
+
+
+def test_pole_series_half_turn_factor_is_one_half(monkeypatch):
+    # a = 2^62 puts f = 1/2 at n = 1: the signed angle 2a is -2^63, which
+    # has no int64 abs; the float abs makes it pi/4 and the factor 1/2
+    monkeypatch.setattr(diophantine, "_fixed_point_angles",
+                        lambda others, anchor: [1 << 62] * len(others))
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    for mc, anchor, g in ((two_three(), 3, 0.5), (fig1, 11, 0.125)):
+        trace = pole_series_diagnostic(mc, anchor, 4, 1)
+        assert trace.terms.tolist() == trace.partials.tolist() == [g]
+        assert trace.records == ((1, g),)
 
 
 def test_pole_series_guards():

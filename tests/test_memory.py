@@ -168,7 +168,7 @@ def test_riesz_csv_transient_within_span_budget():
 
 @pytest.mark.parametrize("n_max", [10**5, 10**6])
 def test_pole_series_transient_is_one_block(n_max):
-    # three primes in the product: nine 2^14-entry buffers (1.125 MiB) and
+    # three primes in the product: eight 2^14-entry buffers (1 MiB) and
     # the first block's record candidates, whatever n_max; the rows kept
     # grow only with the number of checkpoints
     fig1 = _modified(character_from_label("3.2"),

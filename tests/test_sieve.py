@@ -295,6 +295,23 @@ def test_checkpoint_rules():
         checkpoints_from_rule("dyadic", 0)
 
 
+def test_geometric_checkpoints_match_the_max_loop():
+    # the points max(c + 1, int(c r)) from 1, and x_max; small c with
+    # int(c r) = c, ratios that land on whole numbers, x on a point
+    def points(r, x):
+        pts, c = [], 1
+        while c <= x:
+            pts.append(c)
+            c = max(c + 1, int(c * r))
+        return pts if pts[-1] == x else pts + [x]
+
+    for r in (1.0001, 1.01, 1.05, 1.5, 2.0, 2.5, 3.0, 10.0, 1e300):
+        for x in (1, 2, 3, 7, 64, 97, 1000, 10**5, 2 * 10**6):
+            got = checkpoints_from_rule(f"geometric:{r!r}", x)
+            assert got.dtype == np.int64 and got.tolist() == points(r, x), \
+                (r, x)
+
+
 def test_partial_sums_integer_route():
     x = 3 * CHUNK + 17
     ps = partial_sums(bcc(), x, "every:1")
