@@ -26,8 +26,13 @@ summary each end-to-end metric of BENCHMARK.json gets, per side, the
 median and the quartiles (statistics.quantiles, n=4) over the pairs;
 change_wins counts the pairs where the change reads better (lower or
 higher, as BENCHMARK.json says); median_gap_exceeds_parent_iqr compares
-|median change - median parent| with the parent's q3 - q1;
-failed_of_attempted sums perfbench's failed and attempted counts; and
+|median change - median parent| with the parent's q3 - q1; pair_ratios
+holds each pair's change/parent value, in pair order, with their median
+and quartiles; sign_test_p is the two-sided exact sign test over the
+pairs, ties dropped: with w pairs won and l lost, the chance that
+n = w + l fair coin flips split at least as unevenly,
+2 sum_{i <= min(w, l)} C(n, i) / 2^n capped at 1 (2/1024 at 10 wins of
+10); failed_of_attempted sums perfbench's failed and attempted counts; and
 outputs_identical says whether both sides left the same files, byte for
 byte, at every seed. It only records: a change to the numerics may move
 last digits on purpose.
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -144,6 +150,14 @@ def _stats(values: list[float]) -> dict:
             "n": len(values)}
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided exact sign test: the chance that wins + losses fair coin
+    flips split at least as unevenly, capped at 1; 1 with no flips."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     out = {}
     for metric in end_to_end:
@@ -152,14 +166,17 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 for side in SIDES}
         stats = {side: _stats(vals[side]) for side in SIDES}
         sign = 1 if metric["better"] == "lower" else -1
-        wins = sum(sign * (c - p) < 0
-                   for p, c in zip(vals["parent"], vals["change"]))
+        gaps = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
+        wins = sum(g < 0 for g in gaps)
+        ratios = [c / p for p, c in zip(vals["parent"], vals["change"])]
         par, chg = stats["parent"], stats["change"]
         out[name] = {
             **stats, "change_wins": wins, "pairs": len(pairs),
             "median_ratio_change_over_parent": chg["median"] / par["median"],
             "median_gap_exceeds_parent_iqr":
-                abs(chg["median"] - par["median"]) > par["q3"] - par["q1"]}
+                abs(chg["median"] - par["median"]) > par["q3"] - par["q1"],
+            "pair_ratios": {**_stats(ratios), "values": ratios},
+            "sign_test_p": sign_test_p(wins, sum(g > 0 for g in gaps))}
     out["failed_of_attempted"] = {
         side: [sum(p[side]["failed"] for p in pairs),
                sum(p[side]["attempted"] for p in pairs)] for side in SIDES}
@@ -248,7 +265,11 @@ def main(argv=None) -> int:
            f" side and workload at seed {TRACE_SEED}. Times are in"
            f" reference seconds as run.py scales them; quartiles from"
            f" statistics.quantiles(n=4); change_wins counts pairs where the"
-           f" change reads better.")
+           f" change reads better; pair_ratios are the per-pair values"
+           f" change/parent, in pair order, with their median and quartiles;"
+           f" sign_test_p is the two-sided exact sign test on the pairs won"
+           f" and lost, ties dropped (the chance that as many fair coin"
+           f" flips split at least as unevenly; 2/1024 at 10 wins of 10).")
     result = {"what": args.what, "parent": parent, "machine": machine(),
               "how": how, "summary": summary, "pairs": pairs,
               f"trace_seed_{TRACE_SEED}": traces}

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,9 +78,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, (prime, exponent) pairs."""
-    out = []
+def factorize(n: int) -> Iterator[tuple[int, int]]:
+    """Prime factorization by trial division: (prime, exponent) pairs in
+    ascending order, each yielded as soon as it is found."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -87,11 +88,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
             while n % d == 0:
                 n //= d
                 e += 1
-            out.append((d, e))
+            yield d, e
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append((n, 1))
-    return out
+        yield n, 1
 
 
 def _primitive_root(p: int) -> int:
@@ -210,7 +210,7 @@ class CharacterGroup:
             raise InvalidModulusError(
                 f"modulus {q} exceeds supported bound {MAX_MODULUS}")
         self.modulus = q
-        self.factorization = factorize(q)
+        self.factorization = list(factorize(q))
         # 2^1 contributes a trivial factor with no basis element, so
         # coprimality with 2 needs its own check in that case.
         self._check_odd = (2, 1) in self.factorization

@@ -44,11 +44,6 @@ from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
 from .presets import PRESET_NAMES, preset_config, run_preset
 from .sieve import partial_sums, riesz_means
 
-_GROUP_LABEL = {1: "(1 - chi(p))/log p",
-                2: "log p/(1 - f(p))",
-                3: "(1 - chi(p))/(1 - f(p))"}
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -218,10 +213,9 @@ def cmd_describe(args) -> int:
     print(f"character   {chi.label} (modulus {chi.modulus},"
           f" conductor {chi.conductor()},"
           f" {'even' if parity(chi) == 1 else 'odd'})")
-    if mc.modifications:
-        for (p, v), chi_p in zip(mc.modifications, mc.chi_values):
-            print(f"override    f({p}) = {v}  (chi({p}) = {chi_p})")
-    else:
+    for e in mc.factors:
+        print(f"override    f({e.p}) = {e.f}  (chi({e.p}) = {e.chi})")
+    if not mc.factors:
         print("override    none")
     print(f"T           {mc.sign_shift}")
     print(f"N           {mc.pole_order}")
@@ -269,9 +263,9 @@ def cmd_coeff(args) -> int:
     print(f"c_chi        {_fmt(lc.c_chi.real)} + {_fmt(lc.c_chi.imag)}i"
           + (f"  (= {lc.c_chi_exact})" if lc.c_chi_exact is not None else ""))
     print(f"k!/(N+k)!    {lc.factorial_ratio}")
-    for p, g, v in lc.factors:
-        print(f"factor p={p:<3} group {g}: {_GROUP_LABEL[g]:<24}"
-              f" = {_fmt(v.real)} + {_fmt(v.imag)}i")
+    for e in mc.factors:
+        print(f"factor p={e.p:<3} group {e.group}: {e.label:<24}"
+              f" = {_fmt(e.lead.real)} + {_fmt(e.lead.imag)}i")
     print(f"a_(N+k)      {_fmt(lc.value.real)} + {_fmt(lc.value.imag)}i")
     return 0
 

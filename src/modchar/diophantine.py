@@ -358,6 +358,10 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
     at the n = 648,887 record of S = {2, 3, 5, 11}, anchor 11, it bounds
     the error by 7.3e-7 (4.2e-7 actual).
 
+    A dense row's partial (n <= _FULL_ROWS, first block, carry 0) is one
+    sequential cumsum: within (n - 1)u of the exact sum of the computed
+    terms, all positive, and 46u measured on S = {2, 3, 5, 11}, k = 4.
+
     Error of a partial sum beyond the dense rows against the exact sum of
     the computed terms up to its n, all positive: a term passes at most
     34 roundings in numpy's sum of at most 2^14 terms or in a reduceat

@@ -18,9 +18,9 @@ digamma's Stirling tail reads its Bernoulli numbers from `bernoulli`.
 
 The series attached to a modified character is
 F(s) = (prod over S of (1 - chi(p) p^-s)/(1 - f(p) p^-s)) * L(s, chi);
-its Euler-factor ratio has simple poles exactly at s = 2*pi*i(a_p/b_p + n)/log p
-where f(p) = e(a_p/b_p), detected through the rational angle, never by float
-equality alone.
+its Euler factors (`EulerFactor.value`) have simple poles exactly at
+s = 2*pi*i(a_p/b_p + n)/log p where f(p) = e(a_p/b_p), detected through
+the rational angle, never by float equality alone.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 
 from .characters import (Character, angle_dtype, chi_angle_table,
                          is_primitive, parity)
-from .errors import (DomainError, NearPoleWarning, ParityError, PoleError,
-                     PrecisionError, PrimitivityError, UntrustedTheoryWarning)
-from .modified import ModifiedCharacter, compute_pole_order
+from .errors import (DomainError, ParityError, PoleError, PrecisionError,
+                     PrimitivityError, UntrustedTheoryWarning)
+from .modified import ModifiedCharacter
 from .roots import turns_cos_sin
 
 MAX_ABS_S = 100.0
@@ -49,8 +49,6 @@ _START_M = 8
 _START_B = 20
 # Largest |L'(0) direct - L'(0) via the functional equation| Lprime0 accepts.
 _LPRIME0_GAP = 1e-8
-# Distance to a pole of euler_factor_ratio below which it warns.
-_NEAR_POLE = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -543,33 +541,9 @@ def Lprime0(chi: Character | LContext) -> complex:
 
 
 def euler_factor_ratio(mc: ModifiedCharacter, s) -> complex:
-    """prod over S of (1 - chi(p) p^-s) / (1 - f(p) p^-s).
-
-    Poles sit exactly at s = 2*pi*i*(a_p/b_p + n)/log p where
-    f(p) = e(a_p/b_p). The nearest lattice point is computed from the exact
-    angle; a hit raises PoleError carrying (p, n), a near miss (closer than
-    _NEAR_POLE) computes the value but emits NearPoleWarning with the exact
-    location.
-    """
-    s = complex(s)
-    out = 1 + 0j
-    for (p, fv), chi_p in zip(mc.modifications, mc.chi_values):
-        lp = math.log(p)
-        n_near = round(s.imag * lp / (2 * math.pi) - float(fv.angle))
-        s_pole = 2j * math.pi * (float(fv.angle) + n_near) / lp
-        dist = abs(s - s_pole)
-        den = 1 - fv.to_complex() * cmath.exp(-s * lp)
-        if den == 0 or dist <= 1e-15 * max(1.0, abs(s_pole)):
-            raise PoleError(
-                f"s = {s} is a pole of the factor at p = {p} (branch n = {n_near})",
-                prime=p, index=n_near)
-        if dist < _NEAR_POLE:
-            warnings.warn(
-                f"s within {dist:.2e} of the pole at p={p}, n={n_near},"
-                f" location {s_pole}", NearPoleWarning, stacklevel=2)
-        num = 1 - chi_p.to_complex() * cmath.exp(-s * lp)
-        out *= num / den
-    return out
+    """prod over S of (1 - chi(p) p^-s) / (1 - f(p) p^-s), ascending in p,
+    from `EulerFactor.value` (PoleError at a pole, NearPoleWarning near one)."""
+    return math.prod((e.value(complex(s)) for e in mc.factors), start=1 + 0j)
 
 
 def evaluate_F(mc: ModifiedCharacter, s, eps: float = 1e-12) -> complex:
@@ -620,10 +594,8 @@ def functional_equation_check(ctx: LContext, s,
 class LeadingCoefficient:
     """a_{N+k} with its full factor breakdown.
 
-    factors holds (p, group, value) with group 1 for f(p) = 1 (factor
-    (1 - chi(p))/log p), group 2 for chi(p) = 1 (factor log p/(1 - f(p))),
-    group 3 otherwise (factor (1 - chi(p))/(1 - f(p))). The headline value
-    is always c_chi * k!/(N+k)! * product of all factors, so it can be
+    factors holds each `EulerFactor`'s (p, group, lead). The headline
+    value is always c_chi * k!/(N+k)! * product of the leads, so it can be
     recomputed from the parts.
     """
 
@@ -636,10 +608,8 @@ class LeadingCoefficient:
     factors: tuple[tuple[int, int, complex], ...]
 
     def recompute(self) -> complex:
-        out = self.c_chi * float(self.factorial_ratio)
-        for _, _, f in self.factors:
-            out *= f
-        return out
+        return math.prod((f for _, _, f in self.factors),
+                         start=self.c_chi * float(self.factorial_ratio))
 
     def describe(self) -> dict:
         return {
@@ -675,29 +645,28 @@ def l_special_factor(chi: Character | LContext):
 
 
 def leading_coefficient(mc: ModifiedCharacter, k: int) -> LeadingCoefficient:
-    """a_{N+k} = c_chi * k!/(N+k)! * three factor groups over S."""
+    """a_{N+k} = c_chi * k!/(N+k)! * the product of the Euler factors' leads,
+    R_k's (log x)^(N+k) coefficient over k! while `mc.order_at_zero` >= 0.
+    At a zero of order z of F at 0 it is lim F(s)/s^z and R_k has degree
+    k - z: the value stays, and UntrustedTheoryWarning names z."""
     if k < 0:
         raise DomainError("order k must be nonnegative")
     if not mc.theory_trusted:
         warnings.warn(
             "base character is imprimitive; leading coefficient is untrusted",
             UntrustedTheoryWarning, stacklevel=2)
-    n_pole = compute_pole_order(mc)
+    order = mc.order_at_zero
+    if order < 0:
+        warnings.warn(f"F has a zero of order {-order} at s = 0: a_(N+k) is"
+                      f" its first nonzero Taylor coefficient, and R_k's"
+                      f" (log x)^k coefficient is 0", UntrustedTheoryWarning,
+                      stacklevel=2)
+    n_pole = max(0, order)
     c_val, c_exact = l_special_factor(mc.base)
     # k!/(N+k)! is 1 over N factors: O(N) work at any k, where two
     # factorials and their gcd take seconds at k = 10^6
     ratio = Fraction(1, math.prod(range(k + 1, k + n_pole + 1)))
-    factors = []
-    value = c_val * float(ratio)
-    for (p, fv), chi_p in zip(mc.modifications, mc.chi_values):
-        lp = math.log(p)
-        if fv.is_one:
-            g, fac = 1, (1 - chi_p.to_complex()) / lp
-        elif chi_p.is_one:
-            g, fac = 2, lp / (1 - fv.to_complex())
-        else:
-            g, fac = 3, (1 - chi_p.to_complex()) / (1 - fv.to_complex())
-        factors.append((p, g, fac))
-        value *= fac
+    factors = tuple((e.p, e.group, e.lead) for e in mc.factors)
+    value = math.prod((f for _, _, f in factors), start=c_val * float(ratio))
     return LeadingCoefficient(n_pole, k, value, c_val, c_exact, ratio,
-                              tuple(factors))
+                              factors)

@@ -2,9 +2,11 @@
 
 A modified character f agrees with its base character chi at every prime
 outside a finite set S and takes prescribed unimodular root-of-unity values
-on S. Everything about f is determined by (chi, S, values); the two integers
+on S. `build_modified` makes one `EulerFactor` record per p in S, once:
+its order at s = 0, lead, value with the pole test, sieve shift and g_p
+are read from there and nowhere else. The two integers
 
-    sign_shift   T = #{p in S : f(p) = 1} - #{p in S : chi(p) = 1}
+    sign_shift   T = sum of the orders = #{f(p) = 1} - #{chi(p) = 1}
     pole_order   N = max(0, T) for odd chi, max(0, T - 1) for even chi
 
 control the order of the pole at s = 0 of the attached Dirichlet series and
@@ -13,49 +15,121 @@ through it the degree of polynomial growth of Riesz-smoothed partial sums.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
-from .characters import Character, eval_char, is_prime, parity
+from .characters import Character, eval_char, factorize, is_prime, parity
 from .errors import (InvalidModificationError, InvalidPrimeError,
-                     PrimitivityError, NonModificationWarning)
+                     NearPoleWarning, NonModificationWarning, PoleError,
+                     PrimitivityError)
 from .roots import UnitValue
+
+# Distance to a pole of an Euler factor below which its value warns.
+_NEAR_POLE = 1e-8
+
+
+@dataclass(frozen=True)
+class EulerFactor:
+    """(1 - chi(p) p^-s)/(1 - f(p) p^-s) at p in S; chi(p) = 0 iff p | q."""
+
+    p: int
+    f: UnitValue
+    chi: UnitValue
+
+    @property
+    def order(self) -> int:
+        """Signed order at s = 0: +1 for a pole, -1 for a zero, else 0."""
+        return 1 if self.f.is_one else -1 if self.chi.is_one else 0
+
+    @property
+    def group(self) -> int:
+        return (3, 1, 2)[self.order]
+
+    @property
+    def label(self) -> str:
+        return ("(1 - chi(p))/(1 - f(p))", "(1 - chi(p))/log p",
+                "log p/(1 - f(p))")[self.order]
+
+    @property
+    def lead(self) -> complex:
+        """First nonzero Taylor coefficient at 0: lim s^order * factor."""
+        lp = math.log(self.p)
+        if self.order == 1:
+            return (1 - self.chi.to_complex()) / lp
+        if self.order == -1:
+            return lp / (1 - self.f.to_complex())
+        return (1 - self.chi.to_complex()) / (1 - self.f.to_complex())
+
+    def value(self, s: complex) -> complex:
+        """The factor at s. PoleError (p, n) at a pole 2 pi i (a/b + n)/log p,
+        f(p) = e(a/b) (exact angle); NearPoleWarning within _NEAR_POLE, at
+        the line that called `euler_factor_ratio`."""
+        p, lp, angle = self.p, math.log(self.p), float(self.f.angle)
+        n_near = round(s.imag * lp / (2 * math.pi) - angle)
+        s_pole = 2j * math.pi * (angle + n_near) / lp
+        dist = abs(s - s_pole)
+        den = 1 - self.f.to_complex() * cmath.exp(-s * lp)
+        if den == 0 or dist <= 1e-15 * max(1.0, abs(s_pole)):
+            raise PoleError(
+                f"s = {s} is a pole of the factor at p = {p} (branch n = {n_near})",
+                prime=p, index=n_near)
+        if dist < _NEAR_POLE:
+            warnings.warn(
+                f"s within {dist:.2e} of the pole at p={p}, n={n_near},"
+                f" location {s_pole}", NearPoleWarning, stacklevel=4)
+        return (1 - self.chi.to_complex() * cmath.exp(-s * lp)) / den
+
+    def shift(self, scale: int) -> int:
+        """Angle of f(p)/chi(p) (chi(p) = 0 read as 1) over scale, mod it."""
+        return int((self.f.angle - (self.chi.angle or 0)) * scale) % scale
+
+    @property
+    def g(self) -> complex:
+        """g_p = f(p) - chi(p) of the smooth route."""
+        return self.f.to_complex() - self.chi.to_complex()
 
 
 @dataclass(frozen=True)
 class ModifiedCharacter:
-    """Base character plus the canonical (deduplicated, sorted) override set."""
+    """Base character plus one Euler-factor record per p in S, ascending."""
 
     base: Character
-    modifications: tuple[tuple[int, UnitValue], ...]
-    chi_values: tuple[UnitValue, ...]
-    """chi(p) for each (p, f(p)) of `modifications`, in the same order,
-    evaluated once by `build_modified`; chi(p) = 0 exactly when p | q."""
+    factors: tuple[EulerFactor, ...]
     theory_trusted: bool = True
 
-    def __hash__(self):
-        return hash((self.base, self.modifications))
+    @property
+    def modifications(self) -> tuple[tuple[int, UnitValue], ...]:
+        return tuple((e.p, e.f) for e in self.factors)
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.modifications)
+        return tuple(e.p for e in self.factors)
 
     def value_at_prime(self, p: int) -> UnitValue:
         """f(p): the override if p is in S, else chi(p)."""
-        for pp, v in self.modifications:
-            if pp == p:
-                return v
+        for e in self.factors:
+            if e.p == p:
+                return e.f
         return eval_char(self.base, p)
 
     @property
     def sign_shift(self) -> int:
-        return compute_sign_shift(self)
+        """T: the sum over S of the Euler factors' orders at s = 0."""
+        return sum(e.order for e in self.factors)
+
+    @property
+    def order_at_zero(self) -> int:
+        """ord_0 F as a pole order, T - [chi even]: negative at a zero of F."""
+        return self.sign_shift - (parity(self.base) != -1)
 
     @property
     def pole_order(self) -> int:
-        return compute_pole_order(self)
+        """N = max(0, ord_0 F): the order of F's pole at s = 0, if any."""
+        return max(0, self.order_at_zero)
 
     def descriptor(self) -> dict:
         return {
@@ -97,10 +171,8 @@ def build_modified(base: Character,
                 f"base character {base.label} has conductor {base.conductor()}"
                 f" < modulus {base.modulus}; theory requires a primitive base")
         trusted = False
-    if isinstance(mods, dict):
-        mods = list(mods.items())
-    seen: dict[int, UnitValue] = {}
-    chi_at: dict[int, UnitValue] = {}
+    mods = mods.items() if isinstance(mods, dict) else mods
+    seen: dict[int, EulerFactor] = {}
     for p, v in mods:
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidPrimeError(f"modification key {p!r} is not prime")
@@ -108,69 +180,41 @@ def build_modified(base: Character,
             raise InvalidModificationError(
                 f"modification at p={p} must be a root of unity, got {v!r}")
         if p in seen:
-            if seen[p] != v:
+            if seen[p].f != v:
                 raise InvalidModificationError(
-                    f"conflicting modifications at p={p}: {seen[p]} vs {v}")
+                    f"conflicting modifications at p={p}: {seen[p].f} vs {v}")
             continue
-        chi_at[p] = eval_char(base, p)
-        if chi_at[p] == v:
+        chi_p = eval_char(base, p)
+        if chi_p == v:
             warnings.warn(
                 f"f({p}) equals chi({p}); entry dropped, not a modification",
                 NonModificationWarning, stacklevel=2)
             continue
-        seen[p] = v
-    entries = tuple(sorted(seen.items()))
-    return ModifiedCharacter(base, entries,
-                             tuple(chi_at[p] for p, _ in entries),
+        seen[p] = EulerFactor(p, v, chi_p)
+    return ModifiedCharacter(base, tuple(seen[p] for p in sorted(seen)),
                              theory_trusted=trusted)
 
 
-def compute_sign_shift(mc: ModifiedCharacter) -> int:
-    """T: count of f(p) = 1 on S minus count of chi(p) = 1 on S."""
-    new_ones = sum(1 for _, v in mc.modifications if v.is_one)
-    old_ones = sum(1 for c in mc.chi_values if c.is_one)
-    return new_ones - old_ones
-
-
-def compute_pole_order(mc: ModifiedCharacter) -> int:
-    """N >= 0: pole order at s=0 of the attached series over s^parity shift."""
-    t = compute_sign_shift(mc)
-    if parity(mc.base) == -1:
-        return max(0, t)
-    return max(0, t - 1)
-
-
-# Spec-facing aliases: the contract names these compute_T / compute_N.
-compute_T = compute_sign_shift
-compute_N = compute_pole_order
+# T and N as functions of mc, also under the contract's names
+compute_sign_shift = compute_T = ModifiedCharacter.sign_shift.fget
+compute_pole_order = compute_N = ModifiedCharacter.pole_order.fget
 
 
 def eval_f_oracle(mc: ModifiedCharacter, n: int) -> complex:
-    """f(n) by trial factorization; the slow exact reference.
-
-    Intended for n up to about 1e9 (worst case ~3e4 trial divisions). The
-    sieve must agree with this on every value; tests enforce it.
-    """
+    """f(n) by trial factorization, the slow exact reference the sieve
+    must agree with on every value; for n up to about 1e9 (worst case ~3e4
+    trial divisions)."""
     return eval_f_exact(mc, n).to_complex()
 
 
 def eval_f_exact(mc: ModifiedCharacter, n: int) -> UnitValue:
-    """f(n) by trial factorization, as an exact root of unity (or zero)."""
+    """f(n) by trial factorization (`characters.factorize`), as an exact
+    root of unity (or zero); factoring stops at the first zero factor."""
     if n < 1:
         raise ValueError("f is defined on positive integers")
     val = UnitValue.one()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            val = val * mc.value_at_prime(d)**e
-            if val.is_zero:
-                return UnitValue.zero()
-        d += 1 if d == 2 else 2
-    if m > 1:
-        val = val * mc.value_at_prime(m)
+    for p, e in factorize(n):
+        val = val * mc.value_at_prime(p)**e
+        if val.is_zero:
+            break
     return val

@@ -192,14 +192,10 @@ class SieveContext:
         self.mc = mc
         self.x_max = x_max
         chi = mc.base
-        q = chi.modulus
-        self.q = q
-        scale = angle_scale(chi, [v for _, v in mc.modifications])
-        self.scale = scale
-        over_s = list(zip(mc.modifications, mc.chi_values))
-        # p in S off q: the exact shift angle(f(p)) - angle(chi(p))
-        self.shifts = [(p, int((v.angle - c.angle) * scale) % scale)
-                       for (p, v), c in over_s if not c.is_zero]
+        self.q = q = chi.modulus
+        self.scale = scale = angle_scale(chi, [e.f for e in mc.factors])
+        self.shifts = [(e.p, e.shift(scale))    # p in S off q
+                       for e in mc.factors if not e.chi.is_zero]
         top = 2 * scale     # bounds each angle a block holds before reduction
         for p, shift in self.shifts:
             pe = p
@@ -213,12 +209,11 @@ class SieveContext:
         # p in S dividing q: every product 1 < d <= x_max of them with the
         # angle of f(d), ascending in d
         parts = {1: 0}
-        for (p, v), c in over_s:
-            if not c.is_zero:
-                continue
+        for p, step in [(e.p, e.shift(scale)) for e in mc.factors
+                        if e.chi.is_zero]:
             for d, a in list(parts.items()):
                 while d * p <= self.x_max:
-                    d, a = d * p, (a + int(v.angle * scale)) % scale
+                    d, a = d * p, (a + step) % scale
                     parts[d] = a
         del parts[1]
         self.part_d = np.array(sorted(parts), dtype=np.int64)
@@ -468,21 +463,14 @@ def _smooth_terms(ctx: SieveContext, x_top: int, limit=math.inf):
     only. The d come as array products over p in S, each next to the
     exact angle numerator sum_p (e_p - 1) angle(f(p)) over D = ctx.scale
     and the product g of its g_p, so h(d) = e(angle/D) g: an int64 for
-    real f, else complex128, with g_p from `UnitValue.to_complex`.
+    real f, else complex128, with g_p from `EulerFactor.g`.
     """
-    mc, scale, real = ctx.mc, ctx.scale, ctx.is_real
-
-    def value(u):                   # f(p) or chi(p) in h's arithmetic
-        if u.is_zero:
-            return 0
-        return int(u.to_complex().real) if real else u.to_complex()
-
-    d = np.ones(1, np.int64)
-    angle = np.zeros(1, np.int64)
+    scale, real = ctx.scale, ctx.is_real
+    d, angle = np.ones(1, np.int64), np.zeros(1, np.int64)
     g = np.ones(1, np.int64 if real else np.complex128)
-    for (p, v), c in zip(mc.modifications, mc.chi_values):
-        a_f = int(v.angle * scale)
-        g_p = value(v) - value(c)
+    for factor in ctx.mc.factors:
+        p, a_f = factor.p, int(factor.f.angle * scale)
+        g_p = int(factor.g.real) if real else factor.g
         parts = [(d, angle, g)]
         cur_d, cur_a, cur_g = d, angle, g * g_p
         while True:                   # d p^e from d p^(e-1), e = 1, 2, ...
@@ -792,7 +780,7 @@ def mellin_transform(mc: ModifiedCharacter, sigma: float, x_cut) -> MellinResult
     if X < 2:
         raise DomainError("x_cut must be at least 2")
     ctx = SieveContext(mc, X)
-    a = len(mc.modifications)
+    a = len(mc.factors)
     total = ComplexNeumaierSum()
     sup_ratio, m_before = 0.0, 0
     for lo, hi, vals, starts, _, run in _walk(ctx, np.array([X])):

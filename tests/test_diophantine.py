@@ -431,6 +431,19 @@ def test_pole_series_partials_within_the_stated_bound_of_fsum():
             assert abs(partial - exact) <= 80 * U * exact, (anchor, n)
 
 
+def test_pole_series_dense_partials_within_the_stated_bound_of_fsum():
+    # a dense row's partial is one sequential cumsum: within (n - 1)u of the
+    # exact sum of the computed terms, plus u for fsum's own rounding
+    fig1 = build_modified(character_from_label("3.2"),
+                          {p: ONE for p in (2, 3, 5, 11)})
+    trace = pole_series_diagnostic(fig1, 11, 4, 10**5)
+    assert trace.ns[:4096].tolist() == list(range(1, 4097))
+    terms = trace.terms[:4096].tolist()
+    for n, partial in enumerate(trace.partials[:4096].tolist(), 1):
+        exact = math.fsum(terms[:n])
+        assert abs(partial - exact) <= n * U * exact, n
+
+
 def test_pole_series_half_turn_factor_is_one_half(monkeypatch):
     # a = 2^62 puts f = 1/2 at n = 1: the signed angle 2a is -2^63, which
     # has no int64 abs; the float abs makes it pi/4 and the factor 1/2

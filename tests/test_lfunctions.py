@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,11 +27,12 @@ from modchar.lfunctions import (L0_exact, LContext, L_value,
                                 gauss_sum, hurwitz_zeta_with_bound,
                                 l_special_factor, leading_coefficient,
                                 lprime0_direct, lprime0_functional)
-from modchar.modified import build_modified
+from modchar.modified import build_modified, compute_N, compute_T
 from modchar.roots import UnitValue
 
 ONE = UnitValue.one()
 MINUS = UnitValue.minus_one()
+U = 2.0 ** -53
 
 
 def chi3():
@@ -724,3 +726,84 @@ def test_leading_coefficient_describe_round_trip():
     assert d["factorial_ratio"] == [1, 14]
     value = complex(*d["value"])
     assert abs(value - lc.value) == 0
+
+
+def test_leading_coefficient_warns_at_a_zero_of_f():
+    # ord_0 F = T - [chi even] < 0: the value is F's first nonzero Taylor
+    # coefficient, F(s)/s^z -> value, and the warning names z
+    fig3 = build_modified(chi3(), {p: MINUS for p in (3, 7, 13, 19)})
+    even = build_modified(character_from_label("5.4"),
+                          {2: UnitValue.root(1, 4)})
+    for mc, z in ((fig3, 3), (even, 1)):
+        with pytest.warns(UntrustedTheoryWarning,
+                          match=f"zero of order {z} at s = 0"):
+            lc = leading_coefficient(mc, 0)
+        assert lc.N == 0
+        sigma = 1e-4
+        assert abs(evaluate_F(mc, sigma) / sigma ** z - lc.value) \
+            < 1e-2 * abs(lc.value)
+    fig1 = build_modified(chi3(), {p: ONE for p in (2, 3, 5, 11)})
+    fig2 = build_modified(chi3(), {2: ONE, 3: ONE, 5: ONE, 11: ONE, 7: MINUS})
+    for mc in (fig1, fig2, bcc()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leading_coefficient(mc, 0)
+
+
+_PRIMITIVE = [c for q in range(3, 61) for c in enumerate_characters(q)
+              if c.is_primitive and not c.is_principal]
+# real and complex chi drawn alike often: only 39 of the 661 are real
+_PRIMITIVE_CHI = st.one_of(
+    st.sampled_from([c for c in _PRIMITIVE if c.order == 2]),
+    st.sampled_from([c for c in _PRIMITIVE if c.order > 2]))
+_ORDER_LE_6 = st.integers(1, 6).flatmap(
+    lambda m: st.builds(UnitValue.root, st.integers(0, m - 1), st.just(m)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chi=_PRIMITIVE_CHI,
+       mods=st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13)),
+                            _ORDER_LE_6, max_size=3))
+def test_euler_factor_records_against_eval_char_and_F_near_zero(chi, mods):
+    # T and N from eval_char alone; where ord_0 F >= 0, N! a_N at k = 0
+    # is the limit of s^N F(s), checked at sigma = 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # f(p) = chi(p) entries drop out
+        mc = build_modified(chi, mods)
+    chi_at = {p: eval_char(chi, p) for p in mods}
+    kept = {p: v for p, v in mods.items() if v != chi_at[p]}
+    assert mc.primes == tuple(sorted(kept))
+    t = (sum(v.is_one for v in kept.values())
+         - sum(chi_at[p].is_one for p in kept))
+    even = eval_char(chi, chi.modulus - 1).is_one      # chi(-1) = 1
+    order = t - even
+    assert compute_T(mc) == t and compute_N(mc) == max(0, order)
+    if order < 0:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lc = leading_coefficient(mc, 0)
+    want = math.factorial(order) * lc.value
+    sigma = 1e-6
+    ctx = LContext(chi, eps=1e-15)
+    l1, bound = L_value_with_bound(ctx, sigma)
+    l2 = L_value(ctx, 2 * sigma)
+    got = sigma ** order * euler_factor_ratio(mc, sigma) * l1
+    # s^N F(s) = N! a_N (1 + s D + O(s^2)), D its log-derivative at 0. Each
+    # 1 - w p^-s of a factor adds +-w log p/(1 - w) to D, at most
+    # log p/|1 - w|, for w != 1, and +-log p/2 for w = 1 besides the s it
+    # gives or takes; then it loses about 2u/(sigma log p) at sigma to
+    # cancellation, 4u allowed. L's share of D (L'/L(0) odd, L''/2L'(0)
+    # even) is read from L at sigma and 2 sigma, doubled; the whole
+    # first-order term is doubled again, and L's own bound is added.
+    d, cancel = 0.0, 0.0
+    for p, v in kept.items():
+        for w in (chi_at[p], v):
+            if w.is_one:
+                d += math.log(p) / 2
+                cancel += 4 * U / (sigma * math.log(p))
+            elif not w.is_zero:
+                d += math.log(p) / abs(1 - w.to_complex())
+    d += 2 * abs(l2 / (2 if even else 1) / l1 - 1) / sigma
+    tol = 2 * sigma * d + cancel + 8 * U + bound / abs(l1)
+    assert abs(got - want) <= tol * abs(want), (chi.label, mods)

@@ -38,7 +38,7 @@ def test_build_canonicalizes():
     mc = build_modified(chi3(), [(7, MINUS), (3, ONE), (2, ONE)])
     assert mc.primes == (2, 3, 7)
     # chi(p) beside each override, zero exactly at p | q
-    assert mc.chi_values == (MINUS, UnitValue.zero(), ONE)
+    assert tuple(e.chi for e in mc.factors) == (MINUS, UnitValue.zero(), ONE)
     assert mc.value_at_prime(7) == MINUS
     assert mc.value_at_prime(13).is_one   # chi3(13), no override
     assert mc.theory_trusted
