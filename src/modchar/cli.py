@@ -40,7 +40,8 @@ from .characters import character_from_label, enumerate_characters, parity
 from .config import RunConfig, parse_config
 from .csvrows import csv_text
 from .errors import (BelowOrderThresholdWarning, ConfigError, DomainError,
-                     FitError, InvalidModulusError, ModCharError, OutputError)
+                     FitError, InvalidModulusError, ModCharError, OutputError,
+                     UntrustedTheoryWarning)
 from .presets import PRESET_NAMES, preset_config, run_preset
 from .sieve import partial_sums, riesz_means
 
@@ -426,15 +427,28 @@ def cmd_verify(args) -> int:
                          checkpoints=cfg.checkpoints)
     fit = None
     fit_report: dict = {}
-    below = False
     if n + k >= 1:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
                 fit = analysis.fit_riesz_polynomial(record, k, n,
                                                    gamma=cfg.gamma)
-            below = any(issubclass(w.category, BelowOrderThresholdWarning)
-                        for w in caught)
+            except FitError as e:
+                fit_report = {"error": str(e)}
+        # every warning but the threshold note reaches stderr as it would
+        # have uncaught; an untrusted theory value marks the fit block
+        below, untrusted = False, []
+        for w in caught:
+            if issubclass(w.category, BelowOrderThresholdWarning):
+                below = True
+                continue
+            sys.stderr.write(warnings.formatwarning(
+                w.message, w.category, w.filename, w.lineno))
+            if issubclass(w.category, UntrustedTheoryWarning):
+                untrusted.append(str(w.message))
+        if fit is None:
+            print(f"fit: failed, {fit_report['error']}")
+        else:
             fit_report = {
                 "degree": fit.degree,
                 "lead": fit.lead,
@@ -446,17 +460,16 @@ def cmd_verify(args) -> int:
                 "instability": fit.instability,
                 "npoints": fit.npoints,
                 "below_order_threshold": below,
+                "untrusted": untrusted,
                 "coefficients": list(fit.coefficients),
             }
             print(f"fit: degree {fit.degree}, lead {_fmt(fit.lead.real)}"
                   + (f" vs theory {_fmt(fit.theory.real)}"
+                     + (" (untrusted)" if untrusted else "")
                      if fit.theory is not None else "")
                   + f", decade ratio {_fmt(fit.residual_decade_ratio)}")
             if below:
                 print(f"fit: note, k = {k} sits below k_min = {k_min}")
-        except FitError as e:
-            fit_report = {"error": str(e)}
-            print(f"fit: failed, {e}")
     else:
         fit_report = {"skipped": "degree N + k = 0 is not a polynomial fit"}
         print("fit: skipped, degree N + k = 0")

@@ -3,16 +3,21 @@
 Everything funnels through the Hurwitz zeta function: L(s, chi) =
 q^(-s) sum_a chi(a) zeta(s, a/q). One Euler-Maclaurin pass evaluates
 zeta(s, a/q) for every residue a coprime to q at once, in longdouble
-array arithmetic, and forms the chi-weighted sum and q^(-s) in longdouble
-too, so the value is rounded to complex128 once. Its error bound is one
-sum over the vector: the truncation remainders, an a-posteriori rounding
-term priced from the terms actually added, and that final rounding. The
-same formula runs on mpmath only when the longdouble rounding term alone
-exceeds the budget. Special values at s = 0 avoid floats until the end:
-L(0, chi) for odd chi is exact, as int64 numerators over q, one per angle
-of chi, and L'(0, chi) for even chi is computed twice, by the log-gamma
-sum and through the functional equation, with a mandatory cross-check
-since every leading-coefficient number downstream multiplies it.
+array arithmetic (real on the real axis), combines the chi-weighted
+values by a halving fold and forms q^(-s) in longdouble too, so the value
+is rounded to complex128 once. What chi fixes (the residues over q in
+float64 and longdouble, chi's roots of unity) is derived once per
+`LContext`. The error bound is one sum over the vector: the truncation
+remainders, an a-posteriori rounding term priced from the terms actually
+added, whose constant grows with the fold's depth (about log2 phi(q)),
+and that final rounding. The same formula runs on mpmath only when the
+longdouble rounding term alone exceeds the budget; at s = 1/2 the pass
+stays in longdouble at q = 999983 (bound 1.9e-13). Special values at
+s = 0 avoid floats until the end: L(0, chi) for odd chi is exact, as
+int64 numerators over q, one per angle of chi, and L'(0, chi) for even
+chi is computed twice, by the log-gamma sum and through the functional
+equation, with a mandatory cross-check since every leading-coefficient
+number downstream multiplies it.
 Gamma comes from `math.gamma` on the real axis and from mpmath off it;
 digamma's Stirling tail reads its Bernoulli numbers from `bernoulli`.
 
@@ -90,19 +95,59 @@ def _clongdouble(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _neg_power(x: np.ndarray, s: complex) -> tuple[np.ndarray, np.ndarray]:
-    """x^(-s) for real x > 0 in clongdouble, with its modulus x^(-sigma)."""
+def _neg_power(x: np.ndarray, s: float | complex) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+    """x^(-s) for real x > 0 in the dtype of s, with its modulus x^(-sigma):
+    longdouble for a float s, clongdouble for a complex one. The complex
+    exp is libm's exp(-sigma log x) times one sincos of -t log x: the same
+    numbers as separate cos and sin calls, in about half their time."""
     lx = np.log(x)
     mod = np.exp(-s.real * lx)
-    if s.imag == 0:                # the phase is exactly 0: no cos, no sin
-        return mod.astype(np.clongdouble), mod
-    ph = s.imag * lx
-    return _clongdouble(mod * np.cos(ph), -mod * np.sin(ph)), mod
+    if not isinstance(s, complex):
+        return mod, mod
+    return np.exp(lx * np.clongdouble(-s)), mod
 
 
 def _unit_roots(num, den: int) -> np.ndarray:
     """e(num/den) in clongdouble by `turns_cos_sin`, exact at quarter turns."""
     return _clongdouble(*turns_cos_sin(np.asarray(num, np.int64) % den, den))
+
+
+def _fold(x: np.ndarray):
+    """The sum of x over its first axis by halving: each round adds the
+    back half onto the front (an odd middle entry waits a round), so every
+    entry passes through at most `_depth(len(x))` additions and the sum is
+    within that many u of sum|x_i| to first order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2). x is
+    overwritten. An object array of mpmath numbers folds the same way."""
+    n = len(x)
+    while n > 1:
+        h = n // 2
+        x[:h] += x[n - h:n]
+        n -= h
+    return x[0]
+
+
+def _depth(n: int) -> int:
+    """ceil(log2 n): the additions `_fold` puts each of n entries through."""
+    return (n - 1).bit_length()
+
+
+def _points(a, q: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """a/q in float64 and in longdouble, and its minimum, for numerators a
+    with 0 < a/q <= 1 (DomainError otherwise)."""
+    num = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    if not (num.size and np.all((num > 0) & (num <= q))):
+        raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
+    a64 = num / q
+    return a64, num.astype(np.longdouble) / q, float(a64.min())
+
+
+@lru_cache(maxsize=None)
+def _log_bernoulli_tail(B: int) -> float:
+    """log(|B_{2B+2}|/(2B+2)!), formed from the exact Fraction."""
+    c = abs(bernoulli(2 * B + 2)) / math.factorial(2 * B + 2)
+    return math.log(c.numerator) - math.log(c.denominator)
 
 
 def _truncation_bound(s: complex, a: np.ndarray, M: int, B: int) -> float:
@@ -114,65 +159,77 @@ def _truncation_bound(s: complex, a: np.ndarray, M: int, B: int) -> float:
     overflows. A non-positive integer s below 2B + 1 makes the formula exact.
     """
     e = s.real + 2 * B + 1
-    factors = [abs(s + k) for k in range(2 * B + 2)]
-    if min(factors) == 0:
+    factors = np.abs(s + np.arange(2 * B + 2))
+    if not factors.all():
         return 0.0
-    c = abs(bernoulli(2 * B + 2)) / math.factorial(2 * B + 2)
-    log_k = (math.log(c.numerator) - math.log(c.denominator)
-             + sum(map(math.log, factors)) - math.log(e))
+    log_k = _log_bernoulli_tail(B) + np.log(factors).sum() - math.log(e)
     with np.errstate(over="ignore"):
         return float(np.exp(log_k - e * np.log(M + a)).sum())
 
 
-def _rounding_bound(s: complex, M: int, B: int, a_min: float, m: int, q: int,
-                    mag: float, jmag: float, u: float) -> float:
+def _rounding_bound(s: complex, M: int, B: int, a_min: float, depth: int,
+                    q: int, mag: float, jmag: float, u: float) -> float:
     """u (K mag + 14 jmag): the rounding part of the bound, derived in
     hurwitz_zeta_with_bound. mag is sum|terms added| and jmag the sum of
-    j |Bernoulli term j|, both times |q^(-s)|; m is the number of a."""
+    j |Bernoulli term j|, both times |q^(-s)|; depth is the number of
+    additions the fold over the residues puts each residue through."""
     lam = max(math.log(M + 1), -math.log(a_min))
-    K = 2 * abs(s) * (4 + 5 * lam + 5 * math.log(q)) + M + B + m + 110
+    K = 2 * abs(s) * (4 + 5 * lam + 5 * math.log(q)) + M + B + depth + 110
     return u * (K * mag + 14 * jmag)
 
 
-def _em_sum(s: complex, a: np.ndarray, M: int, B: int, weights: np.ndarray,
-            q: int) -> tuple[np.clongdouble, float]:
-    """q^(-s) sum_i weights_i zeta_MB(s, a_i) in clongdouble, with its rounding bound.
+def _em_sum(s: complex, a: np.ndarray, a_min: float, M: int, B: int,
+            weights: np.ndarray | None, q: int):
+    """q^(-s) sum_i weights_i zeta_MB(s, a_i), with its rounding bound.
 
     zeta_MB is the Euler-Maclaurin formula cut after M power terms and B
     Bernoulli terms: sum_{n<M} (n+a)^(-s) + w^(1-s)/(s-1) + w^(-s)/2
     + sum_{j<=B} B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1), with w = M + a. Every a
-    is evaluated at once, in blocks of about _GRID grid elements. The
-    second value is the rounding bound of _rounding_bound.
+    is evaluated at once, in blocks of about _GRID grid elements, with one
+    `_neg_power` over the block's [n + a | M + a] grid. Arrays are in the
+    dtype of s: longdouble on the real axis, clongdouble off it; weights
+    None means every weight is 1. The weighted values are combined by
+    `_fold` within each block and again over the block sums. The second
+    value is the rounding bound of _rounding_bound.
     """
-    n = np.arange(M, dtype=np.longdouble)
-    rising = np.cumprod(np.clongdouble(s) + np.arange(2 * B - 1))[::2]
-    kb = _bernoulli_coefs(B) * rising          # B_2j/(2j)! (s)_{2j-1}
-    kb_abs = np.abs(kb)
-    jkb_abs = np.arange(1, B + 1) * kb_abs
-    s1 = np.clongdouble(s) - 1
-    total = np.clongdouble(0)
-    mag = jmag = np.longdouble(0)
+    real = s.imag == 0
+    sv = s.real if real else s
+    sl = np.longdouble(sv) if real else np.clongdouble(sv)
+    kb = _bernoulli_coefs(B) * np.cumprod(sl + np.arange(2 * B - 1))[::2]
+    # one product gives the Bernoulli sum (kb: B_2j/(2j)! (s)_{2j-1}; its
+    # real and imaginary parts off the axis) and both magnitude sums per row
+    coefs = np.empty((B, 3 if real else 4), dtype=np.longdouble)
+    coefs[:, :-2] = kb.view(np.longdouble).reshape(B, -1)
+    coefs[:, -2] = np.abs(kb)
+    coefs[:, -1] = coefs[:, -2] * np.arange(1, B + 1)
+    grid = np.arange(M + 1, dtype=np.longdouble)
+    s1 = sl - 1
     rows = max(1, _GRID // (M + B))
+    blocks = []
+    mag = jmag = np.longdouble(0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(a), rows):
-            ab = a[lo:lo + rows]
-            terms, mods = _neg_power(n + ab[:, None], s)
-            w = ab + M
-            ws, wmod = _neg_power(w, s)
-            ypow = np.ones((len(ab), B), dtype=np.longdouble)
+            x = grid + a[lo:lo + rows, None]   # n + a, and w = M + a last
+            p, pmod = _neg_power(x, sv)
+            w, ws, wmod = x[:, M], p[:, M], pmod[:, M]
+            ypow = np.empty((len(x), B), dtype=np.longdouble)
+            ypow[:, 0] = 1
             ypow[:, 1:] = (1 / (w * w))[:, None]
-            ypow = np.cumprod(ypow, axis=1)    # w^(-2(j-1))
-            g = ws / w                         # w^(-s-1)
-            zeta = (terms.sum(axis=1) + ws * (w / s1 + 0.5)
-                    + g * _clongdouble(ypow @ kb.real, ypow @ kb.imag))
-            total += (weights[lo:lo + rows] * zeta).sum()
-            gmod = wmod / w
-            mag += (mods.sum() + (wmod * (w / abs(s - 1) + 0.5)).sum()
-                    + (gmod * (ypow @ kb_abs)).sum())
-            jmag += (gmod * (ypow @ jkb_abs)).sum()
-        scale, scale_mod = _neg_power(np.longdouble(q), s)
-    return total * scale, _rounding_bound(
-        s, M, B, float(a.min()), len(a), q, float(mag * scale_mod),
+            np.cumprod(ypow, axis=1, out=ypow)  # w^(-2(j-1))
+            yk = np.dot(ypow, coefs)           # np.dot: matmul's sums, faster
+            bern = yk[:, 0] if real else _clongdouble(yk[:, 0], yk[:, 1])
+            zeta = (p[:, :M].sum(axis=1) + ws * (w / s1 + 0.5)
+                    + ws / w * bern)           # ws / w = w^(-s-1)
+            blocks.append(_fold(zeta if weights is None
+                                else weights[lo:lo + rows] * zeta))
+            bmag, bjmag = np.dot(wmod / w, yk[:, -2:])
+            mag += (pmod[:, :M].sum() + np.dot(wmod, w / abs(s - 1) + 0.5)
+                    + bmag)
+            jmag += bjmag
+        scale, scale_mod = _neg_power(np.longdouble(q), sv)
+    depth = _depth(min(rows, len(a))) + _depth(len(blocks))
+    return _fold(np.array(blocks)) * scale, _rounding_bound(
+        s, M, B, a_min, depth, q, float(mag * scale_mod),
         float(jmag * scale_mod), _U)
 
 
@@ -187,8 +244,8 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, ctx: LContext | None,
     exceeded the budget; rounding scales with the unit roundoff, so the
     precision is chosen to bring it under a quarter of the budget, raised
     again if the term measured here says otherwise. The residues are
-    combined in mpmath, so the returned value carries one rounding to
-    complex128.
+    combined by `_fold` in mpmath, so the returned value carries one
+    rounding to complex128.
     """
     import mpmath as mp
 
@@ -207,8 +264,9 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, ctx: LContext | None,
             weights = ([1] * len(a) if ctx is None
                        else [mp.expjpi(mp.mpf(2 * k) / ctx.chi.order)
                              for k in ctx.vector[1].tolist()])
-            total, mag, jmag = mp.mpc(0), mp.mpf(0), mp.mpf(0)
-            for num, weight in zip(a.tolist(), weights):
+            values = np.empty(len(a), dtype=object)
+            mag, jmag = mp.mpf(0), mp.mpf(0)
+            for i, (num, weight) in enumerate(zip(a.tolist(), weights)):
                 x = mp.mpf(num) / q
                 w = x + M
                 ws = w ** -ms
@@ -219,12 +277,12 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, ctx: LContext | None,
                     terms.append(c * g)
                     jmag += j * abs(terms[-1])
                     g *= y
-                total += weight * mp.fsum(terms)
+                values[i] = weight * mp.fsum(terms)
                 mag += mp.fsum(abs(t) for t in terms)
             scale = mp.mpf(q) ** -ms
-            val = complex(total * scale)
+            val = complex(_fold(values) * scale)
             rounding = _rounding_bound(
-                s, M, B, float(a.min()) / q, len(a), q,
+                s, M, B, float(a.min()) / q, _depth(len(a)), q,
                 float(mag * abs(scale)), float(jmag * abs(scale)),
                 2.0 ** -prec)
         if rounding <= budget / 4:
@@ -247,20 +305,36 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
     - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
       and scaled by q^(-sigma). M and B escalate from _START_M and _START_B,
       once for the whole vector, until it is at most eps/8.
-    - rounding: every term is evaluated in np.clongdouble (see _em_sum) and
+    - rounding: every term is evaluated in longdouble (see _em_sum) and
       the bound adds K u sum|terms added| |q^(-s)|, u the longdouble unit
       roundoff, plus 14 u sum_j j |Bernoulli term j|. To first order in u,
-      assuming IEEE arithmetic and libm log/exp/cos/sin within 2 ulps:
-      a_i/q and n + a_i carry relative error 2u, so x^(-s) =
-      exp(-sigma log x) cis(-t log x) is off by at most 2|s|(2 + 5L) + 13 u
-      relative, L = max(log(M+1), -log min a_i/q); the Bernoulli chain
-      (rising factorials, powers of w^-2) adds at most 14j + 5 u on term j,
-      the boundary terms 10 u; the sums of one a add M + B + 3 u of
-      sum|terms|, chi's roots of unity 60 u, their products 3 u, the
-      combination over m residues m u, and q^(-s) with its product
-      2|s|(2 + 5 log q) + 16 u. Rounded up, K = 2|s|(4 + 5L + 5 log q)
-      + M + B + m + 110. mpmath evaluates the same terms at unit roundoff
-      2^-prec and is priced by the same formula.
+      assuming IEEE arithmetic and libm log/exp/cos/sin within 2 ulps, K
+      sums these relative errors, each a multiple of u:
+      - a_i/q and n + a_i carry 2, so x^(-s) = exp(-sigma log x)
+        cis(-t log x) is off by at most 2|s|(2 + 5L) + 13, with
+        L = max(log(M+1), -log min a_i/q);
+      - the Bernoulli chain (rising factorials, powers of w^-2) adds at
+        most 14j + 5 on term j: the 5 goes into K, the 14j into the
+        jmag term;
+      - the boundary terms w^(1-s)/(s-1) and w^(-s)/2 add 10;
+      - the sums of one a, at most M - 1 additions over the power terms,
+        B - 1 in the Bernoulli dot product and 3 joining them, add
+        M + B + 3 of sum|terms|;
+      - chi's roots of unity add 60 and their products 3;
+      - the fold over the residues adds d, the number of additions
+        `_fold` puts each weighted value through: ceil(log2 rows) within
+        a block of `rows` residues plus ceil(log2 blocks) over the block
+        sums, so d <= ceil(log2 m) + 1 for m residues (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., section 4.2,
+        where a recursive sum would need m);
+      - q^(-s) with its product adds 2|s|(2 + 5 log q) + 16.
+      Rounded up, K = 2|s|(4 + 5L + 5 log q) + M + B + d + 110. On the
+      real axis the same operations run in real longdouble, each rounding
+      at most as often as its complex form, so the same K holds; with no
+      weights (plain a) the products drop out, and K still bounds.
+      mpmath evaluates the same terms at unit roundoff 2^-prec, folds the
+      residues the same way (d = ceil(log2 m)), and is priced by the same
+      formula.
     - final rounding: |value| 2^-52, for the one conversion to complex128.
 
     The route switches only on rounding: when the longdouble rounding term
@@ -275,10 +349,8 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
     if s == 1:
         raise PoleError("zeta(s, a) has its only pole at s = 1")
     ctx = a if isinstance(a, LContext) else None
-    a, q = (a, 1) if ctx is None else (ctx.vector[0], ctx.chi.modulus)
-    num = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    if not (num.size and np.all((num > 0) & (num <= q))):
-        raise DomainError(f"a/q must be in (0, 1], got a = {a}, q = {q}")
+    q = 1 if ctx is None else ctx.chi.modulus
+    a64, ald, a_min = _points(a, 1) if ctx is None else ctx.points
     if not abs(s) <= MAX_ABS_S:                 # NaN fails here too
         raise DomainError(f"|s| = {abs(s)!r}; only |s| <= {MAX_ABS_S:g}"
                           f" is supported")
@@ -286,8 +358,6 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
     B = max(_START_B, int((2 - s.real) / 2) + 3)
     M = max(_START_M, int(abs(s)))
-    a64 = num / q
-    a_min = float(a64.min())
     scale = q ** -s.real
     while True:
         trunc = scale * _truncation_bound(s, a64, M, B)
@@ -303,12 +373,13 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
             M *= 2
         else:
             B += 8
-    weights = np.ones(num.size, np.clongdouble) if ctx is None else ctx.roots
-    val, rounding = _em_sum(s, num.astype(np.longdouble) / q, M, B,
-                            weights, q)
+    val, rounding = _em_sum(s, ald, a_min, M, B,
+                            None if ctx is None else ctx.roots, q)
     budget = eps - trunc
     if not (np.isfinite(val) and rounding <= budget):
-        val, rounding = _em_sum_bigfloat(s, num, ctx, M, B, budget, rounding)
+        val, rounding = _em_sum_bigfloat(
+            s, a64 if ctx is None else ctx.vector[0], ctx, M, B, budget,
+            rounding)
         if not rounding <= budget:
             raise PrecisionError(
                 f"rounding bound {rounding:.3g} above eps={eps:g} for s={s}"
@@ -364,9 +435,10 @@ def complex_gamma(z: complex) -> complex:
 class LContext:
     """The one holder of a character's L-function data, with the eps of
     its L-values: `vector` (residues r coprime to q, angles k over chi's
-    order), `roots` e(k/order), `tau` and `root_number`, each derived at
-    most once and dropped with the context. Every helper here reads them
-    from the context it is given as chi, or builds one (`_context`)."""
+    order), `points` (r/q for the Hurwitz pass), `roots` e(k/order), `tau`
+    and `root_number`, each derived at most once and dropped with the
+    context. Every helper here reads them from the context it is given as
+    chi, or builds one (`_context`)."""
 
     chi: Character
     eps: float = 1e-12
@@ -395,6 +467,12 @@ class LContext:
         r = np.flatnonzero(keep)
         r[r == 0] = chi.modulus     # residue 0 is r = q, a unit only if q = 1
         return r, t[keep].astype(np.int64) // (key[1] // order)
+
+    @cached_property
+    def points(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The residues over q as `_points` gives them: a/q in float64 and
+        longdouble, and its minimum."""
+        return _points(self.vector[0], self.chi.modulus)
 
     @cached_property
     def roots(self) -> np.ndarray:

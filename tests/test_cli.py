@@ -645,6 +645,26 @@ def test_verify_without_a_pole_says_why_omega_is_skipped(tmp_path, capsys):
     assert "promises" not in out
 
 
+def test_verify_reports_an_untrusted_theory_value(tmp_path, capsys):
+    # even 5.4 with f(2) = i: F has a zero at s = 0, so the theory value is
+    # not R_k's lead; the warning reaches stderr and marks the fit block
+    cfg = write_config(tmp_path, name="even54.json", x_max=20000,
+                       character={"label": "5.4"},
+                       modifications=[{"p": 2, "angle": [1, 4]}])
+    outdir = str(tmp_path / "v")
+    assert main(["verify", cfg, "--outdir", outdir]) == 0
+    captured = capsys.readouterr()
+    assert "UntrustedTheoryWarning: F has a zero of order 1 at s = 0" \
+        in captured.err
+    assert "vs theory 0.48121" in captured.out
+    assert "(untrusted)" in captured.out
+    with open(os.path.join(outdir, "even54_report.json"),
+              encoding="utf-8") as fh:
+        fit = json.load(fh)["fit"]
+    assert len(fit["untrusted"]) == 1
+    assert fit["untrusted"][0].startswith("F has a zero of order 1 at s = 0")
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -334,6 +334,54 @@ def test_l_value_large_modulus_fast_route(monkeypatch):
     assert not calls and bound <= 1e-12
 
 
+def test_l_value_at_q_30011_stays_on_the_longdouble_route(monkeypatch):
+    # phi(q) = 30010 residues: priced as a recursive sum (m in K) the
+    # rounding term is 3.3e-12, over eps, and every residue went to
+    # mpmath; the fold's depth (16 here) keeps it near 3e-14
+    calls = _count_fallbacks(monkeypatch)
+    ctx = LContext(character_from_label("30011.2"))
+    _, bound = L_value_with_bound(ctx, 0.5)
+    assert not calls and bound <= 1e-12
+
+
+def test_fold_is_within_its_depth_bound_of_fsum():
+    # 1 and then 2^16 - 1 copies of u: a left-to-right sum drops each u, an
+    # error of about m u; the halving fold stays within its depth
+    # ceil(log2 m) = 16 times u sum|x|, to first order
+    m = 1 << 16
+    x = np.full(m, U)
+    x[0] = 1.0
+    rng = np.random.default_rng(32)
+    y = rng.standard_normal(4001) * np.exp(rng.uniform(-30, 30, 4001))
+    for v, left_to_right_fails in ((x, True), (y, False)):
+        exact, mass = math.fsum(v), math.fsum(np.abs(v))
+        d = lfunctions._depth(len(v))
+        bound = d * U / (1 - d * U) * mass + U * abs(exact)
+        if left_to_right_fails:
+            assert abs(float(np.cumsum(v)[-1]) - exact) > d * U * mass
+        assert abs(lfunctions._fold(v.copy()) - exact) <= bound
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5 + 3j])
+def test_l_value_at_q_1051_within_its_bound_of_mpmath(s):
+    # a seeded character mod the prime 1051, against mpmath's Hurwitz zeta
+    # at 20 digits residue by residue (about 2 s for both s)
+    q = 1051
+    exponent = random.Random(32).randrange(1, q - 1)
+    chi = Character(character_group(q), (exponent,))
+    val, bound = L_value_with_bound(LContext(chi), s)
+    with mp.workdps(20):
+        ms = mp.mpf(s) if isinstance(s, float) else mp.mpc(s.real, s.imag)
+        tot = mp.mpc(0)
+        for a in range(1, q):
+            v = eval_char(chi, a)
+            tot += (mp.expjpi(mp.mpf(2 * v.numerator) / v.denominator)
+                    * mp.zeta(ms, mp.mpf(a) / q))
+        gap = float(abs(mp.mpc(val) - tot * mp.power(q, -ms)))
+    assert gap <= bound, (chi.label, s, gap, bound)
+    assert bound <= 1e-12 + abs(val) * 2.0 ** -52
+
+
 def test_l_value_bound_uncertified_at_one():
     val, bound = L_value_with_bound(LContext(chi3()), 1.0)
     assert bound is None
