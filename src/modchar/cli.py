@@ -300,8 +300,7 @@ def cmd_lfun(args) -> int:
     else:
         print("functional equation residual: skipped (needs a primitive"
               " non-principal character)")
-    print("error bound: " + ("uncertified (digamma route)" if bound is None
-                             else _fmt(bound)))
+    print(f"error bound: {_fmt(bound)}")
     return 0
 
 

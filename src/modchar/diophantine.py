@@ -436,7 +436,8 @@ def pole_series_diagnostic(mc: ModifiedCharacter, anchor: int, k: int,
             gw *= tm
         np.add(offsets[:w], lo, out=tm)
         np.multiply(tm, tm, out=tw)         # n^2 < 2^53: exact
-        np.divide(gw, _power_from_square(tm, tw, k), out=tm)
+        with np.errstate(over="ignore"):    # n^k = inf: the term is 0
+            np.divide(gw, _power_from_square(tm, tw, k), out=tm)
 
         j = int(np.argmax(tm))
         if tm[j] > max_term:

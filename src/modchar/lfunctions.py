@@ -16,10 +16,10 @@ stays in longdouble at q = 999983 (bound 1.9e-13). Special values at
 s = 0 avoid floats until the end: L(0, chi) for odd chi is exact, as
 int64 numerators over q, one per angle of chi, and L'(0, chi) for even
 chi is computed twice, by the log-gamma sum and through the functional
-equation, with a mandatory cross-check since every leading-coefficient
-number downstream multiplies it.
-Gamma comes from `math.gamma` on the real axis and from mpmath off it;
-digamma's Stirling tail reads its Bernoulli numbers from `bernoulli`.
+equation (L(1, conj chi) from the same pass at s = 1), with a mandatory
+cross-check since every leading-coefficient number downstream multiplies
+it.
+Gamma comes from `math.gamma` on the real axis and from mpmath off it.
 
 The series attached to a modified character is
 F(s) = (prod over S of (1 - chi(p) p^-s)/(1 - f(p) p^-s)) * L(s, chi);
@@ -98,9 +98,13 @@ def _clongdouble(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def _neg_power(x: np.ndarray, s: float | complex) -> tuple[np.ndarray,
                                                             np.ndarray]:
     """x^(-s) for real x > 0 in the dtype of s, with its modulus x^(-sigma):
-    longdouble for a float s, clongdouble for a complex one. The complex
-    exp is libm's exp(-sigma log x) times one sincos of -t log x: the same
-    numbers as separate cos and sin calls, in about half their time."""
+    longdouble for a float s, clongdouble for a complex one. At s = 1 it
+    is 1/x, one rounding. The complex exp is libm's exp(-sigma log x)
+    times one sincos of -t log x: the same numbers as separate cos and sin
+    calls, in about half their time."""
+    if s == 1:                          # one rounding, no log or exp
+        r = 1 / x
+        return r, r
     lx = np.log(x)
     mod = np.exp(-s.real * lx)
     if not isinstance(s, complex):
@@ -184,7 +188,8 @@ def _em_sum(s: complex, a: np.ndarray, a_min: float, M: int, B: int,
 
     zeta_MB is the Euler-Maclaurin formula cut after M power terms and B
     Bernoulli terms: sum_{n<M} (n+a)^(-s) + w^(1-s)/(s-1) + w^(-s)/2
-    + sum_{j<=B} B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1), with w = M + a. Every a
+    + sum_{j<=B} B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1), with w = M + a, and
+    -log w for w^(1-s)/(s-1) at s = 1 (hurwitz_zeta_with_bound). Every a
     is evaluated at once, in blocks of about _GRID grid elements, with one
     `_neg_power` over the block's [n + a | M + a] grid. Arrays are in the
     dtype of s: longdouble on the real axis, clongdouble off it; weights
@@ -218,13 +223,18 @@ def _em_sum(s: complex, a: np.ndarray, a_min: float, M: int, B: int,
             np.cumprod(ypow, axis=1, out=ypow)  # w^(-2(j-1))
             yk = np.dot(ypow, coefs)           # np.dot: matmul's sums, faster
             bern = yk[:, 0] if real else _clongdouble(yk[:, 0], yk[:, 1])
-            zeta = (p[:, :M].sum(axis=1) + ws * (w / s1 + 0.5)
+            if s == 1:      # -log w: w^(1-s)/(s-1) less its pole 1/(s-1)
+                lw = np.log(w)
+                edge, edge_mag = ws * 0.5 - lw, np.sum(lw + wmod * 0.5)
+            else:
+                edge = ws * (w / s1 + 0.5)
+                edge_mag = np.dot(wmod, w / abs(s - 1) + 0.5)
+            zeta = (p[:, :M].sum(axis=1) + edge
                     + ws / w * bern)           # ws / w = w^(-s-1)
             blocks.append(_fold(zeta if weights is None
                                 else weights[lo:lo + rows] * zeta))
             bmag, bjmag = np.dot(wmod / w, yk[:, -2:])
-            mag += (pmod[:, :M].sum() + np.dot(wmod, w / abs(s - 1) + 0.5)
-                    + bmag)
+            mag += pmod[:, :M].sum() + edge_mag + bmag
             jmag += bjmag
         scale, scale_mod = _neg_power(np.longdouble(q), sv)
     depth = _depth(min(rows, len(a))) + _depth(len(blocks))
@@ -271,7 +281,8 @@ def _em_sum_bigfloat(s: complex, a: np.ndarray, ctx: LContext | None,
                 w = x + M
                 ws = w ** -ms
                 terms = [(x + n) ** -ms for n in range(M)]
-                terms += [ws * w / (ms - 1), ws / 2]
+                terms += [-mp.log(w) if s == 1 else ws * w / (ms - 1),
+                          ws / 2]
                 g, y = ws / w, 1 / (w * w)
                 for j, c in enumerate(kb, start=1):
                     terms.append(c * g)
@@ -300,6 +311,19 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
       (derived once per context), so this is L(s, chi);
     - plain numbers, one 0 < a <= 1 or an array of them: q = 1 and every
       w_i is 1, so this is zeta(s, a) or the sum over the array.
+
+    s = 1 is accepted only for a non-principal chi's context (PoleError
+    otherwise). zeta(s, a) = 1/(s-1) - psi(a) + O(s-1) (DLMF 25.11), and
+    the pole, the same for every a, cancels in the sum since
+    sum_a chi(a) = 0, leaving L(1, chi) = -(1/q) sum_a chi(a) psi(a/q).
+    zeta_MB carries the same pole in w^(1-s)/(s-1) = 1/(s-1) - log w
+    + O(s-1), so _em_sum takes -log w in its place. The remainder
+    zeta - zeta_MB is analytic at s = 1, so the truncation bound, continuous
+    in s, holds there as the limit of its values nearby. For K: x^(-1) = 1/x
+    and q^(-1) = 1/q are one rounding each, inside their x^(-s) and q^(-s)
+    entries; log w is within 3u (w's 2u move it 2u absolutely, under 1u of
+    log w >= log 8, and libm adds 2), so with w^(-1)/2 and the subtraction
+    it fits the boundary terms' 10, and mag counts log w > 0.
 
     The returned bound is absolute and sums three parts:
     - truncation: the Euler-Maclaurin remainder bound of each a_i, summed
@@ -346,9 +370,11 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
     DomainError for |s| above MAX_ABS_S or NaN, and for eps outside (0, inf).
     """
     s = complex(s)
-    if s == 1:
-        raise PoleError("zeta(s, a) has its only pole at s = 1")
     ctx = a if isinstance(a, LContext) else None
+    if s == 1 and ctx is None:
+        raise PoleError("zeta(s, a) has its only pole at s = 1")
+    if s == 1 and ctx.chi.is_principal:
+        raise PoleError("L(s, principal chi) has a pole at s = 1")
     q = 1 if ctx is None else ctx.chi.modulus
     a64, ald, a_min = _points(a, 1) if ctx is None else ctx.points
     if not abs(s) <= MAX_ABS_S:                 # NaN fails here too
@@ -388,28 +414,6 @@ def hurwitz_zeta_with_bound(s, a, eps: float = 1e-12) -> tuple[complex, float]:
     return val, trunc + rounding + abs(val) * 2.0 ** -52
 
 
-def digamma(x):
-    """psi(x) for real x > 0, a float or a float64 array: shift every entry
-    to x >= 12, then the Stirling tail."""
-    xs = np.atleast_1d(np.array(x, dtype=np.float64))     # a copy
-    if np.any(xs <= 0):
-        raise DomainError("digamma implemented for positive real x only")
-    acc = np.zeros_like(xs)
-    low = xs < 12
-    while low.any():
-        acc[low] -= 1 / xs[low]
-        xs[low] += 1
-        low = xs < 12
-    inv2 = 1 / (xs * xs)
-    t = np.log(xs) - 0.5 / xs
-    p = inv2
-    for j in range(1, 9):                       # B_2 .. B_16
-        t -= float(bernoulli(2 * j)) / (2 * j) * p
-        p = p * inv2
-    out = acc + t
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def complex_gamma(z: complex) -> complex:
     """Gamma(z): `math.gamma` on the real axis, mpmath's gamma at 53 bits
     off it, whatever precision the caller left mpmath at. PoleError at
@@ -444,7 +448,7 @@ class LContext:
     eps: float = 1e-12
 
     def __post_init__(self):
-        # checked here too: the digamma route at s = 1 skips hurwitz's check
+        # checked here, not first at a Hurwitz pass: root_number reads it too
         if not 0 < self.eps < math.inf:
             raise DomainError(f"eps must be positive and finite, got"
                               f" {self.eps:g}")
@@ -508,33 +512,15 @@ def gauss_sum(chi: Character | LContext) -> complex:
     return complex(_unit_roots(k * q + r * order, order * q).sum())
 
 
-def _l_at_one(chi: Character | LContext) -> complex:
-    """L(1, chi) for non-principal chi: -(1/q) sum chi(a) psi(a/q).
+def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float]:
+    """L(s, chi) and an absolute bound on its error.
 
-    The Hurwitz route has a removable singularity at s = 1 (each term poles,
-    the chi-sum cancels); the digamma form is the finite part directly: the
-    context's roots times the array `digamma`, summed in clongdouble.
+    This is one hurwitz_zeta_with_bound call on all residues coprime to q,
+    s = 1 included, so chi's roots of unity, the sum over residues and
+    q^(-s) are formed in longdouble and the value is rounded to complex128
+    once. The bound is at most ctx.eps plus |value| 2^-52 for that
+    rounding. PoleError at s = 1 for principal chi.
     """
-    ctx = _context(chi)
-    q = ctx.chi.modulus
-    val = complex(-(ctx.roots * digamma(ctx.vector[0] / q)).sum() / q)
-    return val + 0j                    # + 0j turns a -0.0 part into 0.0
-
-
-def L_value_with_bound(ctx: LContext, s) -> tuple[complex, float | None]:
-    """L(s, chi) and an absolute bound on its error, None at s = 1.
-
-    Away from s = 1 this is one hurwitz_zeta_with_bound call on all residues
-    coprime to q, so chi's roots of unity, the sum over residues and q^(-s)
-    are formed in longdouble and the value is rounded to complex128 once.
-    The bound is at most ctx.eps plus |value| 2^-52 for that rounding. At
-    s = 1 the digamma form is used, which carries no certified bound.
-    """
-    s = complex(s)
-    if s == 1:
-        if ctx.chi.is_principal:
-            raise PoleError("L(s, principal chi) has a pole at s = 1")
-        return _l_at_one(ctx), None
     return hurwitz_zeta_with_bound(s, ctx, ctx.eps)
 
 
@@ -590,16 +576,17 @@ def lprime0_direct(chi: Character | LContext) -> complex:
 def lprime0_functional(chi: Character | LContext) -> complex:
     """L'(0, chi) = epsilon(chi) sqrt(q) L(1, conj chi) / 2, the second route.
 
-    L(1, conj chi) is conj L(1, chi): e(-k/order) of `_unit_roots` is the
-    exact conjugate of e(k/order) and psi(a/q) is real, so this has the
-    bits of the pass on conj chi up to the sign of a zero part, and reads
-    chi's own context. It stays independent of `lprime0_direct`: digamma
-    and tau(chi), not log-gamma.
+    L(1, conj chi) is conj L(1, chi), one Hurwitz pass at s = 1 on chi's
+    own context: e(-k/order) of `_unit_roots` is the exact conjugate of
+    e(k/order) and the pass's zeta values are real, so this has the bits of
+    the pass on conj chi up to the sign of a zero part. It stays
+    independent of `lprime0_direct`: the Euler-Maclaurin sum and tau(chi),
+    not log-gamma.
     """
     ctx = _context(chi)
     _even_primitive(ctx, "functional-equation route")
     return (ctx.root_number * math.sqrt(ctx.chi.modulus)
-            * _l_at_one(ctx).conjugate() / 2)
+            * L_value(ctx, 1).conjugate() / 2)
 
 
 def Lprime0(chi: Character | LContext) -> complex:

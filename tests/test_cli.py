@@ -281,10 +281,11 @@ def test_lfun_prints_error_bound(capsys):
     assert lines[1].startswith("functional equation residual: ")
     assert lines[2].startswith("error bound: ")
     assert 0 < float(lines[2].split(": ")[1]) <= 1e-12
-    # s = 1 takes the digamma form, which has no certified bound
+    # s = 1 takes the same pass, with its finite part, and its bound
     assert main(["lfun", "--label", "3.2", "--s", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == "error bound: uncertified (digamma route)"
+    assert lines[2].startswith("error bound: ")
+    assert 0 < float(lines[2].split(": ")[1]) <= 1e-12
 
 
 def test_lfun_names_the_partner_past_the_modulus_cap(capsys):

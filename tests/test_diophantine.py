@@ -468,6 +468,17 @@ def test_pole_series_guards():
         pole_series_diagnostic(bcc(), 5, 5, 100)
 
 
+def test_pole_series_overflowing_power_is_a_silent_zero_term():
+    # at k = 200, n^k is inf from n = 35 on: those terms are 0 by design,
+    # with no numpy overflow warning
+    fig1 = build_modified(character_from_label("3.2"),
+                          {2: ONE, 3: ONE, 5: ONE, 11: ONE})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = pole_series_diagnostic(fig1, 11, 200, 1000)
+    assert trace.terms[-1] == 0 and trace.terms[0] > 0
+
+
 def test_reconstruct_guard():
     with pytest.raises(DomainError):
         reconstruct_alpha(ConvergentTable(2, 3, 256, (), (), (), 0))

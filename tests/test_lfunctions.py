@@ -22,7 +22,7 @@ from modchar.errors import (DomainError, NearPoleWarning, ParityError,
                             UntrustedTheoryWarning)
 from modchar.lfunctions import (L0_exact, LContext, L_value,
                                 L_value_with_bound, Lprime0,
-                                complex_gamma, digamma, evaluate_F,
+                                complex_gamma, evaluate_F,
                                 euler_factor_ratio, functional_equation_check,
                                 gauss_sum, hurwitz_zeta_with_bound,
                                 l_special_factor, leading_coefficient,
@@ -133,24 +133,6 @@ def test_hurwitz_prints_the_modulus_of_s_in_full():
                               " is supported")
 
 
-def test_digamma_against_mpmath():
-    for x in (1e-3, 0.1, 0.5, 1.0, 2.5, 11.9, 12.0, 13.5, 300.0):
-        with mp.workdps(25):
-            ref = float(mp.digamma(x))
-        assert abs(digamma(x) - ref) <= 1e-12 * max(1.0, abs(ref)), x
-    # psi(1) = -gamma
-    assert abs(digamma(1.0) + 0.5772156649015329) < 1e-13
-    with pytest.raises(DomainError):
-        digamma(0.0)
-
-
-def test_digamma_array_matches_scalar_calls():
-    xs = np.array([1e-6, 0.3, 1.0, 7.5, 11.999, 12.0, 40.0, 1e5])
-    assert digamma(xs).tolist() == [digamma(float(x)) for x in xs]
-    with pytest.raises(DomainError):
-        digamma(np.array([0.5, -1.0]))
-
-
 def test_l_at_one_and_lprime0_direct_against_mpmath():
     # the residue sums of L(1, chi) and L'(0, chi) in one array pass each,
     # against the same sums at 30 digits; a per-residue float loop was
@@ -168,7 +150,8 @@ def test_l_at_one_and_lprime0_direct_against_mpmath():
     for label in ("61.2", "1009.5", "1009.2"):
         chi = character_from_label(label)
         want = -ref(chi, mp.digamma) / chi.modulus
-        assert abs(lfunctions._l_at_one(chi) - want) <= 1e-15
+        val, bound = L_value_with_bound(LContext(chi), 1)
+        assert abs(val - want) <= bound, label
     chi = character_from_label("1009.2")
     assert abs(lprime0_direct(chi) - ref(chi, mp.loggamma)) <= 2e-14
 
@@ -243,7 +226,8 @@ def test_l_value_conjugation_at_real_s():
 
 
 def test_l_value_continuous_through_one():
-    # s = 1 goes through the digamma form; approaching values must agree
+    # s = 1 takes the finite part -log w of w^(1-s)/(s-1) in the same
+    # pass; approaching values must agree
     ctx = LContext(chi3())
     at_one = L_value(ctx, 1.0)
     near = L_value(ctx, 1.0 + 1e-7)
@@ -382,10 +366,65 @@ def test_l_value_at_q_1051_within_its_bound_of_mpmath(s):
     assert bound <= 1e-12 + abs(val) * 2.0 ** -52
 
 
-def test_l_value_bound_uncertified_at_one():
+def test_l_value_bound_certified_at_one():
     val, bound = L_value_with_bound(LContext(chi3()), 1.0)
-    assert bound is None
-    assert abs(val - math.pi / (3 * math.sqrt(3))) <= 1e-10
+    assert isinstance(bound, float)
+    assert bound <= 1e-12 + abs(val) * 2.0 ** -52
+    assert abs(val - math.pi / (3 * math.sqrt(3))) <= bound
+
+
+def _mp_l_at_one(chi):
+    """-(1/q) sum_a chi(a) psi(a/q) in mpmath at 50 digits."""
+    q = chi.modulus
+    with mp.workdps(50):
+        tot = mp.mpc(0)
+        for a in range(1, q):
+            v = eval_char(chi, a)
+            if not v.is_zero:
+                tot += (mp.expjpi(mp.mpf(2 * v.numerator) / v.denominator)
+                        * mp.digamma(mp.mpf(a) / q))
+        return -tot / q
+
+
+def test_l_at_one_within_its_bound_of_the_digamma_sum(monkeypatch):
+    # L(1, chi) = -(1/q) sum chi(a) psi(a/q), the finite part of the
+    # Hurwitz sum, from the longdouble pass; a float64 digamma route was
+    # 2.2e-16 off at 4.3, above this pass's bound of 2.09e-16
+    monkeypatch.setattr(lfunctions, "_em_sum_bigfloat", None)
+    chis = [character_from_label(label)
+            for label in ("4.3", "5.4", "61.10", "1009.5")]
+    even59 = next(c for c in enumerate_characters(59)
+                  if parity(c) == 1 and c.order > 2)
+    for chi in chis + [even59]:
+        val, bound = L_value_with_bound(LContext(chi), 1)
+        gap = float(abs(mp.mpc(val) - _mp_l_at_one(chi)))
+        assert gap <= bound <= 1e-12 + abs(val) * 2.0 ** -52, (
+            chi.label, gap, bound)
+    assert L_value(LContext(chis[0]), 1) == math.pi / 4
+
+
+def test_l_at_one_on_mpmath_within_its_bound(monkeypatch):
+    # eps = 1e-30 is below the longdouble rounding term: the pass runs on
+    # mpmath, with -log w in place of w^(1-s)/(s-1) there too
+    calls = []
+    bigfloat = lfunctions._em_sum_bigfloat
+    monkeypatch.setattr(lfunctions, "_em_sum_bigfloat",
+                        lambda *args: calls.append(args) or bigfloat(*args))
+    for label in ("4.3", "61.10"):
+        chi = character_from_label(label)
+        val, bound = L_value_with_bound(LContext(chi, eps=1e-30), 1)
+        gap = float(abs(mp.mpc(val) - _mp_l_at_one(chi)))
+        assert gap <= bound <= 1e-30 + abs(val) * 2.0 ** -52, (
+            label, gap, bound)
+    assert len(calls) == 2
+
+
+def test_pole_at_one_without_a_non_principal_context():
+    # s = 1 is a pole unless a non-principal chi's weights cancel it
+    for a in (np.array([0.25, 0.75]),
+              LContext(character_group(5).principal())):
+        with pytest.raises(PoleError):
+            hurwitz_zeta_with_bound(1, a)
 
 
 def test_l0_exact_values():
@@ -535,8 +574,8 @@ def test_lprime0_dual_routes_agree():
 
 
 def test_l_at_one_has_no_negative_zero_part():
-    # like the Hurwitz route, the digamma route adds + 0j, which turns a
-    # -0.0 part into 0.0: `lfun --label 4.3 --s 1` prints "+ 0i", not "+ -0i"
+    # the Hurwitz pass adds + 0j at s = 1 too, which turns a -0.0 part
+    # into 0.0: `lfun --label 4.3 --s 1` prints "+ 0i", not "+ -0i"
     for q in range(3, 61):
         for chi in enumerate_characters(q):
             if chi.is_principal:
